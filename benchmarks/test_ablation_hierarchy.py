@@ -37,8 +37,7 @@ def test_multigrid_matches_flat_quality():
     rng = np.random.default_rng(11)
     for _ in range(5):
         V = 0.5 + rng.random(SYSTEM.n)
-        live = SYSTEM.with_capacities(V)
-        live.groups = SYSTEM.groups
+        live = SYSTEM.with_capacities(V)  # keeps the topology's groups
         amount = 0.6 * live.capacity_of(REQUESTER)
         flat = allocate_lp(live, REQUESTER, amount)
         multi = allocate_hierarchical(live, REQUESTER, amount, partial=True)

@@ -18,16 +18,16 @@ Run:  python examples/dynamic_agreements.py        (~30 s)
 
 import numpy as np
 
-from repro.agreements import AgreementSystem, complete_structure
+from repro.agreements import CapacityView, complete_structure
 from repro.proxysim import ProxySimulation, SimulationConfig
 
 
-def pariah_structure(n: int, share: float, outcast: int) -> AgreementSystem:
+def pariah_structure(n: int, share: float, outcast: int) -> CapacityView:
     """Complete graph where nobody shares *with* ``outcast`` any more."""
     base = complete_structure(n, share)
     S = base.S.copy()
     S[:, outcast] = 0.0  # inbound agreements revoked
-    return AgreementSystem(base.principals, base.V, S)
+    return CapacityView.from_matrices(base.principals, base.V, S)
 
 
 def main() -> None:

@@ -14,7 +14,7 @@ Run:  python examples/multi_resource_cluster.py
 
 import numpy as np
 
-from repro.agreements import AgreementSystem, hierarchical_structure
+from repro.agreements import CapacityView, hierarchical_structure
 from repro.allocation import (
     MultiResourceRequest,
     allocate_hierarchical,
@@ -38,7 +38,7 @@ def vector_requests() -> None:
     bank.issue_relative_ticket("beta", "gamma", 50)   # 50% of beta
 
     systems = {
-        rt: AgreementSystem.from_bank(bank, rt) for rt in ("cpu", "disk")
+        rt: bank.capacity_view(rt) for rt in ("cpu", "disk")
     }
     request = MultiResourceRequest(
         "gamma", ResourceVector(cpu=10.0, disk=200.0)
@@ -56,7 +56,7 @@ def coupled_resources() -> None:
     bank.create_currency("tenant")
     bank.deposit_capacity("provider", 32, "slot")  # 64 cpu / 256 GB worth
     bank.issue_relative_ticket("provider", "tenant", 50)
-    systems = {"slot": AgreementSystem.from_bank(bank, "slot")}
+    systems = {"slot": bank.capacity_view("slot")}
     request = MultiResourceRequest(
         "tenant", ResourceVector(slot=6.0), coupled=(slot,)
     )
@@ -69,7 +69,7 @@ def coupled_resources() -> None:
 def overdraft() -> None:
     print("\n=== 3. Overdraft semantics (Section 3.2's example) ===")
     S = np.array([[0.0, 0.6, 0.6], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
-    system = AgreementSystem(
+    system = CapacityView.from_matrices(
         ["A", "B", "C"], np.array([10.0, 0.0, 0.0]), S, allow_overdraft=True
     )
     print(f"  unclamped share reaching C: {0.6 + 0.6:.1f} of A's 10")
@@ -88,12 +88,12 @@ def hierarchical() -> None:
     flat = allocate_lp(system, "node0", amount)
     multi = allocate_hierarchical(system, "node0", amount, partial=True)
     print(f"  flat LP ({system.n} principals): theta={flat.theta:.3f}")
-    print(f"  multigrid (coarse {len(system.groups)} groups + refinement): "
+    print(f"  multigrid (coarse {len(system.topology.groups)} groups + refinement): "
           f"satisfied={multi.satisfied:.2f}, theta={multi.theta:.3f}")
     donors_outside = {
         system.principals[i]
         for i in np.nonzero(multi.take)[0]
-        if i not in system.groups[0]
+        if i not in system.topology.groups[0]
     }
     print(f"  cross-group donors engaged: {sorted(donors_outside) or 'none'}")
 

@@ -9,7 +9,6 @@ pipeline in ~40 lines.
 Run:  python examples/quickstart.py
 """
 
-from repro.agreements import AgreementSystem
 from repro.allocation import allocate_lp
 from repro.economy import Bank
 
@@ -40,7 +39,7 @@ def main() -> None:
     print(f"R-Ticket5 real value: {bank.ticket_real_value(t5.ticket_id)['disk']:g} TB")
 
     # --- Enforcement: the LP allocator (Section 3) --------------------------
-    system = AgreementSystem.from_bank(bank, "disk")
+    system = bank.capacity_view("disk")
     print("\nEffective capacities C_i (direct + transitive agreements):")
     for p, c in zip(system.principals, system.capacities()):
         print(f"  {p}: {c:g} TB")
@@ -54,7 +53,7 @@ def main() -> None:
 
     # Revoke B's agreement with D and watch D's capacity vanish.
     bank.revoke_ticket(t5.ticket_id)
-    system2 = AgreementSystem.from_bank(bank, "disk")
+    system2 = bank.capacity_view("disk")
     print(f"\nAfter revoking R-Ticket5, D's capacity: "
           f"{system2.capacity_of('D'):g} TB")
 

@@ -10,7 +10,7 @@ instrumented layer:
    solves, sim-time/wall-time ratio).
 
 Finally it replays the trace through the same aggregation that
-``scripts/obs_report.py`` uses and prints the summary tables.
+``scripts/obs_trace.py report`` uses and prints the summary tables.
 
 Run:  python examples/tracing_demo.py [trace.jsonl]
 """
@@ -63,8 +63,8 @@ def manager_cluster() -> None:
     )
     print(f"grant to isp2: takes={grant.takes} theta={grant.theta:.3f}")
     transport.send("grm", ReleaseMsg(sender="isp2", grant_id=grant.msg_id))
-    print(f"messages delivered: {transport.delivered} "
-          f"(per endpoint: {transport.sent_by_endpoint})")
+    sent = obs.get_observer().registry.snapshot()["counters"]["transport.sent"]
+    print(f"messages delivered: {transport.delivered} (per endpoint: {sent})")
 
 
 def proxy_simulation() -> None:

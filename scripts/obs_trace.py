@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Reconstruct request span trees from one or many repro.obs traces.
+"""Read repro.obs JSONL traces: span trees, summary tables, decision audits.
 
 Every node in a GRM/LRM deployment writes its own JSONL trace; the trace
 context on each span line (trace/span/parent ids) is what stitches one
-allocation's journey back together.  This tool merges the files,
-rebuilds the per-request trees, and attributes each request's latency to
-queueing vs transport vs topology work vs the LP solve.
+allocation's journey back together.  The default ``tree`` command merges
+the files, rebuilds the per-request trees, and attributes each request's
+latency to queueing vs transport vs topology work vs the LP solve.
 
 Usage::
 
@@ -13,7 +13,13 @@ Usage::
     PYTHONPATH=src python scripts/obs_trace.py node-a.jsonl node-b.jsonl
     PYTHONPATH=src python scripts/obs_trace.py --trace-id 1a2b3c run.jsonl
     PYTHONPATH=src python scripts/obs_trace.py --json run.jsonl
+    PYTHONPATH=src python scripts/obs_trace.py report run.jsonl
+    PYTHONPATH=src python scripts/obs_trace.py report --json run.jsonl
     PYTHONPATH=src python scripts/obs_trace.py explain 17 run.jsonl
+
+``report TRACE`` replays one trace into summary tables of counters,
+histograms, spans, events and decisions (``--json`` emits the aggregated
+summary instead, for piping into other tooling).
 
 ``explain REQUEST_ID`` prints the flight-recorder record(s) for one
 allocation decision (requestor, donor split, theta, LP statistics,
@@ -34,6 +40,8 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if _SRC.is_dir() and str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
+from repro.obs.events import read_trace  # noqa: E402
+from repro.obs.report import render_trace, summarize_trace  # noqa: E402
 from repro.obs.trace_tools import (  # noqa: E402
     build_trees,
     find_decisions,
@@ -59,6 +67,15 @@ def _cmd_tree(args) -> int:
         print(json.dumps(summary, indent=2))
     else:
         print(render_trees(trees, trace_id=args.trace_id))
+    return 0
+
+
+def _cmd_report(args) -> int:
+    (trace,) = args.traces
+    if args.json:
+        print(json.dumps(summarize_trace(read_trace(trace)), indent=2))
+    else:
+        print(render_trace(trace))
     return 0
 
 
@@ -99,7 +116,7 @@ def _cmd_explain(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # Default subcommand: a bare list of trace files means "tree".
-    if argv and argv[0] not in ("tree", "explain", "-h", "--help"):
+    if argv and argv[0] not in ("tree", "report", "explain", "-h", "--help"):
         argv.insert(0, "tree")
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -112,6 +129,17 @@ def main(argv: list[str] | None = None) -> int:
     p_tree.add_argument("--trace-id", help="only show this trace")
     p_tree.add_argument("--json", action="store_true", help="machine-readable output")
     p_tree.set_defaults(fn=_cmd_tree)
+
+    p_report = sub.add_parser(
+        "report", help="replay one trace into summary tables"
+    )
+    p_report.add_argument(
+        "traces", nargs=1, metavar="trace", help="JSONL trace written by repro.obs"
+    )
+    p_report.add_argument(
+        "--json", action="store_true", help="emit the aggregated summary as JSON"
+    )
+    p_report.set_defaults(fn=_cmd_report)
 
     p_explain = sub.add_parser(
         "explain", help="print the decision record(s) for a request id"

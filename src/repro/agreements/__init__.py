@@ -2,13 +2,11 @@
 
 - :class:`~repro.agreements.topology.AgreementTopology` /
   :class:`~repro.agreements.topology.CapacityView` — the core split: an
-  immutable, hashable structure (principals, ``S``, ``A``, overdraft
-  flag, flow method) owning the per-level coefficient cache, and cheap
-  capacity views over it, one per scheduling epoch;
-- :class:`~repro.agreements.matrix.AgreementSystem` — the compatibility
-  facade over the pair: principals, raw capacities ``V``, relative matrix
-  ``S`` and absolute matrix ``A`` with the paper's validity constraints,
-  plus cached flow/capacity queries;
+  immutable, hashable structure (principals, relative matrix ``S``,
+  absolute matrix ``A``, overdraft flag, flow method) validated against
+  the paper's constraints and owning the per-level coefficient cache,
+  and cheap capacity views binding raw capacities ``V`` to it, one per
+  scheduling epoch (:meth:`CapacityView.from_matrices` builds both);
 - :mod:`~repro.agreements.flow` — the flow coefficients ``T^(m)``
   (sums over acyclic agreement chains of at most ``m`` hops), flows
   ``I^(m) = V_i T^(m)_ij``, overdraft clamping ``K^(m)``, absolute-ticket
@@ -38,7 +36,6 @@ from .flow import (
     transitive_coefficients,
     u_matrix,
 )
-from .matrix import AgreementSystem
 from .negotiate import suggest_shares
 from .topology import AgreementTopology, CapacityView
 from .structures import (
@@ -50,7 +47,6 @@ from .structures import (
 )
 
 __all__ = [
-    "AgreementSystem",
     "AgreementTopology",
     "CapacityView",
     "StructureSummary",

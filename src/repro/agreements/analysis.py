@@ -6,25 +6,19 @@ exposed is a donor to its beneficiaries, and how balanced is the
 structure overall.  Used by the examples and handy for debugging
 agreement graphs.
 
-Every function accepts either an
-:class:`~repro.agreements.matrix.AgreementSystem` or a
-:class:`~repro.agreements.topology.CapacityView` — both expose the same
-query surface, so analyses run equally against a static system or a live
-view minted from a bank's cached topology
+Every function takes a :class:`~repro.agreements.topology.CapacityView`,
+so analyses run equally against a structure built from matrices or a
+live view minted from a bank's cached topology
 (:meth:`repro.economy.Bank.capacity_view`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from .matrix import AgreementSystem
 from .topology import CapacityView
-
-Systemish = Union[AgreementSystem, CapacityView]
 
 __all__ = [
     "reachable_set",
@@ -40,7 +34,7 @@ _TOL = 1e-12
 
 
 def reachable_set(
-    system: Systemish, principal: str, level: int | None = None
+    system: CapacityView, principal: str, level: int | None = None
 ) -> dict[str, float]:
     """Donors whose resources ``principal`` can draw on, with amounts.
 
@@ -57,7 +51,7 @@ def reachable_set(
 
 
 def donor_set(
-    system: Systemish, principal: str, level: int | None = None
+    system: CapacityView, principal: str, level: int | None = None
 ) -> dict[str, float]:
     """Beneficiaries that can draw on ``principal``'s resources.
 
@@ -72,7 +66,7 @@ def donor_set(
     }
 
 
-def exposure(system: Systemish, principal: str, level: int | None = None) -> float:
+def exposure(system: CapacityView, principal: str, level: int | None = None) -> float:
     """Fraction of ``principal``'s raw capacity promised to others.
 
     1.0 means every unit it owns is (transitively) claimable by someone;
@@ -85,7 +79,7 @@ def exposure(system: Systemish, principal: str, level: int | None = None) -> flo
     return float(outgoing / system.V[a])
 
 
-def dependency(system: Systemish, principal: str, level: int | None = None) -> float:
+def dependency(system: CapacityView, principal: str, level: int | None = None) -> float:
     """Fraction of ``principal``'s effective capacity that is borrowed.
 
     0 means fully self-sufficient; close to 1 means nearly everything it
@@ -99,7 +93,7 @@ def dependency(system: Systemish, principal: str, level: int | None = None) -> f
 
 
 def chain_contributions(
-    system: Systemish, donor: str, beneficiary: str, max_level: int | None = None
+    system: CapacityView, donor: str, beneficiary: str, max_level: int | None = None
 ) -> list[tuple[int, float]]:
     """Per-level breakdown of the flow coefficient from donor to beneficiary.
 
@@ -143,7 +137,7 @@ class StructureSummary:
         )
 
 
-def summarize(system: Systemish, level: int | None = None) -> StructureSummary:
+def summarize(system: CapacityView, level: int | None = None) -> StructureSummary:
     """Compute a :class:`StructureSummary` for a system."""
     n = system.n
     edges = int(np.count_nonzero(system.S))

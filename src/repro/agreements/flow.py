@@ -10,7 +10,8 @@ transitive agreements, where chains may not revisit nodes::
                of S[i,k_1] * S[k_1,k_2] * ... * S[k_{l-1},j]
 
 ``T`` depends only on the agreement matrix ``S``, so it is computed once
-per (structure, level) and cached by :class:`~repro.agreements.matrix.AgreementSystem`.
+per (structure, level) and cached by
+:class:`~repro.agreements.topology.AgreementTopology`.
 
 Three algorithms are provided:
 

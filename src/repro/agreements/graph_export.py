@@ -2,8 +2,8 @@
 
 The agreement matrices are small dense arrays; for interoperability with
 graph tooling (visualisation, centrality analysis, community detection on
-large sparse structures) this module converts an
-:class:`~repro.agreements.matrix.AgreementSystem` to a
+large sparse structures) this module converts a
+:class:`~repro.agreements.topology.CapacityView` to a
 :class:`networkx.DiGraph` and back.
 
 Edge attributes: ``share`` (relative fraction from ``S``) and ``grant``
@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..errors import AgreementError
-from .matrix import AgreementSystem
+from .topology import CapacityView
 
 if TYPE_CHECKING:  # networkx is an optional dependency
     import networkx as nx
@@ -27,7 +27,7 @@ __all__ = ["to_networkx", "from_networkx"]
 _TOL = 1e-12
 
 
-def to_networkx(system: AgreementSystem) -> "nx.DiGraph":
+def to_networkx(system: CapacityView) -> "nx.DiGraph":
     """Convert to a directed graph with share/grant edge attributes."""
     import networkx as nx
 
@@ -49,8 +49,8 @@ def to_networkx(system: AgreementSystem) -> "nx.DiGraph":
     return g
 
 
-def from_networkx(graph: "nx.DiGraph", *, flow_method: str = "dp") -> AgreementSystem:
-    """Rebuild an :class:`AgreementSystem` from a graph produced by
+def from_networkx(graph: "nx.DiGraph", *, flow_method: str = "dp") -> CapacityView:
+    """Rebuild a :class:`CapacityView` from a graph produced by
     :func:`to_networkx` (or hand-built with the same attributes).
 
     Nodes need a ``capacity`` attribute (default 0); edges may carry
@@ -69,7 +69,7 @@ def from_networkx(graph: "nx.DiGraph", *, flow_method: str = "dp") -> AgreementS
     for u, v, data in graph.edges(data=True):
         S[index[u], index[v]] = float(data.get("share", 0.0))
         A[index[u], index[v]] = float(data.get("grant", 0.0))
-    return AgreementSystem(
+    return CapacityView.from_matrices(
         principals,
         V,
         S,

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..errors import AgreementError, InfeasibleAllocationError
 from ..lp import LinearProgram
-from .matrix import AgreementSystem
+from .topology import CapacityView
 
 __all__ = ["suggest_shares"]
 
@@ -38,7 +38,7 @@ def suggest_shares(
     max_share_out: float = 1.0,
     max_edge_share: float = 1.0,
     backend: str = "scipy",
-) -> AgreementSystem:
+) -> CapacityView:
     """Find a minimal relative agreement matrix meeting capacity targets.
 
     Parameters
@@ -59,7 +59,7 @@ def suggest_shares(
 
     Returns
     -------
-    AgreementSystem
+    CapacityView
         With the suggested ``S``; total committed capacity is minimal.
 
     Raises
@@ -132,4 +132,6 @@ def suggest_shares(
     S = np.zeros((n, n))
     for (i, j), var in s.items():
         S[i, j] = max(result[var.name], 0.0)
-    return AgreementSystem(principals, V, S, allow_overdraft=max_share_out > 1.0)
+    return CapacityView.from_matrices(
+        principals, V, S, allow_overdraft=max_share_out > 1.0
+    )

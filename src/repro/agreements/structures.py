@@ -6,7 +6,7 @@ Section 2.2 names three expected structures — **complete**, **sparse** and
 and Figure 13's **distance-decay** complete graph (20%/10%/5%/3% by
 circular hour distance).
 
-Each generator returns an :class:`~repro.agreements.matrix.AgreementSystem`.
+Each generator returns a :class:`~repro.agreements.topology.CapacityView`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..errors import InvalidAgreementMatrixError
-from .matrix import AgreementSystem
+from .topology import AgreementTopology, CapacityView
 
 __all__ = [
     "complete_structure",
@@ -48,7 +48,7 @@ def complete_structure(
     capacity: float | Sequence[float] = 1.0,
     names: Sequence[str] | None = None,
     **kwargs,
-) -> AgreementSystem:
+) -> CapacityView:
     """Complete graph: every participant shares ``share`` with every other.
 
     This is the structure of Figures 6–8 and 12: "a complete graph between
@@ -57,7 +57,7 @@ def complete_structure(
     """
     S = np.full((n, n), float(share))
     np.fill_diagonal(S, 0.0)
-    return AgreementSystem(
+    return CapacityView.from_matrices(
         names or default_names(n), _uniform_capacity(n, capacity), S, **kwargs
     )
 
@@ -69,7 +69,7 @@ def loop_structure(
     capacity: float | Sequence[float] = 1.0,
     names: Sequence[str] | None = None,
     **kwargs,
-) -> AgreementSystem:
+) -> CapacityView:
     """Cycle: each participant shares only with the ``skip``-th next one.
 
     Figures 9–11 use loops over 10 ISPs with ``share = 0.8`` and neighbors
@@ -83,7 +83,7 @@ def loop_structure(
     S = np.zeros((n, n))
     for i in range(n):
         S[i, (i + skip) % n] = float(share)
-    return AgreementSystem(
+    return CapacityView.from_matrices(
         names or default_names(n), _uniform_capacity(n, capacity), S, **kwargs
     )
 
@@ -96,7 +96,7 @@ def sparse_structure(
     names: Sequence[str] | None = None,
     seed: int | None = 0,
     **kwargs,
-) -> AgreementSystem:
+) -> CapacityView:
     """Random sparse graph: each participant shares with ``degree`` others.
 
     "Every participant only has sharing agreements with a relatively small
@@ -112,7 +112,7 @@ def sparse_structure(
         partners = rng.choice(others[others != i], size=degree, replace=False)
         for j in partners:
             S[i, j] = share_total / degree if degree else 0.0
-    return AgreementSystem(
+    return CapacityView.from_matrices(
         names or default_names(n), _uniform_capacity(n, capacity), S, **kwargs
     )
 
@@ -125,7 +125,7 @@ def hierarchical_structure(
     capacity: float | Sequence[float] = 1.0,
     names: Sequence[str] | None = None,
     **kwargs,
-) -> AgreementSystem:
+) -> CapacityView:
     """Groups with complete intra-group sharing and sparse inter-group links.
 
     "Inside a group, users have complete resource sharing.  Between groups
@@ -135,7 +135,7 @@ def hierarchical_structure(
     (first member) of each group shares ``inter_share`` with the leader of
     the next group (ring of groups).
 
-    The grouping is recorded on the returned system as ``system.groups``
+    The grouping is recorded on the topology as ``view.topology.groups``
     for the multigrid allocator (:mod:`repro.allocation.hierarchical`).
     """
     n = groups * group_size
@@ -152,13 +152,13 @@ def hierarchical_structure(
         next_leader = ((g + 1) % groups) * group_size
         if groups > 1:
             S[leader, next_leader] += inter_share
-    system = AgreementSystem(
-        names or default_names(n, prefix="node"), _uniform_capacity(n, capacity), S, **kwargs
+    topology = AgreementTopology(
+        names or default_names(n, prefix="node"),
+        S,
+        groups=[range(g * group_size, (g + 1) * group_size) for g in range(groups)],
+        **kwargs,
     )
-    system.groups = [
-        list(range(g * group_size, (g + 1) * group_size)) for g in range(groups)
-    ]
-    return system
+    return topology.view(_uniform_capacity(n, capacity))
 
 
 def distance_decay_structure(
@@ -167,7 +167,7 @@ def distance_decay_structure(
     capacity: float | Sequence[float] = 1.0,
     names: Sequence[str] | None = None,
     **kwargs,
-) -> AgreementSystem:
+) -> CapacityView:
     """Figure 13's structure: shares decay with circular (time-zone) distance.
 
     "each ISP shares 20% of its resources with neighbors one-hour time zone
@@ -182,6 +182,6 @@ def distance_decay_structure(
                 continue
             d = min(abs(i - j), n - abs(i - j))
             S[i, j] = shares[min(d, len(shares)) - 1]
-    return AgreementSystem(
+    return CapacityView.from_matrices(
         names or default_names(n), _uniform_capacity(n, capacity), S, **kwargs
     )

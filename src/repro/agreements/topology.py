@@ -21,9 +21,11 @@ This module gives each rate its own type:
   memoisation.  Views are cheap to mint (:meth:`AgreementTopology.view`)
   and to rebind (:meth:`CapacityView.with_capacities`).
 
-:class:`~repro.agreements.matrix.AgreementSystem` remains as a thin
-facade over the pair, so call sites written against the original
-monolithic class keep working unchanged.
+A view is the one agreement type the rest of the package passes around:
+build one from matrices with :meth:`CapacityView.from_matrices`, from a
+structure generator (:mod:`repro.agreements.structures`), or from a bank
+with :meth:`repro.economy.Bank.capacity_view`, which reuses the bank's
+version-keyed topology cache.
 """
 
 from __future__ import annotations
@@ -73,6 +75,11 @@ class AgreementTopology:
         then clamped with ``K``.
     flow_method:
         Algorithm for :func:`repro.agreements.flow.transitive_coefficients`.
+    groups:
+        Optional partition of principal indices into groups, recorded by
+        :func:`repro.agreements.structures.hierarchical_structure` for the
+        multigrid allocator (:mod:`repro.allocation.hierarchical`).  It
+        annotates the structure and plays no part in flows or identity.
 
     Instances are immutable (matrices are stored read-only) and hashable
     on their full structural content, which is what lets callers key
@@ -87,6 +94,7 @@ class AgreementTopology:
         "A",
         "allow_overdraft",
         "flow_method",
+        "groups",
         "_index",
         "_t_cache",
         "_hash",
@@ -100,6 +108,7 @@ class AgreementTopology:
         *,
         allow_overdraft: bool = False,
         flow_method: str = "dp",
+        groups: Sequence[Sequence[int]] | None = None,
     ) -> None:
         self.principals = tuple(principals)
         self.n = len(self.principals)
@@ -111,6 +120,9 @@ class AgreementTopology:
         self.S = self._clean_relative(np.asarray(S, dtype=float).copy())
         self.A = self._clean_absolute(
             None if A is None else np.asarray(A, dtype=float).copy()
+        )
+        self.groups = (
+            None if groups is None else tuple(tuple(int(i) for i in g) for g in groups)
         )
         self._t_cache: dict[int, np.ndarray] = {}
         self._hash: int | None = None
@@ -243,20 +255,45 @@ class AgreementTopology:
 class CapacityView:
     """The fast-changing half: a capacity vector over a topology.
 
-    A view answers the same flow/capacity queries as the old monolithic
-    ``AgreementSystem`` but owns no structure of its own — ``T`` lookups
-    hit the topology's shared cache, and the per-level ``(U, C)`` pairs
-    computed for *this* ``V`` are memoised so an allocator's sequence of
+    A view answers every flow/capacity query of the enforcement layer but
+    owns no structure of its own — ``T`` lookups hit the topology's shared
+    cache, and the per-level ``(U, C)`` pairs computed for *this* ``V``
+    are memoised so an allocator's sequence of
     ``u() / capacities() / coefficients()`` calls does the dense algebra
-    once.
+    once.  Every array a view hands out is read-only; ``.copy()`` before
+    writing.
     """
 
     __slots__ = ("topology", "V", "_uc_cache")
 
-    def __init__(self, topology: AgreementTopology, V: np.ndarray) -> None:
+    def __init__(
+        self, topology: AgreementTopology, V: np.ndarray | Sequence[float]
+    ) -> None:
         self.topology = topology
         self.V = _clean_capacities(V, topology.n)
         self._uc_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    @classmethod
+    def from_matrices(
+        cls,
+        principals: Sequence[str],
+        V: np.ndarray | Sequence[float],
+        S: np.ndarray,
+        A: np.ndarray | None = None,
+        *,
+        allow_overdraft: bool = False,
+        flow_method: str = "dp",
+    ) -> "CapacityView":
+        """Validate ``(principals, S, A)`` into a new topology and bind ``V``.
+
+        ``S[i, j]`` is the fraction of ``i``'s resources shared with
+        ``j`` and ``A[i, j]`` a constant quantity granted by ``i`` to
+        ``j``; see :class:`AgreementTopology` for the constraints.
+        """
+        topology = AgreementTopology(
+            principals, S, A, allow_overdraft=allow_overdraft, flow_method=flow_method
+        )
+        return cls(topology, V)
 
     # -- structure passthrough -------------------------------------------------
 

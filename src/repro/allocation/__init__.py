@@ -1,6 +1,6 @@
 """Enforcing sharing agreements: the allocation engine (Section 3).
 
-Given an :class:`~repro.agreements.AgreementSystem`, a requesting principal
+Given a :class:`~repro.agreements.CapacityView`, a requesting principal
 ``A`` and an amount ``x``, the allocator decides how much of the request to
 satisfy from each principal's raw resources, subject to the transitive
 flow bounds, minimising the perturbation metric

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import sanitize as _sanitize
 from ..errors import InfeasibleAllocationError, InsufficientResourcesError
 from ..lp import LinearProgram
 from .lp_allocator import allocate_lp
@@ -74,7 +73,7 @@ def allocate_cost_aware(
             raise InsufficientResourcesError(principal, x, float(C[a]))
         x = float(C[a])
     if x <= 1e-12:
-        return _result(system, request, np.zeros(n), 0.0, level)
+        return Allocation.finalize(system, request, np.zeros(n), "cost-aware", cost=0.0)
 
     if lexicographic:
         base = allocate_lp(
@@ -109,25 +108,6 @@ def allocate_cost_aware(
             f"(theta_cap={theta_cap!r})"
         )
     take = np.array([max(res[f"d{i}"], 0.0) for i in range(n)])
-    return _result(system, request, take, float(res.objective), level)
-
-
-def _result(system, request, take, cost, level) -> Allocation:
-    new_V = np.maximum(system.V - take, 0.0)
-    new_C = system.topology.capacities(new_V, level)
-    a = system.index(request.principal)
-    drops = np.delete(system.capacities(level) - new_C, a)
-    allocation = Allocation(
-        request=request,
-        take=take,
-        theta=float(drops.max()) if drops.size else 0.0,
-        satisfied=float(take.sum()),
-        new_V=new_V,
-        new_C=new_C,
-        scheme="cost-aware",
-        principals=list(system.principals),
+    return Allocation.finalize(
+        system, request, take, "cost-aware", cost=float(res.objective)
     )
-    allocation.cost = cost
-    if _sanitize.enabled():
-        _sanitize.check_allocation(system.capacities(level), allocation)
-    return allocation

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import sanitize as _sanitize
 from ..errors import InsufficientResourcesError
 from .problem import Allocation, AllocationRequest
 
@@ -70,20 +69,4 @@ def allocate_endpoint(
     if remaining > _TOL and not partial:
         raise InsufficientResourcesError(principal, amount, satisfied)
 
-    new_V = np.maximum(V - take, 0.0)
-    new_C = system.topology.capacities(new_V, 1)
-    old_C = system.capacities(1)
-    drops = np.delete(old_C - new_C, a)
-    allocation = Allocation(
-        request=request,
-        take=take,
-        theta=float(drops.max()) if drops.size else 0.0,
-        satisfied=satisfied,
-        new_V=new_V,
-        new_C=new_C,
-        scheme="endpoint",
-        principals=list(system.principals),
-    )
-    if _sanitize.enabled():
-        _sanitize.check_allocation(old_C, allocation)
-    return allocation
+    return Allocation.finalize(system, request, take, "endpoint", satisfied=satisfied)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import sanitize as _sanitize
 from ..errors import InsufficientResourcesError
 from .problem import Allocation, AllocationRequest
 
@@ -57,20 +56,6 @@ def allocate_greedy(
                 take[k] = grant
                 remaining -= grant
 
-    satisfied = x - max(remaining, 0.0)
-    new_V = np.maximum(V - take, 0.0)
-    new_C = system.topology.capacities(new_V, level)
-    drops = np.delete(C - new_C, a)
-    allocation = Allocation(
-        request=request,
-        take=take,
-        theta=float(drops.max()) if drops.size else 0.0,
-        satisfied=satisfied,
-        new_V=new_V,
-        new_C=new_C,
-        scheme="greedy",
-        principals=list(system.principals),
+    return Allocation.finalize(
+        system, request, take, "greedy", satisfied=x - max(remaining, 0.0)
     )
-    if _sanitize.enabled():
-        _sanitize.check_allocation(C, allocation)
-    return allocation

@@ -15,10 +15,11 @@ respects the member-level bounds exactly).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
-from .. import sanitize as _sanitize
-from ..agreements.matrix import AgreementSystem
+from ..agreements.topology import CapacityView
 from ..errors import AllocationError, InsufficientResourcesError
 from ..obs import get_observer
 from ..obs.decision import current_decision
@@ -30,7 +31,7 @@ __all__ = ["allocate_hierarchical", "coarsen"]
 _TOL = 1e-9
 
 
-def coarsen(system: AgreementSystem, groups: list[list[int]]) -> AgreementSystem:
+def coarsen(system: CapacityView, groups: Sequence[Sequence[int]]) -> CapacityView:
     """Aggregate a member-level system into a group-level system.
 
     ``V_g = sum_{i in g} V_i`` and
@@ -39,7 +40,7 @@ def coarsen(system: AgreementSystem, groups: list[list[int]]) -> AgreementSystem
     appear at the coarse level.
     """
     ng = len(groups)
-    Vg = np.array([system.V[g].sum() for g in groups])
+    Vg = np.array([system.V[list(g)].sum() for g in groups])
     Sg = np.zeros((ng, ng))
     for gi, g in enumerate(groups):
         if Vg[gi] <= _TOL:
@@ -51,17 +52,17 @@ def coarsen(system: AgreementSystem, groups: list[list[int]]) -> AgreementSystem
                 system.S[i, j] * system.V[i] for i in g for j in h
             ) / Vg[gi]
     names = [f"group{gi}" for gi in range(ng)]
-    return AgreementSystem(
+    return CapacityView.from_matrices(
         names, Vg, Sg, allow_overdraft=system.allow_overdraft,
         flow_method=system.flow_method,
     )
 
 
-def _subsystem(system: AgreementSystem, members: list[int]) -> AgreementSystem:
+def _subsystem(system: CapacityView, members: Sequence[int]) -> CapacityView:
     """Member-level system restricted to one group (intra-group edges only)."""
     idx = np.asarray(members)
     names = [system.principals[i] for i in members]
-    return AgreementSystem(
+    return CapacityView.from_matrices(
         names,
         system.V[idx],
         system.S[np.ix_(idx, idx)],
@@ -72,11 +73,11 @@ def _subsystem(system: AgreementSystem, members: list[int]) -> AgreementSystem:
 
 
 def allocate_hierarchical(
-    system: AgreementSystem,
+    system: CapacityView,
     principal: str,
     amount: float,
     *,
-    groups: list[list[int]] | None = None,
+    groups: Sequence[Sequence[int]] | None = None,
     level: int | None = None,
     backend: str = "scipy",
     partial: bool = False,
@@ -92,7 +93,7 @@ def allocate_hierarchical(
        capacities, exactly the paper's "iterating this process as
        required".
 
-    ``groups`` defaults to the ``system.groups`` attribute set by
+    ``groups`` defaults to the ``system.topology.groups`` partition set by
     :func:`repro.agreements.structures.hierarchical_structure`.
 
     Raises :class:`~repro.errors.InsufficientResourcesError` (with the
@@ -100,7 +101,7 @@ def allocate_hierarchical(
     and ``partial`` is False.
     """
     if groups is None:
-        groups = getattr(system, "groups", None)
+        groups = system.topology.groups
     if groups is None:
         raise AllocationError(
             "hierarchical allocation needs a group partition; pass groups= "
@@ -130,7 +131,7 @@ def allocate_hierarchical(
             plan = allocate_lp(local_sys, principal, x, level=level, backend=backend)
             for m, t in zip(groups[home], plan.take):
                 take[m] = t
-            return _finish(system, request, take, x, level)
+            return Allocation.finalize(system, request, take, "hierarchical", satisfied=x)
 
         remaining = x
         current = system
@@ -201,10 +202,12 @@ def allocate_hierarchical(
                 requested=x, available=satisfied, scheme="hierarchical",
             )
             raise InsufficientResourcesError(principal, x, satisfied)
-    return _finish(system, request, take, satisfied, level)
+    return Allocation.finalize(
+        system, request, take, "hierarchical", satisfied=satisfied
+    )
 
 
-def _spread_within(sub: AgreementSystem, contribution: float) -> np.ndarray:
+def _spread_within(sub: CapacityView, contribution: float) -> np.ndarray:
     """Spread a donor group's contribution over members, minimising the
     maximum member drop (a small LP with an exogenous sink)."""
     from ..lp import LinearProgram
@@ -230,23 +233,3 @@ def _spread_within(sub: AgreementSystem, contribution: float) -> np.ndarray:
     if not res.ok:  # pragma: no cover - bounded by construction
         raise AllocationError(f"group refinement LP {res.status.value}")
     return np.array([max(res[f"d{i}"], 0.0) for i in range(k)])
-
-
-def _finish(system, request, take, satisfied, level) -> Allocation:
-    new_V = np.maximum(system.V - take, 0.0)
-    new_C = system.topology.capacities(new_V, level)
-    a = system.index(request.principal)
-    drops = np.delete(system.capacities(level) - new_C, a)
-    allocation = Allocation(
-        request=request,
-        take=take,
-        theta=float(drops.max()) if drops.size else 0.0,
-        satisfied=satisfied,
-        new_V=new_V,
-        new_C=new_C,
-        scheme="hierarchical",
-        principals=list(system.principals),
-    )
-    if _sanitize.enabled():
-        _sanitize.check_allocation(system.capacities(level), allocation)
-    return allocation

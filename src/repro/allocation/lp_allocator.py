@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import sanitize as _sanitize
 from ..errors import (
     InfeasibleAllocationError,
     InsufficientResourcesError,
@@ -78,8 +77,7 @@ def allocate_lp(
     Parameters
     ----------
     system:
-        An :class:`~repro.agreements.AgreementSystem` or a
-        :class:`~repro.agreements.topology.CapacityView` (the GRM's hot
+        A :class:`~repro.agreements.topology.CapacityView` (the GRM's hot
         path passes views bound to its cached topology).
     principal, amount:
         The requester ``A`` and request size ``x``.
@@ -125,7 +123,9 @@ def allocate_lp(
                 raise InsufficientResourcesError(principal, x, cap)
             x = cap
         if x <= _TOL:
-            return _make_result(system, request, np.zeros(n), 0.0, 0.0, level)
+            return Allocation.finalize(
+                system, request, np.zeros(n), "lp", satisfied=0.0, theta=0.0
+            )
 
         if objective not in ("others", "all"):
             raise LPError(f"unknown objective {objective!r}; use 'others' or 'all'")
@@ -156,7 +156,7 @@ def allocate_lp(
             obs.histogram("allocation.theta", theta)
             obs.histogram("allocation.donors", donors)
             sp.set(theta=theta, donors=donors, satisfied=x)
-    return _make_result(system, request, take, theta, x, level)
+    return Allocation.finalize(system, request, take, "lp", satisfied=x, theta=theta)
 
 
 def _donor_bounds(n: int, a: int, V: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -306,20 +306,3 @@ def _solve_faithful(n, a, x, V, U, T, C, objective, backend):
         )
     take = np.array([float(V[i]) - res[f"Vp{i}"] for i in range(n)])
     return np.clip(take, 0.0, None), float(res.objective)
-
-
-def _make_result(system, request, take, theta, satisfied, level) -> Allocation:
-    new_V = np.maximum(system.V - take, 0.0)
-    allocation = Allocation(
-        request=request,
-        take=take,
-        theta=theta,
-        satisfied=float(satisfied),
-        new_V=new_V,
-        new_C=system.topology.capacities(new_V, level),
-        scheme="lp",
-        principals=list(system.principals),
-    )
-    if _sanitize.enabled():
-        _sanitize.check_allocation(system.capacities(level), allocation)
-    return allocation

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..agreements.topology import CapacityView
 from ..errors import AllocationError, InsufficientResourcesError
 from ..units import CoupledResource, ResourceVector
 from .lp_allocator import allocate_lp
@@ -38,7 +39,7 @@ class MultiResourceRequest:
 
 
 def allocate_multi(
-    systems: dict[str, "object"],
+    systems: dict[str, CapacityView],
     request: MultiResourceRequest,
     *,
     formulation: str = "reduced",
@@ -50,14 +51,13 @@ def allocate_multi(
     Parameters
     ----------
     systems:
-        Maps resource-type name to the system-like object governing that
-        type — an :class:`~repro.agreements.AgreementSystem` or a
-        :class:`~repro.agreements.topology.CapacityView` (built e.g. with
-        ``bank.capacity_view(rtype)`` per type, which reuses the bank's
-        version-keyed topology cache).  A coupled resource must have its
-        *own* entry: the caller registers the bundle as a first-class
-        resource type, which is precisely the paper's "bind these types
-        into a new type" prescription.
+        Maps resource-type name to the
+        :class:`~repro.agreements.topology.CapacityView` governing that
+        type (built e.g. with ``bank.capacity_view(rtype)`` per type, which
+        reuses the bank's version-keyed topology cache).  A coupled
+        resource must have its *own* entry: the caller registers the
+        bundle as a first-class resource type, which is precisely the
+        paper's "bind these types into a new type" prescription.
     request:
         The vector request.
 

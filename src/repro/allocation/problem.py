@@ -1,10 +1,24 @@
-"""Request and result types for the allocation engine."""
+"""Request and result types for the allocation engine.
+
+:meth:`Allocation.finalize` is the one epilogue every allocator ends
+with: it derives the post-allocation state from the takes, runs the
+sanitizer's postconditions, and records the outcome on the flight
+recorder's in-flight decision (which exists only while observability
+is enabled).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+from .. import sanitize as _sanitize
+from ..obs.decision import current_decision
+
+if TYPE_CHECKING:
+    from ..agreements.topology import CapacityView
 
 __all__ = ["AllocationRequest", "Allocation"]
 
@@ -52,6 +66,8 @@ class Allocation:
         Which allocator produced this (``"lp"``, ``"endpoint"``, ...).
     principals:
         Names matching the vector indices.
+    cost:
+        Total borrowing cost at the optimum (cost-aware allocator only).
     """
 
     request: AllocationRequest
@@ -62,6 +78,61 @@ class Allocation:
     new_C: np.ndarray
     scheme: str
     principals: list[str] = field(default_factory=list)
+    cost: float | None = None
+
+    @classmethod
+    def finalize(
+        cls,
+        view: CapacityView,
+        request: AllocationRequest,
+        take: np.ndarray,
+        scheme: str,
+        *,
+        satisfied: float | None = None,
+        theta: float | None = None,
+        cost: float | None = None,
+    ) -> Allocation:
+        """Build the result of drawing ``take`` from ``view``'s capacities.
+
+        ``new_V = max(V - take, 0)`` and ``new_C`` is recomputed from it at
+        the request's transitivity level.  ``satisfied`` defaults to the
+        sum of the takes and ``theta`` to the largest capacity drop among
+        non-requesters; optimising allocators pass their solver's values
+        instead.  The sanitizer's postconditions run on the result, and an
+        in-flight decision records the outcome, donor split, theta and
+        ``C'``.
+        """
+        level = request.level
+        new_V = np.maximum(view.V - take, 0.0)
+        new_C = view.topology.capacities(new_V, level)
+        if theta is None:
+            before = view.capacities(level)
+            drops = np.delete(before - new_C, view.index(request.principal))
+            theta = float(drops.max()) if drops.size else 0.0
+        principals = view.principals
+        allocation = cls(
+            request=request,
+            take=take,
+            theta=theta,
+            satisfied=float(take.sum()) if satisfied is None else float(satisfied),
+            new_V=new_V,
+            new_C=new_C,
+            scheme=scheme,
+            principals=principals,
+            cost=cost,
+        )
+        if _sanitize.enabled():
+            _sanitize.check_allocation(view.capacities(level), allocation)
+        dec = current_decision()
+        if dec is not None:
+            dec.set(
+                outcome="granted",
+                granted=allocation.satisfied,
+                takes=tuple((p, float(t)) for p, t in zip(principals, take) if t > 1e-12),
+                theta=float(theta),
+                capacities_after=dict(zip(principals, new_C.tolist())),
+            )
+        return allocation
 
     @property
     def local_take(self) -> float:

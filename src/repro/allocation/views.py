@@ -37,7 +37,7 @@ __all__ = ["ViewSet", "allocate_views"]
 class ViewSet:
     """Several agreement systems (views) over one physical resource.
 
-    ``systems`` maps view name -> :class:`~repro.agreements.AgreementSystem`;
+    ``systems`` maps view name -> :class:`~repro.agreements.CapacityView`;
     all must share the same principal list.  ``base_capacity`` is the
     underlying physical capacity per principal that all views jointly
     consume; each view's own ``V`` bounds what that view may see, but the
@@ -154,19 +154,13 @@ def allocate_views(
             float(viewset.base_capacity.sum()),
         )
 
-    out: dict[str, Allocation] = {}
-    for v in views:
-        system = viewset.systems[v]
-        take = np.array([max(res[f"d_{v}_{k}"], 0.0) for k in range(n)])
-        new_V = np.maximum(system.V - take, 0.0)
-        out[v] = Allocation(
-            request=AllocationRequest(principal, float(amounts[v]), level),
-            take=take,
+    return {
+        v: Allocation.finalize(
+            viewset.systems[v],
+            AllocationRequest(principal, float(amounts[v]), level),
+            np.array([max(res[f"d_{v}_{k}"], 0.0) for k in range(n)]),
+            f"views:{v}",
             theta=float(res.objective),
-            satisfied=float(take.sum()),
-            new_V=new_V,
-            new_C=system.topology.capacities(new_V, level),
-            scheme=f"views:{v}",
-            principals=list(system.principals),
         )
-    return out
+        for v in views
+    }

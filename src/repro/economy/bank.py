@@ -342,7 +342,8 @@ class Bank:
         currency's owner) and the absolute component of relative tickets
         issued by virtual currencies funded with absolute tickets.
 
-        The matrices feed :class:`repro.agreements.AgreementSystem`.
+        The matrices feed the cached topology behind :meth:`topology` and
+        :meth:`capacity_view`.
         """
         principals = self.principals()
         pindex = {p: i for i, p in enumerate(principals)}

@@ -7,8 +7,9 @@ both objects a stable, human-editable JSON form.
 - :func:`bank_to_dict` / :func:`bank_from_dict` round-trip a
   :class:`~repro.economy.bank.Bank` including virtual currencies,
   revoked tickets and ticket names;
-- :func:`system_to_dict` / :func:`system_from_dict` round-trip an
-  :class:`~repro.agreements.matrix.AgreementSystem`;
+- :func:`system_to_dict` / :func:`system_from_dict` round-trip a
+  :class:`~repro.agreements.topology.CapacityView` (with the topology's
+  ``groups``, if any);
 - :func:`save_bank` / :func:`load_bank` and
   :func:`save_system` / :func:`load_system` add file I/O.
 """
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..agreements.matrix import AgreementSystem
+from ..agreements.topology import AgreementTopology, CapacityView
 from ..errors import EconomyError
 from .bank import Bank
 from .ticket import TicketKind
@@ -104,7 +105,8 @@ def bank_from_dict(data: dict) -> Bank:
     return bank
 
 
-def system_to_dict(system: AgreementSystem) -> dict:
+def system_to_dict(system: CapacityView) -> dict:
+    groups = system.topology.groups
     return {
         "format": _SYSTEM_FORMAT,
         "principals": list(system.principals),
@@ -112,25 +114,23 @@ def system_to_dict(system: AgreementSystem) -> dict:
         "S": system.S.tolist(),
         "A": None if system.A is None else system.A.tolist(),
         "allow_overdraft": system.allow_overdraft,
-        "groups": getattr(system, "groups", None),
+        "groups": None if groups is None else [list(g) for g in groups],
     }
 
 
-def system_from_dict(data: dict) -> AgreementSystem:
+def system_from_dict(data: dict) -> CapacityView:
     if data.get("format") != _SYSTEM_FORMAT:
         raise EconomyError(
             f"not a serialised agreement system (format {data.get('format')!r})"
         )
-    system = AgreementSystem(
+    topology = AgreementTopology(
         data["principals"],
-        np.asarray(data["V"], dtype=float),
         np.asarray(data["S"], dtype=float),
         None if data.get("A") is None else np.asarray(data["A"], dtype=float),
         allow_overdraft=data.get("allow_overdraft", False),
+        groups=data.get("groups"),
     )
-    if data.get("groups") is not None:
-        system.groups = [list(g) for g in data["groups"]]
-    return system
+    return topology.view(np.asarray(data["V"], dtype=float))
 
 
 def save_bank(bank: Bank, path: str | Path) -> Path:
@@ -143,11 +143,11 @@ def load_bank(path: str | Path) -> Bank:
     return bank_from_dict(json.loads(Path(path).read_text()))
 
 
-def save_system(system: AgreementSystem, path: str | Path) -> Path:
+def save_system(system: CapacityView, path: str | Path) -> Path:
     path = Path(path)
     path.write_text(json.dumps(system_to_dict(system), indent=2))
     return path
 
 
-def load_system(path: str | Path) -> AgreementSystem:
+def load_system(path: str | Path) -> CapacityView:
     return system_from_dict(json.loads(Path(path).read_text()))

@@ -25,7 +25,6 @@ Typical use::
 """
 
 from .expr import LinExpr, Variable
-from .presolve import presolve, solve_with_presolve
 from .model import Constraint, LinearProgram
 from .result import LPResult, LPStatus
 from .scipy_backend import solve_scipy
@@ -37,8 +36,6 @@ __all__ = [
     "Variable",
     "LinExpr",
     "LPResult",
-    "presolve",
-    "solve_with_presolve",
     "LPStatus",
     "solve_scipy",
     "solve_simplex",

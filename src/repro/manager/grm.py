@@ -172,8 +172,9 @@ class GlobalResourceManager:
             # a view over the live availability vector.
             topology = self.bank.topology(msg.resource_type)
             live = topology.view(self.availability_vector(msg.resource_type))
-            # The flight-recorder entry: deeper layers (the LP solver)
-            # attach their statistics to it while the block is open.
+            # The flight-recorder entry: deeper layers attach to it while
+            # the block is open (the LP solver its statistics, the
+            # allocation epilogue the grant itself).
             with obs.decision(
                 request_id=msg.msg_id,
                 requestor=msg.principal,
@@ -218,22 +219,11 @@ class GlobalResourceManager:
                     takes=takes,
                     theta=allocation.theta,
                 )
-                dec.set(
-                    outcome="granted",
-                    granted=float(allocation.satisfied),
-                    takes=takes,
-                    theta=float(allocation.theta),
-                )
-                if obs.enabled:
-                    dec.set(capacities_after=self._named(allocation.new_C))
                 if _sanitize.enabled():
                     # Grant epilogue: the split on the wire conserves the
-                    # granted amount, capacities only shrank, and the bank
-                    # did not drift at a constant version.
+                    # granted amount and the bank did not drift at a
+                    # constant version.
                     _sanitize.check_grant(takes, allocation.satisfied)
-                    _sanitize.check_allocation(
-                        live.capacities(msg.level), allocation
-                    )
                     _sanitize.check_bank(self.bank)
                 # Update cached availability until fresh reports arrive, and
                 # remember the grant so a release can restore it.

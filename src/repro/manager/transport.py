@@ -6,11 +6,11 @@ Keeping the transport explicit (instead of direct method calls) preserves
 the protocol boundary — every GRM/LRM interaction goes through messages
 that a real distributed deployment could serialise.
 
-Message accounting: ``delivered`` is the global count (kept for
-backwards compatibility), ``sent_by_endpoint`` / ``received_by_endpoint``
-break it down per endpoint, and when :mod:`repro.obs` is enabled the same
-counts flow into the shared registry (``transport.sent{endpoint=...}``)
-along with a per-endpoint handler-latency histogram.
+Message accounting: ``delivered`` counts every send, always.  Per-endpoint
+counts live in the :mod:`repro.obs` registry when observability is
+enabled (``transport.sent{endpoint=..., type=...}`` and
+``transport.received{endpoint=...}``), along with a per-endpoint
+handler-latency histogram.
 
 Trace propagation: with observability enabled, each delivery runs inside
 a ``transport.send`` span whose context is stamped onto the message
@@ -46,8 +46,6 @@ class InProcessTransport:
         self._handlers: dict[str, Callable[[Message], Message | None]] = {}
         self._mailboxes: dict[str, deque[Message]] = {}
         self.delivered = 0
-        self.sent_by_endpoint: dict[str, int] = {}
-        self.received_by_endpoint: dict[str, int] = {}
 
     def register(
         self,
@@ -57,8 +55,6 @@ class InProcessTransport:
         if name in self._mailboxes:
             raise ManagerError(f"endpoint {name!r} already registered")
         self._mailboxes[name] = deque()
-        self.sent_by_endpoint[name] = 0
-        self.received_by_endpoint[name] = 0
         if handler is not None:
             self._handlers[name] = handler
 
@@ -74,7 +70,6 @@ class InProcessTransport:
         if to not in self._mailboxes:
             raise self._unknown(to)
         self.delivered += 1
-        self.sent_by_endpoint[to] += 1
         obs = get_observer()
         handler = self._handlers.get(to)
         if obs.enabled:
@@ -119,7 +114,6 @@ class InProcessTransport:
         box = self._mailboxes[name]
         if not box:
             return None
-        self.received_by_endpoint[name] += 1
         get_observer().counter("transport.received", endpoint=name)
         return box.popleft()
 

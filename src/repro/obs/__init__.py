@@ -19,7 +19,7 @@ or from the environment, with no code changes::
     REPRO_OBS=1 REPRO_OBS_TRACE=run.jsonl REPRO_OBS_SAMPLE=0.01 ...
 
 A written trace is replayed into summary tables by
-``scripts/obs_report.py`` (or :func:`repro.obs.report.render_trace`),
+``scripts/obs_trace.py report`` (or :func:`repro.obs.report.render_trace`),
 and per-request span trees are reconstructed — across one or many
 per-node trace files — by ``scripts/obs_trace.py``.
 

@@ -10,7 +10,7 @@ field:
 
 Every record carries ``ts``, seconds since the log was opened (wall
 clock), so traces are self-contained and replayable by
-``scripts/obs_report.py`` without any in-process state.
+``scripts/obs_trace.py report`` without any in-process state.
 """
 
 from __future__ import annotations

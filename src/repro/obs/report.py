@@ -7,7 +7,7 @@ Two entry points:
 - :func:`summarize_trace` / :func:`render_trace` — replay a JSONL trace
   (see :mod:`repro.obs.events`) into aggregated span timings plus the
   final metric snapshot, independent of any in-process state.  This is
-  what ``scripts/obs_report.py`` wraps.
+  what ``scripts/obs_trace.py report`` wraps.
 """
 
 from __future__ import annotations

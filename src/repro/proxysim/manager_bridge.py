@@ -34,7 +34,7 @@ __all__ = ["ManagerPolicy", "bank_for_structure"]
 
 
 def bank_for_structure(system) -> Bank:
-    """Express an :class:`~repro.agreements.AgreementSystem`'s relative
+    """Express a :class:`~repro.agreements.CapacityView`'s relative
     agreements as tickets in a fresh bank (capacities are reported live by
     the simulator, so no base deposits are made)."""
     bank = Bank()

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..agreements.matrix import AgreementSystem
+from ..agreements.topology import CapacityView
 from ..allocation.endpoint import allocate_endpoint
 from ..allocation.greedy import allocate_greedy
 from ..allocation.lp_allocator import allocate_lp
@@ -74,7 +74,7 @@ class _SystemPolicy(RedirectPolicy):
     availability vector.
     """
 
-    def __init__(self, system: AgreementSystem):
+    def __init__(self, system: CapacityView):
         self.system = system
         self.topology = system.topology
         self.n = system.n
@@ -92,7 +92,7 @@ class LPPolicy(_SystemPolicy):
 
     def __init__(
         self,
-        system: AgreementSystem,
+        system: CapacityView,
         level: int | None = None,
         formulation: str = "reduced",
         backend: str = "scipy",
@@ -106,16 +106,15 @@ class LPPolicy(_SystemPolicy):
         live = self._live(avail)
         self.lp_solves += 1
         principal = live.principals[requester]
-        obs = get_observer()
-        # Direct policy calls bypass the GRM, so they feed the flight
-        # recorder themselves (negative synthetic request ids — there is
-        # no message id to key on).
-        with obs.decision(
+        # Direct policy calls bypass the GRM, so they open their own
+        # flight-recorder entry (negative synthetic request ids — there is
+        # no message id to key on); the allocation epilogue fills it in.
+        with get_observer().decision(
             request_id=next_request_id(),
             requestor=principal,
             amount=float(excess),
             scheme="lp-direct",
-        ) as dec:
+        ):
             allocation = allocate_lp(
                 live,
                 principal,
@@ -125,17 +124,6 @@ class LPPolicy(_SystemPolicy):
                 backend=self.backend,
                 partial=True,
             )
-            if obs.enabled:
-                dec.set(
-                    outcome="granted",
-                    granted=float(allocation.satisfied),
-                    takes=tuple(
-                        (p, float(t))
-                        for p, t in zip(live.principals, allocation.take)
-                        if t > 1e-12
-                    ),
-                    theta=float(allocation.theta),
-                )
         take = allocation.take.copy()
         # Anything the agreements cannot place stays local.
         take[requester] += max(excess - allocation.satisfied, 0.0)
@@ -151,7 +139,7 @@ class EndpointPolicy(_SystemPolicy):
     queues.  Redirected work may therefore land on a busy donor.
     """
 
-    def __init__(self, system: AgreementSystem, rated: np.ndarray):
+    def __init__(self, system: CapacityView, rated: np.ndarray):
         super().__init__(system)
         self.rated = np.asarray(rated, dtype=float)
         if self.rated.shape != (self.n,):
@@ -172,7 +160,7 @@ class EndpointPolicy(_SystemPolicy):
 class GreedyPolicy(_SystemPolicy):
     """Most-available-donor-first, bounded by direct+transitive agreements."""
 
-    def __init__(self, system: AgreementSystem, level: int | None = None):
+    def __init__(self, system: CapacityView, level: int | None = None):
         super().__init__(system)
         self.level = level
 
@@ -187,7 +175,7 @@ class GreedyPolicy(_SystemPolicy):
         return take
 
 
-def make_policy(config, system: AgreementSystem | None) -> RedirectPolicy:
+def make_policy(config, system: CapacityView | None) -> RedirectPolicy:
     """Build the policy named by ``config.scheme``."""
     if config.scheme == "none":
         return NoSharingPolicy(config.n_proxies)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..agreements.matrix import AgreementSystem
+from ..agreements.topology import CapacityView
 from ..des.engine import Engine
 from ..des.queues import QueuedItem, WorkQueue
 from ..obs import get_observer
@@ -44,9 +44,9 @@ class ProxySimulation:
     def __init__(
         self,
         config: SimulationConfig,
-        system: AgreementSystem | None = None,
+        system: CapacityView | None = None,
         streams: list[list[Request]] | None = None,
-        system_updates: list[tuple[float, AgreementSystem]] | None = None,
+        system_updates: list[tuple[float, CapacityView]] | None = None,
     ):
         """``system_updates`` is an optional schedule of agreement changes:
         ``[(time, new_system), ...]`` applied at the first epoch tick at or
@@ -253,9 +253,9 @@ class ProxySimulation:
 
 def run_simulation(
     config: SimulationConfig,
-    system: AgreementSystem | None = None,
+    system: CapacityView | None = None,
     streams: list[list[Request]] | None = None,
-    system_updates: list[tuple[float, AgreementSystem]] | None = None,
+    system_updates: list[tuple[float, CapacityView]] | None = None,
 ) -> SimulationResult:
     """Convenience one-shot wrapper around :class:`ProxySimulation`."""
     return ProxySimulation(config, system, streams, system_updates).run()

@@ -10,10 +10,10 @@ otherwise propagate silently into later decisions:
   the currency valuation never changes while the version stands still
   (a tampered ticket or an un-bumped mutation would poison every
   version-keyed topology cache downstream).
-- **Allocators** (``_make_result`` / ``_finish`` / ``_result``): takes
-  are non-negative and conserve the satisfied amount, ``theta >= 0``,
-  and post-allocation effective capacities never exceed pre-allocation
-  ones (``C' <= C``).
+- **Allocators** (:meth:`repro.allocation.problem.Allocation.finalize`,
+  the epilogue every allocator ends with): takes are non-negative and
+  conserve the satisfied amount, ``theta >= 0``, and post-allocation
+  effective capacities never exceed pre-allocation ones (``C' <= C``).
 - **GRM** (:meth:`~repro.manager.grm.GlobalResourceManager._allocate`):
   the donor split on the grant message sums to the granted amount.
 - **Topology** (:meth:`~repro.agreements.topology.AgreementTopology.coefficients`):
@@ -173,7 +173,7 @@ def check_grant(takes, granted: float) -> None:
 
 
 def check_allocation(C_before, allocation) -> None:
-    """Epilogue for every allocator result (LP, hierarchical, baselines).
+    """Postconditions of every allocator result, run by ``Allocation.finalize``.
 
     Asserts the Section-3.1 postconditions on the finished
     :class:`~repro.allocation.problem.Allocation`: non-negative takes

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.agreements import AgreementSystem, complete_structure, loop_structure
+from repro.agreements import CapacityView, complete_structure, loop_structure
 from repro.agreements.analysis import (
     chain_contributions,
     dependency,
@@ -18,7 +18,7 @@ from repro.economy import build_example_1
 @pytest.fixture
 def example1():
     bank, _ = build_example_1()
-    return AgreementSystem.from_bank(bank, "disk")
+    return bank.capacity_view("disk")
 
 
 class TestReachability:
@@ -99,7 +99,7 @@ class TestSummary:
     def test_disconnected_detection(self):
         S = np.zeros((3, 3))
         S[0, 1] = 0.5
-        sys_ = AgreementSystem(["a", "b", "c"], np.ones(3), S)
+        sys_ = CapacityView.from_matrices(["a", "b", "c"], np.ones(3), S)
         s = summarize(sys_)
         assert s.disconnected_principals == ("c",)
         assert s.edges == 1

@@ -4,7 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.agreements import AgreementSystem, complete_structure, loop_structure
+from repro.agreements import CapacityView, complete_structure, loop_structure
 from repro.agreements.graph_export import from_networkx, to_networkx
 from repro.errors import AgreementError
 
@@ -20,7 +20,7 @@ class TestExport:
     def test_edges_carry_share_and_grant(self):
         S = np.array([[0.0, 0.3], [0.0, 0.0]])
         A = np.array([[0.0, 2.0], [0.0, 0.0]])
-        system = AgreementSystem(["a", "b"], np.array([5.0, 0.0]), S, A)
+        system = CapacityView.from_matrices(["a", "b"], np.array([5.0, 0.0]), S, A)
         g = to_networkx(system)
         assert g["a"]["b"]["share"] == pytest.approx(0.3)
         assert g["a"]["b"]["grant"] == pytest.approx(2.0)
@@ -50,7 +50,7 @@ class TestRoundTrip:
 
     def test_absolute_matrix_survives(self):
         A = np.array([[0.0, 2.0], [0.0, 0.0]])
-        system = AgreementSystem(
+        system = CapacityView.from_matrices(
             ["a", "b"], np.array([5.0, 0.0]), np.zeros((2, 2)), A
         )
         back = from_networkx(to_networkx(system))
@@ -58,7 +58,7 @@ class TestRoundTrip:
 
     def test_overdraft_flag_survives(self):
         S = np.array([[0.0, 0.7, 0.7], [0, 0, 0], [0, 0, 0]])
-        system = AgreementSystem(
+        system = CapacityView.from_matrices(
             ["a", "b", "c"], np.ones(3), S, allow_overdraft=True
         )
         back = from_networkx(to_networkx(system))
@@ -86,7 +86,7 @@ class TestGraphAnalysisInterop:
         for i in range(1, n):
             S[0, i] = 0.15   # hub shares with everyone
             S[i, 0] = 0.5    # all share back with the hub
-        system = AgreementSystem(
+        system = CapacityView.from_matrices(
             [f"p{i}" for i in range(n)], np.ones(n), S
         )
         g = to_networkx(system)

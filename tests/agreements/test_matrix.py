@@ -1,9 +1,9 @@
-"""Tests for AgreementSystem validation and cached queries."""
+"""Tests for building a CapacityView from matrices: validation and cached queries."""
 
 import numpy as np
 import pytest
 
-from repro.agreements import AgreementSystem
+from repro.agreements import CapacityView
 from repro.economy import build_example_1
 from repro.errors import InvalidAgreementMatrixError, OversharingError
 
@@ -11,7 +11,7 @@ from repro.errors import InvalidAgreementMatrixError, OversharingError
 def make(n=3, V=None, S=None, **kw):
     V = np.ones(n) if V is None else np.asarray(V, float)
     S = np.zeros((n, n)) if S is None else np.asarray(S, float)
-    return AgreementSystem([f"p{i}" for i in range(n)], V, S, **kw)
+    return CapacityView.from_matrices([f"p{i}" for i in range(n)], V, S, **kw)
 
 
 class TestValidation:
@@ -21,11 +21,11 @@ class TestValidation:
 
     def test_duplicate_principals(self):
         with pytest.raises(InvalidAgreementMatrixError, match="unique"):
-            AgreementSystem(["a", "a"], np.ones(2), np.zeros((2, 2)))
+            CapacityView.from_matrices(["a", "a"], np.ones(2), np.zeros((2, 2)))
 
     def test_wrong_V_shape(self):
         with pytest.raises(InvalidAgreementMatrixError, match="V must"):
-            AgreementSystem(["a", "b"], np.ones(3), np.zeros((2, 2)))
+            CapacityView.from_matrices(["a", "b"], np.ones(3), np.zeros((2, 2)))
 
     def test_negative_V(self):
         with pytest.raises(InvalidAgreementMatrixError, match="non-negative"):
@@ -33,7 +33,7 @@ class TestValidation:
 
     def test_wrong_S_shape(self):
         with pytest.raises(InvalidAgreementMatrixError, match="S must"):
-            AgreementSystem(["a", "b"], np.ones(2), np.zeros((3, 3)))
+            CapacityView.from_matrices(["a", "b"], np.ones(2), np.zeros((3, 3)))
 
     def test_nonzero_diagonal(self):
         with pytest.raises(InvalidAgreementMatrixError, match="diagonal"):
@@ -58,14 +58,14 @@ class TestValidation:
 
     def test_negative_absolute_matrix(self):
         with pytest.raises(InvalidAgreementMatrixError):
-            AgreementSystem(
+            CapacityView.from_matrices(
                 ["a", "b"], np.ones(2), np.zeros((2, 2)),
                 A=np.array([[0, -1.0], [0, 0]]),
             )
 
     def test_absolute_diagonal_rejected(self):
         with pytest.raises(InvalidAgreementMatrixError):
-            AgreementSystem(
+            CapacityView.from_matrices(
                 ["a", "b"], np.ones(2), np.zeros((2, 2)),
                 A=np.array([[1.0, 0], [0, 0]]),
             )
@@ -110,7 +110,7 @@ class TestQueries:
         assert C[2] == pytest.approx(10.0)  # the paper's "10 instead of 12"
 
     def test_absolute_agreements_counted(self):
-        sys_ = AgreementSystem(
+        sys_ = CapacityView.from_matrices(
             ["a", "b"], np.array([10.0, 0.0]), np.zeros((2, 2)),
             A=np.array([[0.0, 3.0], [0.0, 0.0]]),
         )
@@ -118,9 +118,9 @@ class TestQueries:
 
     def test_from_bank_roundtrip(self):
         bank, _ = build_example_1()
-        sys_ = AgreementSystem.from_bank(bank, "disk")
+        sys_ = bank.capacity_view("disk")
         assert sys_.principals == ["A", "B", "C", "D"]
         assert sys_.capacity_of("D") == pytest.approx(12.0)
 
     def test_repr(self):
-        assert "AgreementSystem" in repr(make(3))
+        assert "CapacityView" in repr(make(3))

@@ -89,7 +89,7 @@ class TestSparse:
 class TestHierarchical:
     def test_groups_attribute(self):
         sys_ = hierarchical_structure(3, 4)
-        assert sys_.groups == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
+        assert sys_.topology.groups == ((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11))
 
     def test_intra_group_complete(self):
         sys_ = hierarchical_structure(2, 3, intra_share_total=0.6)

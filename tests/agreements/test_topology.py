@@ -1,10 +1,10 @@
 """Tests for the AgreementTopology / CapacityView split.
 
-Covers the contracts the refactor introduced — immutability, structural
-hashing, shared coefficient caches, per-view memoisation — plus a
-property test that the :class:`AgreementSystem` facade produces exactly
-the pre-refactor results (the direct ``repro.agreements.flow``
-computations) on random agreement structures.
+Covers the contracts of the split — immutability, structural hashing,
+shared coefficient caches, per-view memoisation — plus a property test
+that a view built with :meth:`CapacityView.from_matrices` produces
+exactly the direct ``repro.agreements.flow`` computations on random
+agreement structures.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.agreements import AgreementSystem, AgreementTopology, CapacityView
+from repro.agreements import AgreementTopology, CapacityView
 from repro.agreements import flow
 from repro.errors import InvalidAgreementMatrixError, OversharingError
 
@@ -103,27 +103,22 @@ class TestCaching:
         assert v.capacities(2) is v.capacities(2)
         assert v.capacities(1) is not v.capacities(2)
 
-    def test_facade_with_capacities_shares_topology(self):
-        sys_ = AgreementSystem(P3, V3, S3)
-        rescaled = sys_.with_capacities(V3 * 0.5)
-        assert rescaled.topology is sys_.topology
+
+class TestFromMatrices:
+    def test_builds_a_fresh_topology(self):
+        view = CapacityView.from_matrices(P3, V3, S3, A3, flow_method="dfs")
+        assert view.topology == topo(A=A3, flow_method="dfs")
+        np.testing.assert_allclose(view.capacities(), view.topology.capacities(V3))
+
+    def test_groups_live_on_the_topology(self):
+        t = AgreementTopology(P3, S3, groups=[[0, 1], [2]])
+        assert t.groups == ((0, 1), (2,))
+        assert t.view(V3).with_capacities(V3 * 2).topology.groups == t.groups
+        assert t == topo()  # a partition annotates, it is not identity
+        assert topo().groups is None
 
 
-class TestFacade:
-    def test_facade_is_view_over_topology(self):
-        sys_ = AgreementSystem(P3, V3, S3, A3)
-        assert isinstance(sys_.topology, AgreementTopology)
-        assert isinstance(sys_.view, CapacityView)
-        np.testing.assert_allclose(sys_.capacities(), sys_.view.capacities())
-
-    def test_from_topology_round_trip(self):
-        t = topo(A=A3)
-        sys_ = AgreementSystem.from_topology(t, V3)
-        assert sys_.topology is t
-        np.testing.assert_allclose(sys_.capacities(), t.capacities(V3))
-
-
-# -- property test: facade == pre-refactor flow pipeline ---------------------
+# -- property test: view == direct flow pipeline ------------------------------
 
 
 @st.composite
@@ -148,12 +143,12 @@ def random_structures(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(random_structures())
-def test_facade_matches_direct_flow_computation(structure):
+def test_view_matches_direct_flow_computation(structure):
     n, S, V, A, level = structure
     principals = [f"p{i}" for i in range(n)]
-    sys_ = AgreementSystem(principals, V, S, A)
+    sys_ = CapacityView.from_matrices(principals, V, S, A)
 
-    # the pre-refactor semantics: the flow pipeline applied directly
+    # the flow pipeline applied directly
     m = n - 1 if level is None else min(level, n - 1)
     T = flow.transitive_coefficients(S, m, "dp")
     I = flow.flow_matrix(V, T)
@@ -165,7 +160,5 @@ def test_facade_matches_direct_flow_computation(structure):
     np.testing.assert_allclose(sys_.u(level), U, atol=1e-12)
     np.testing.assert_allclose(sys_.capacities(level), C, atol=1e-12)
 
-    # and the topology/view path agrees with the facade
-    view = sys_.topology.view(V)
-    np.testing.assert_allclose(view.capacities(level), C, atol=1e-12)
+    # and the topology's uncached path agrees with the view
     np.testing.assert_allclose(sys_.topology.capacities(V, level), C, atol=1e-12)

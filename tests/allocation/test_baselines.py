@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.agreements import AgreementSystem, complete_structure, distance_decay_structure
+from repro.agreements import CapacityView, complete_structure, distance_decay_structure
 from repro.allocation import allocate_endpoint, allocate_greedy, allocate_lp
 from repro.errors import InsufficientResourcesError
 
@@ -39,7 +39,7 @@ class TestEndpoint:
     def test_cannot_use_transitive_chains(self):
         # a -> b -> c: c has no direct donors.
         S = np.array([[0, 0.5, 0], [0, 0, 0.5], [0, 0, 0]], dtype=float)
-        sys_ = AgreementSystem(["a", "b", "c"], np.array([8.0, 0.0, 0.0]), S)
+        sys_ = CapacityView.from_matrices(["a", "b", "c"], np.array([8.0, 0.0, 0.0]), S)
         al = allocate_endpoint(sys_, "c", 1.0)
         assert al.satisfied == pytest.approx(0.0)
         # The LP, by contrast, satisfies it through the chain.
@@ -48,7 +48,7 @@ class TestEndpoint:
 
     def test_partial_false_raises(self):
         S = np.zeros((2, 2))
-        sys_ = AgreementSystem(["a", "b"], np.array([1.0, 1.0]), S)
+        sys_ = CapacityView.from_matrices(["a", "b"], np.array([1.0, 1.0]), S)
         with pytest.raises(InsufficientResourcesError):
             allocate_endpoint(sys_, "a", 2.0, partial=False)
 
@@ -71,7 +71,7 @@ class TestGreedy:
         S = np.array(
             [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.5, 0.0, 0.0]], dtype=float
         )
-        sys_ = AgreementSystem(["a", "b", "c"], np.array([0.0, 2.0, 6.0]), S)
+        sys_ = CapacityView.from_matrices(["a", "b", "c"], np.array([0.0, 2.0, 6.0]), S)
         al = allocate_greedy(sys_, "a", 2.0)
         # c offers 3.0, b offers 1.0; greedy takes all from c first.
         assert al.take[2] == pytest.approx(2.0)
@@ -81,7 +81,7 @@ class TestGreedy:
         S = np.array(
             [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.5, 0.0, 0.0]], dtype=float
         )
-        sys_ = AgreementSystem(["a", "b", "c"], np.array([0.0, 2.0, 6.0]), S)
+        sys_ = CapacityView.from_matrices(["a", "b", "c"], np.array([0.0, 2.0, 6.0]), S)
         al = allocate_greedy(sys_, "a", 3.5)
         assert al.take[2] == pytest.approx(3.0)
         assert al.take[1] == pytest.approx(0.5)
@@ -99,6 +99,6 @@ class TestGreedy:
 
     def test_respects_level(self):
         S = np.array([[0, 0.5, 0], [0, 0, 0.5], [0, 0, 0]], dtype=float)
-        sys_ = AgreementSystem(["a", "b", "c"], np.array([8.0, 4.0, 0.0]), S)
+        sys_ = CapacityView.from_matrices(["a", "b", "c"], np.array([8.0, 4.0, 0.0]), S)
         al = allocate_greedy(sys_, "c", 4.0, level=1, partial=True)
         assert al.satisfied == pytest.approx(2.0)  # only b reachable

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.agreements import hierarchical_structure
+from repro.agreements import CapacityView, hierarchical_structure
 from repro.allocation import allocate_hierarchical, allocate_lp
 from repro.allocation.hierarchical import coarsen
 from repro.errors import AllocationError, InsufficientResourcesError
@@ -18,17 +18,17 @@ def hier():
 
 class TestCoarsen:
     def test_group_capacities_sum(self, hier):
-        coarse = coarsen(hier, hier.groups)
+        coarse = coarsen(hier, hier.topology.groups)
         np.testing.assert_allclose(coarse.V, [4.0, 4.0, 4.0])
 
     def test_inter_group_shares(self, hier):
-        coarse = coarsen(hier, hier.groups)
+        coarse = coarsen(hier, hier.topology.groups)
         # Only leaders link groups: share 0.1, leader holds 1/4 of capacity.
         assert coarse.S[0, 1] == pytest.approx(0.1 * 1.0 / 4.0)
         assert coarse.S[0, 2] == pytest.approx(0.0)
 
     def test_intra_group_edges_dropped(self, hier):
-        coarse = coarsen(hier, hier.groups)
+        coarse = coarsen(hier, hier.topology.groups)
         assert not np.any(np.diag(coarse.S))
 
     def test_empty_group_handled(self, hier):
@@ -41,12 +41,12 @@ class TestAllocate:
     def test_small_request_stays_in_group(self, hier):
         al = allocate_hierarchical(hier, "node0", 0.5)
         assert al.satisfied == pytest.approx(0.5)
-        assert set(np.nonzero(al.take)[0]) <= set(hier.groups[0])
+        assert set(np.nonzero(al.take)[0]) <= set(hier.topology.groups[0])
 
     def test_group_spanning_request(self, hier):
         al = allocate_hierarchical(hier, "node0", 2.2)
         assert al.satisfied == pytest.approx(2.2, rel=1e-6)
-        outside = [i for i in np.nonzero(al.take)[0] if i not in hier.groups[0]]
+        outside = [i for i in np.nonzero(al.take)[0] if i not in hier.topology.groups[0]]
         assert outside  # some contribution crossed group boundaries
 
     def test_conservation(self, hier):
@@ -58,13 +58,15 @@ class TestAllocate:
             allocate_hierarchical(hier, "node0", 1000.0)
 
     def test_groups_required(self, hier):
-        plain = hier.with_capacities(hier.V)  # clone has no .groups
+        plain = CapacityView.from_matrices(hier.principals, hier.V, hier.S)
         with pytest.raises(AllocationError, match="group partition"):
             allocate_hierarchical(plain, "node0", 0.5)
 
     def test_explicit_groups_accepted(self, hier):
-        plain = hier.with_capacities(hier.V)
-        al = allocate_hierarchical(plain, "node0", 0.5, groups=hier.groups)
+        plain = CapacityView.from_matrices(hier.principals, hier.V, hier.S)
+        al = allocate_hierarchical(
+            plain, "node0", 0.5, groups=hier.topology.groups
+        )
         assert al.satisfied == pytest.approx(0.5)
 
     def test_unknown_principal(self, hier):

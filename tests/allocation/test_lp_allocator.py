@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.agreements import AgreementSystem, complete_structure, loop_structure
+from repro.agreements import CapacityView, complete_structure, loop_structure
 from repro.allocation import allocate_lp
 from repro.errors import InsufficientResourcesError, LPError
 
 
 def two_node(v0=10.0, v1=0.0, share=0.5):
     S = np.array([[0.0, share], [0.0, 0.0]])
-    return AgreementSystem(["a", "b"], np.array([v0, v1]), S)
+    return CapacityView.from_matrices(["a", "b"], np.array([v0, v1]), S)
 
 
 class TestFeasibility:
@@ -55,7 +55,7 @@ class TestFeasibility:
     def test_level_limits_reachable_capacity(self):
         # chain a -> b -> c, c requests: at level 1 only b's resources reach c.
         S = np.array([[0, 0.5, 0], [0, 0, 0.5], [0, 0, 0]], dtype=float)
-        sys_ = AgreementSystem(["a", "b", "c"], np.array([8.0, 4.0, 0.0]), S)
+        sys_ = CapacityView.from_matrices(["a", "b", "c"], np.array([8.0, 4.0, 0.0]), S)
         # level 1: c reaches 0.5*4 = 2 from b only
         al1 = allocate_lp(sys_, "c", 2.0, level=1)
         assert al1.takes_by_name() == {"b": pytest.approx(2.0)}
@@ -93,7 +93,7 @@ class TestConstraints:
         """If no agreement draws on the requester's resources, serving
         locally perturbs nobody (theta = 0)."""
         S = np.array([[0.0, 0.0], [0.5, 0.0]])  # only b shares *with* a
-        sys_ = AgreementSystem(["a", "b"], np.array([10.0, 4.0]), S)
+        sys_ = CapacityView.from_matrices(["a", "b"], np.array([10.0, 4.0]), S)
         al = allocate_lp(sys_, "a", 10.0)
         assert al.local_take == pytest.approx(10.0)
         assert al.theta == pytest.approx(0.0, abs=1e-9)
@@ -126,7 +126,7 @@ class TestFormulationsAgree:
         S = rng.random((n, n)) * (0.9 / n)
         np.fill_diagonal(S, 0.0)
         V = rng.random(n) * 5
-        sys_ = AgreementSystem([f"p{i}" for i in range(n)], V, S)
+        sys_ = CapacityView.from_matrices([f"p{i}" for i in range(n)], V, S)
         a = int(rng.integers(0, n))
         cap = sys_.capacity_of(f"p{a}")
         x = float(rng.random() * cap)
@@ -184,7 +184,7 @@ class TestMinimalPerturbation:
             S = rng.random((n, n)) * 0.12
             np.fill_diagonal(S, 0.0)
             V = rng.random(n) * 4
-            sys_ = AgreementSystem([f"p{i}" for i in range(n)], V, S)
+            sys_ = CapacityView.from_matrices([f"p{i}" for i in range(n)], V, S)
             a = int(rng.integers(0, n))
             x = 0.8 * sys_.capacity_of(f"p{a}")
             lp = allocate_lp(sys_, f"p{a}", x)

@@ -1,9 +1,7 @@
 """Tests for multi-resource vector requests and coupled binding (Section 3.2)."""
 
-import numpy as np
 import pytest
 
-from repro.agreements import AgreementSystem
 from repro.allocation import MultiResourceRequest, allocate_multi
 from repro.allocation.multiresource import expand_coupled_takes
 from repro.economy import Bank
@@ -22,8 +20,8 @@ def systems():
     bank.deposit_capacity("b", 2, "cpu")
     bank.issue_relative_ticket("a", "b", 50)  # 50% of everything a has
     return {
-        "cpu": AgreementSystem.from_bank(bank, "cpu"),
-        "disk": AgreementSystem.from_bank(bank, "disk"),
+        "cpu": bank.capacity_view("cpu"),
+        "disk": bank.capacity_view("disk"),
     }
 
 
@@ -78,7 +76,7 @@ class TestCoupledResources:
         # a has 10 slots' worth; shares 50% with b.
         bank.deposit_capacity("a", 10, "slot")
         bank.issue_relative_ticket("a", "b", 50)
-        systems = {"slot": AgreementSystem.from_bank(bank, "slot")}
+        systems = {"slot": bank.capacity_view("slot")}
         req = MultiResourceRequest(
             "b", ResourceVector(slot=4.0), coupled=(slot,)
         )

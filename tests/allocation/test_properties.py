@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.agreements import AgreementSystem
+from repro.agreements import CapacityView
 from repro.allocation import allocate_endpoint, allocate_greedy, allocate_lp
 
 
@@ -16,7 +16,7 @@ def systems_and_requests(draw):
     S = rng.random((n, n)) * (0.95 / n)
     np.fill_diagonal(S, 0.0)
     V = rng.random(n) * 10
-    system = AgreementSystem([f"p{i}" for i in range(n)], V, S)
+    system = CapacityView.from_matrices([f"p{i}" for i in range(n)], V, S)
     a = draw(st.integers(0, n - 1))
     frac = draw(st.floats(0.05, 0.95))
     x = frac * system.capacity_of(f"p{a}")

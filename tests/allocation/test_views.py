@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.agreements import AgreementSystem
+from repro import sanitize
+from repro.agreements import CapacityView
 from repro.allocation.views import ViewSet, allocate_views
 from repro.errors import AllocationError, InsufficientResourcesError
 
@@ -16,10 +17,10 @@ def make_viewset(read_share=0.5, write_share=0.2, base=(10.0, 10.0)):
     """
     names = ["p0", "p1"]
     base = np.asarray(base, float)
-    read = AgreementSystem(
+    read = CapacityView.from_matrices(
         names, base.copy(), np.array([[0.0, read_share], [0.0, 0.0]])
     )
-    write = AgreementSystem(
+    write = CapacityView.from_matrices(
         names, base.copy(), np.array([[0.0, write_share], [0.0, 0.0]])
     )
     return ViewSet("disk-bw", {"read": read, "write": write}, base)
@@ -31,13 +32,13 @@ class TestViewSetValidation:
             ViewSet("x", {}, np.zeros(1))
 
     def test_principal_lists_must_match(self):
-        a = AgreementSystem(["p0", "p1"], np.ones(2), np.zeros((2, 2)))
-        b = AgreementSystem(["q0", "q1"], np.ones(2), np.zeros((2, 2)))
+        a = CapacityView.from_matrices(["p0", "p1"], np.ones(2), np.zeros((2, 2)))
+        b = CapacityView.from_matrices(["q0", "q1"], np.ones(2), np.zeros((2, 2)))
         with pytest.raises(AllocationError, match="principal list"):
             ViewSet("x", {"a": a, "b": b}, np.ones(2))
 
     def test_base_shape(self):
-        a = AgreementSystem(["p0", "p1"], np.ones(2), np.zeros((2, 2)))
+        a = CapacityView.from_matrices(["p0", "p1"], np.ones(2), np.zeros((2, 2)))
         with pytest.raises(AllocationError, match="length"):
             ViewSet("x", {"a": a}, np.ones(3))
 
@@ -97,3 +98,22 @@ class TestJointAllocation:
         plans = allocate_views(vs, "p0", {"read": 6.0, "write": 3.0})
         assert plans["read"].satisfied == pytest.approx(6.0)
         assert plans["write"].satisfied == pytest.approx(3.0)
+
+
+class TestEpilogue:
+    def test_every_view_allocation_is_sanitized(self, sanitized, monkeypatch):
+        checked = []
+        real = sanitize.check_allocation
+
+        def spy(C_before, allocation):
+            checked.append(allocation)
+            real(C_before, allocation)
+
+        monkeypatch.setattr(sanitize, "check_allocation", spy)
+        plans = allocate_views(make_viewset(), "p1", {"read": 12.0, "write": 3.0})
+        assert len(checked) == len(plans) == 2
+        assert {id(a) for a in checked} == {id(p) for p in plans.values()}
+
+    def test_views_keep_the_joint_theta(self):
+        plans = allocate_views(make_viewset(), "p1", {"read": 12.0, "write": 3.0})
+        assert plans["read"].theta == plans["write"].theta

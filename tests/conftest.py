@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import sanitize
 from repro.agreements import (
     complete_structure,
     distance_decay_structure,
@@ -15,6 +16,17 @@ from repro.agreements import (
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def sanitized():
+    """Enable the sanitizer for one test, restoring the ambient state
+    (the suite also runs with REPRO_SANITIZE=1 globally in CI)."""
+    prev = sanitize.enabled()
+    sanitize.enable()
+    yield
+    if not prev:
+        sanitize.disable()
 
 
 @pytest.fixture

@@ -4,7 +4,6 @@ absolute components, chained virtuals, and mixed funding."""
 import numpy as np
 import pytest
 
-from repro.agreements import AgreementSystem
 from repro.economy import Bank
 
 
@@ -62,7 +61,7 @@ class TestAbsoluteThroughVirtual:
         bank.deposit_capacity("A", 20.0, "general")
         bank.issue_absolute_ticket("A", "Av", 6.0, "general")
         bank.issue_relative_ticket("Av", "B", 50)
-        system = AgreementSystem.from_bank(bank, "general")
+        system = bank.capacity_view("general")
         assert system.capacity_of("B") == pytest.approx(3.0)
 
 

@@ -10,7 +10,6 @@ The expected numbers are quoted verbatim in Section 2.2:
 
 import pytest
 
-from repro.agreements import AgreementSystem
 from repro.economy import build_example_1, build_example_2
 
 
@@ -42,7 +41,7 @@ class TestExample1:
         assert self.bank.currency_value("D")["disk"] == pytest.approx(12.0)
 
     def test_agreement_system_capacities(self):
-        system = AgreementSystem.from_bank(self.bank, "disk")
+        system = self.bank.capacity_view("disk")
         caps = dict(zip(system.principals, system.capacities()))
         assert caps["A"] == pytest.approx(10.0)
         assert caps["B"] == pytest.approx(20.0)
@@ -50,7 +49,7 @@ class TestExample1:
         assert caps["D"] == pytest.approx(12.0)
 
     def test_flattened_S_matrix(self):
-        system = AgreementSystem.from_bank(self.bank, "disk")
+        system = self.bank.capacity_view("disk")
         iA, iB, iD = (system.index(p) for p in "ABD")
         assert system.S[iA, iB] == pytest.approx(0.5)
         assert system.S[iB, iD] == pytest.approx(0.6)
@@ -103,14 +102,14 @@ class TestExample2:
 
     def test_flattened_effective_shares(self):
         """A -> A2 -> B composes to 0.5 * 0.6 = 0.3 of A's resources."""
-        system = AgreementSystem.from_bank(self.bank, "disk")
+        system = self.bank.capacity_view("disk")
         iA, iB, iC, iD = (system.index(p) for p in "ABCD")
         assert system.S[iA, iB] == pytest.approx(0.3)
         assert system.S[iA, iC] == pytest.approx(0.3)  # A -> A1 -> C
         assert system.S[iA, iD] == pytest.approx(0.2)  # A -> A2 -> D (40%)
 
     def test_capacities_through_virtual_currencies(self):
-        system = AgreementSystem.from_bank(self.bank, "disk")
+        system = self.bank.capacity_view("disk")
         caps = dict(zip(system.principals, system.capacities()))
         assert caps["B"] == pytest.approx(18.0)
         assert caps["C"] == pytest.approx(3.0)

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.agreements import AgreementSystem
 from repro.economy import Bank
 from repro.economy.ticket import TicketKind
 
@@ -105,7 +104,7 @@ class TestFlatteningConsistency:
         """The enforcement capacity C_i never exceeds the currency value:
         currency values propagate *all* inflow (value semantics), while U
         clamps each donor at its raw capacity."""
-        system = AgreementSystem.from_bank(bank, "general", allow_overdraft=True)
+        system = bank.capacity_view("general", allow_overdraft=True)
         values = bank.currency_values()
         C = system.capacities()
         for p, c in zip(system.principals, C):
@@ -115,7 +114,7 @@ class TestFlatteningConsistency:
     @settings(max_examples=30, deadline=None)
     def test_direct_agreements_match(self, bank):
         """S entries equal face/issuer-face for direct principal tickets."""
-        system = AgreementSystem.from_bank(bank, "general", allow_overdraft=True)
+        system = bank.capacity_view("general", allow_overdraft=True)
         expected = np.zeros((system.n, system.n))
         for t in bank.tickets:
             if t.is_agreement and not t.revoked and t.kind is TicketKind.RELATIVE:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.agreements import AgreementSystem, hierarchical_structure
+from repro.agreements import CapacityView, hierarchical_structure
 from repro.economy import build_example_1, build_example_2
 from repro.economy.serialize import (
     bank_from_dict,
@@ -67,7 +67,7 @@ class TestBankRoundTrip:
 class TestSystemRoundTrip:
     def test_matrices_survive(self, tmp_path):
         bank, _ = build_example_1()
-        system = AgreementSystem.from_bank(bank, "disk")
+        system = bank.capacity_view("disk")
         restored = load_system(save_system(system, tmp_path / "sys.json"))
         assert restored.principals == system.principals
         np.testing.assert_allclose(restored.S, system.S)
@@ -78,11 +78,11 @@ class TestSystemRoundTrip:
     def test_groups_survive(self):
         system = hierarchical_structure(3, 4)
         restored = system_from_dict(system_to_dict(system))
-        assert restored.groups == system.groups
+        assert restored.topology.groups == system.topology.groups
 
     def test_overdraft_flag_survives(self):
         S = np.array([[0.0, 0.6, 0.6], [0, 0, 0], [0, 0, 0]])
-        system = AgreementSystem(
+        system = CapacityView.from_matrices(
             ["a", "b", "c"], np.ones(3), S, allow_overdraft=True
         )
         restored = system_from_dict(system_to_dict(system))

@@ -9,9 +9,17 @@ deliveries.
 
 import pytest
 
+import repro.obs as obs
 from repro.errors import ManagerError
 from repro.manager.messages import AvailabilityReport
 from repro.manager.transport import InProcessTransport
+
+
+@pytest.fixture
+def observer():
+    ob = obs.enable()
+    yield ob
+    obs.disable()
 
 
 def _report(sender="p0"):
@@ -64,7 +72,7 @@ class TestAccounting:
         assert t.pending("inbox") == 0
         assert t.receive("inbox") is None
 
-    def test_per_endpoint_counts(self):
+    def test_per_endpoint_counts(self, observer):
         t = InProcessTransport()
         t.register("push", handler=lambda m: None)
         t.register("pull")
@@ -73,15 +81,19 @@ class TestAccounting:
         t.send("pull", _report())
         t.receive("pull")
         assert t.delivered == 3
-        assert t.sent_by_endpoint == {"push": 1, "pull": 2}
+        reg = observer.registry
+        kind = "AvailabilityReport"
+        assert reg.counter_value("transport.sent", endpoint="push", type=kind) == 1
+        assert reg.counter_value("transport.sent", endpoint="pull", type=kind) == 2
         # Push deliveries never pass through receive().
-        assert t.received_by_endpoint == {"push": 0, "pull": 1}
+        assert reg.counter_value("transport.received", endpoint="push") == 0
+        assert reg.counter_value("transport.received", endpoint="pull") == 1
 
-    def test_empty_receive_not_counted(self):
+    def test_empty_receive_not_counted(self, observer):
         t = InProcessTransport()
         t.register("pull")
         assert t.receive("pull") is None
-        assert t.received_by_endpoint["pull"] == 0
+        assert observer.registry.counter_total("transport.received") == 0
 
     def test_handler_reply_returned(self):
         t = InProcessTransport()

@@ -2,9 +2,19 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import repro.obs as obs
+from repro.agreements import complete_structure
+from repro.economy import Bank
+from repro.manager import (
+    AllocationRequestMsg,
+    AvailabilityBatch,
+    GlobalResourceManager,
+    InProcessTransport,
+)
+from repro.proxysim.redirect import LPPolicy
 from repro.obs.decision import (
     NULL_DECISION,
     DecisionRecord,
@@ -122,6 +132,61 @@ class TestDecisionBuilder:
             assert "decision" not in kinds and "span" not in kinds
         finally:
             obs.disable()
+
+
+class TestAllocationDecisions:
+    """Both decision openers get their grant fields from the allocation
+    epilogue, so the records carry the same evidence."""
+
+    def test_grm_grant_record(self, observer):
+        transport, bank = InProcessTransport(), Bank()
+        grm = GlobalResourceManager("grm", bank)
+        grm.attach(transport)
+        names = ["p0", "p1", "p2"]
+        for p in names:
+            grm.register_principal(p)
+        for p in names:
+            for q in names:
+                if p != q:
+                    bank.issue_relative_ticket(p, q, 20)
+        batch = AvailabilityBatch(
+            sender="lrm", reports=(("p0", 0.0), ("p1", 5.0), ("p2", 8.0))
+        )
+        transport.send("grm", batch)
+        msg = AllocationRequestMsg(sender="p0", principal="p0", amount=2.0)
+        grant = transport.send("grm", msg)
+
+        record = observer.explain(msg.msg_id)
+        assert set(record.to_dict()) == {
+            "kind", "request_id", "requestor", "resource_type", "amount",
+            "outcome", "granted", "takes", "theta", "grm", "bank_version",
+            "lp_backend", "lp_status", "lp_iterations", "availability_before",
+            "capacities_before", "capacities_after", "trace_id", "span_id",
+        }
+        assert record.outcome == "granted"
+        assert record.takes == grant.takes
+        assert record.theta == grant.theta
+        assert record.granted == pytest.approx(2.0)
+        assert record.availability_before == {"p0": 0.0, "p1": 5.0, "p2": 8.0}
+        assert record.capacities_after == pytest.approx(
+            {"p0": 2.64, "p1": 5.68, "p2": 7.96}
+        )
+
+    def test_lp_policy_record_gains_capacities_after(self, observer):
+        policy = LPPolicy(complete_structure(3, share=0.2))
+        avail = np.array([0.0, 5.0, 5.0])
+        take = policy.plan(0, 0.5, avail)
+
+        (record,) = observer.decisions.records()
+        assert record.request_id < 0
+        assert record.extra == {"scheme": "lp-direct"}
+        assert record.outcome == "granted"
+        assert record.granted == pytest.approx(0.5)
+        assert dict(record.takes) == pytest.approx({"isp1": take[1], "isp2": take[2]})
+        after = policy.topology.capacities(avail - take)
+        assert record.capacities_after == pytest.approx(
+            dict(zip(["isp0", "isp1", "isp2"], after.tolist()))
+        )
 
 
 class TestDisabledPath:

@@ -9,6 +9,7 @@ from repro.obs.events import read_trace
 from repro.obs.report import render_snapshot, render_trace, summarize_trace
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+REPORT_CLI = [sys.executable, str(REPO_ROOT / "scripts" / "obs_trace.py"), "report"]
 
 
 def _write_workload(observer):
@@ -132,8 +133,7 @@ class TestDecisionReporting:
         self._record_decisions(observer)
         observer.flush()
         proc = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "scripts" / "obs_report.py"),
-             str(path), "--json"],
+            [*REPORT_CLI, str(path), "--json"],
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
@@ -147,7 +147,7 @@ class TestReportScript:
         _write_workload(observer)
         observer.flush()
         proc = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "scripts" / "obs_report.py"), str(path)],
+            [*REPORT_CLI, str(path)],
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
@@ -159,8 +159,7 @@ class TestReportScript:
         _write_workload(observer)
         observer.flush()
         proc = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "scripts" / "obs_report.py"),
-             str(path), "--json"],
+            [*REPORT_CLI, str(path), "--json"],
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
@@ -169,8 +168,7 @@ class TestReportScript:
 
     def test_cli_missing_file_errors(self, tmp_path):
         proc = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "scripts" / "obs_report.py"),
-             str(tmp_path / "absent.jsonl")],
+            [*REPORT_CLI, str(tmp_path / "absent.jsonl")],
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode != 0

@@ -47,7 +47,7 @@ class TestNoAttributeLeakage:
         field_names = {f.name for f in dataclasses.fields(plan)}
         assert field_names == {
             "request", "take", "theta", "satisfied", "new_V", "new_C",
-            "scheme", "principals",
+            "scheme", "principals", "cost",
         }
         # No stray instance attributes beyond the dataclass fields.
         assert set(vars(plan)) == field_names

@@ -115,8 +115,7 @@ class TestInstrumentedStack:
         t.send("a", Message(sender="x"))
         t.send("a", Message(sender="x"))
         assert t.receive("a") is not None
-        assert t.sent_by_endpoint["a"] == 2
-        assert t.received_by_endpoint["a"] == 1
+        assert t.delivered == 2
         assert observer.registry.counter_value(
             "transport.sent", endpoint="a", type="Message") == 2
         assert observer.registry.counter_value(

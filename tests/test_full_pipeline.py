@@ -11,7 +11,7 @@ test.
 import numpy as np
 import pytest
 
-from repro.agreements import AgreementSystem, suggest_shares
+from repro.agreements import suggest_shares
 from repro.economy.serialize import bank_from_dict, bank_to_dict
 from repro.manager import (
     AllocationGrant,
@@ -43,11 +43,11 @@ class TestNegotiateExpressEnforce:
         for site, cap in zip(SITES, V):
             if cap > 0:
                 bank.deposit_capacity(site, float(cap), "general")
-        system = AgreementSystem.from_bank(bank)
+        system = bank.capacity_view()
         np.testing.assert_allclose(system.S, negotiated.S, atol=1e-9)
         np.testing.assert_allclose(system.V, V)
         # ... and survives JSON persistence
-        system2 = AgreementSystem.from_bank(bank_from_dict(bank_to_dict(bank)))
+        system2 = bank_from_dict(bank_to_dict(bank)).capacity_view()
         np.testing.assert_allclose(system2.S, negotiated.S, atol=1e-9)
 
     def test_managers_deliver_targets(self, negotiated):

@@ -4,7 +4,7 @@ manager -> simulation, exercised together the way a deployment would."""
 import numpy as np
 import pytest
 
-from repro.agreements import AgreementSystem
+from repro.agreements import CapacityView
 from repro.allocation import allocate_lp
 from repro.economy import Bank
 from repro.manager import (
@@ -31,9 +31,9 @@ class TestEconomyToAllocation:
         bank.issue_relative_ticket("x", "z", 30)
         bank.issue_relative_ticket("y", "z", 50)
 
-        from_bank = AgreementSystem.from_bank(bank)
+        from_bank = bank.capacity_view()
         S = np.array([[0, 0, 0.3], [0, 0, 0.5], [0, 0, 0]], dtype=float)
-        direct = AgreementSystem(["x", "y", "z"], np.array([10.0, 6.0, 0.0]), S)
+        direct = CapacityView.from_matrices(["x", "y", "z"], np.array([10.0, 6.0, 0.0]), S)
 
         a = allocate_lp(from_bank, "z", 5.0)
         b = allocate_lp(direct, "z", 5.0)
@@ -46,9 +46,9 @@ class TestEconomyToAllocation:
         bank.create_currency("user")
         bank.deposit_capacity("owner", 10, "general")
         t = bank.issue_relative_ticket("owner", "user", 40)
-        before = AgreementSystem.from_bank(bank).capacity_of("user")
+        before = bank.capacity_view().capacity_of("user")
         bank.revoke_ticket(t.ticket_id)
-        after = AgreementSystem.from_bank(bank).capacity_of("user")
+        after = bank.capacity_view().capacity_of("user")
         assert before == pytest.approx(4.0)
         assert after == pytest.approx(0.0)
 
@@ -57,7 +57,7 @@ class TestEconomyToAllocation:
         from repro.economy import build_example_2
 
         bank, _ = build_example_2()
-        system = AgreementSystem.from_bank(bank, "disk")
+        system = bank.capacity_view("disk")
         plan = allocate_lp(system, "D", 1.5)  # D's 2 TB flows via A2
         assert plan.satisfied == pytest.approx(1.5)
         assert plan.takes_by_name() == {"A": pytest.approx(1.5)}
@@ -83,7 +83,7 @@ class TestManagerDrivesAllocation:
         )
         assert isinstance(grant, AllocationGrant)
 
-        system = AgreementSystem.from_bank(bank)
+        system = bank.capacity_view()
         direct = allocate_lp(system, "n2", 5.0)
         assert grant.total == pytest.approx(direct.satisfied)
         assert grant.theta == pytest.approx(direct.theta, abs=1e-9)
@@ -99,7 +99,7 @@ class TestSimulationUsesEconomy:
             for j in range(3):
                 if i != j:
                     bank.issue_relative_ticket(f"isp{i}", f"isp{j}", 30)
-        system = AgreementSystem.from_bank(bank)
+        system = bank.capacity_view()
         # Capacities come from the simulator's availability, not the bank.
         burst = [Request(100.0 + 0.01 * i, 2e6, 0) for i in range(50)]
         quiet1 = [Request(30_000.0, 1000.0, 1)]
