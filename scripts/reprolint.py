@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the reprolint domain rules (see src/repro/lint/).
 
-Usage: python scripts/reprolint.py [paths...] [--baseline FILE] [--select R1,R5]
+Usage: python scripts/reprolint.py [paths...] [--baseline FILE] [--select R3,R5]
 """
 
 import sys

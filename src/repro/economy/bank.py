@@ -25,7 +25,9 @@ cycle makes values undefined and raises
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import functools
+from collections.abc import Callable, Iterable
+from typing import Concatenate, ParamSpec, TypeVar
 
 import numpy as np
 
@@ -47,6 +49,28 @@ from .ticket import Ticket, TicketKind
 __all__ = ["Bank"]
 
 _SINGULAR_TOL = 1e-10
+
+_P = ParamSpec("_P")
+_R = TypeVar("_R")
+
+
+def mutates(method: Callable[Concatenate[Bank, _P], _R]) -> Callable[Concatenate[Bank, _P], _R]:
+    """Mark a public :class:`Bank` method as a mutator (module-private).
+
+    The wrapper bumps :attr:`Bank.version` once the method returns
+    normally, so every agreement change reaches the version-keyed
+    topology cache and a rejected change (the method raised) leaves the
+    version alone.  Marked functions carry ``__mutates__ = True``.
+    """
+
+    @functools.wraps(method)
+    def wrapper(self: Bank, *args: _P.args, **kwargs: _P.kwargs) -> _R:
+        result = method(self, *args, **kwargs)
+        self._bump_version()
+        return result
+
+    wrapper.__mutates__ = True  # type: ignore[attr-defined]
+    return wrapper
 
 
 class Bank:
@@ -85,6 +109,7 @@ class Bank:
         return self._version
 
     def _bump_version(self) -> None:
+        """The one place the version moves; called by :func:`mutates`."""
         prev = self._version
         self._version += 1
         if _sanitize.enabled():
@@ -92,6 +117,7 @@ class Bank:
 
     # -- registry ------------------------------------------------------------
 
+    @mutates
     def create_currency(
         self,
         name: str,
@@ -108,7 +134,6 @@ class Bank:
             raise EconomyError(f"virtual currency {name!r} must declare an owner")
         cur = Currency(name=name, face_value=face_value, owner=owner, virtual=virtual)
         self._currencies[name] = cur
-        self._bump_version()
         return cur
 
     def currency(self, name: str) -> Currency:
@@ -142,9 +167,9 @@ class Bank:
         self.currency(ticket.backing).backing_tickets.append(ticket.ticket_id)
         if ticket.issuer is not None:
             self.currency(ticket.issuer).issued_tickets.append(ticket.ticket_id)
-        self._bump_version()
         return ticket
 
+    @mutates
     def deposit_capacity(
         self,
         currency: str,
@@ -165,6 +190,7 @@ class Bank:
             )
         )
 
+    @mutates
     def issue_absolute_ticket(
         self,
         issuer: str,
@@ -190,6 +216,7 @@ class Bank:
             )
         )
 
+    @mutates
     def issue_relative_ticket(
         self,
         issuer: str,
@@ -213,18 +240,18 @@ class Bank:
             )
         )
 
+    @mutates
     def revoke_ticket(self, ticket_id: int) -> None:
         """End the agreement the ticket expresses (its value drops to zero)."""
         t = self.ticket(ticket_id)
         if t.revoked:
             raise TicketRevokedError(f"ticket {ticket_id} is already revoked")
         t.revoked = True
-        self._bump_version()
 
+    @mutates
     def inflate_currency(self, name: str, factor: float) -> None:
         """Inflate/deflate a currency (Section 2.2's "printing paper money")."""
         self.currency(name).inflate(factor)
-        self._bump_version()
 
     # -- valuation -------------------------------------------------------------
 

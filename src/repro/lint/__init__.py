@@ -1,22 +1,22 @@
 """reprolint — domain-aware static analysis for the agreement economy.
 
 The generic linters (ruff, mypy) cannot see the invariants this codebase
-actually lives on: that every :class:`~repro.economy.bank.Bank` mutation
-bumps the version its caches key on, that the GRM/LRM message protocol
-is closed, that DES-managed code never reads the wall clock, that LP
-outputs are never compared with ``==``, and that arrays handed out by
-the topology/view caches are never written in place.  This package
-checks exactly those, over the AST, with per-line suppressions
-(``# reprolint: disable=R1``) and a committed baseline for incremental
+actually lives on: that DES-managed code never reads the wall clock,
+that LP outputs are never compared with ``==``, and that arrays handed
+out by the topology/view caches are never written in place.  This
+package checks exactly those, over the AST, with per-line suppressions
+(``# reprolint: disable=R3``) and a committed baseline for incremental
 adoption.  Entry points: ``scripts/reprolint.py`` and ``make lint``.
+
+Two further contracts are enforced by structure rather than by a rule:
+every :class:`~repro.economy.bank.Bank` mutator is wrapped by
+``@mutates``, which bumps the version its caches key on, and the GRM
+dispatches through the ``GlobalResourceManager.HANDLERS`` table, which
+states the closed message protocol.
 
 Rules
 -----
 
-- **R1** ``version-bump`` — mutating public methods of versioned classes
-  must call ``self._bump_version()``.
-- **R2** ``protocol-exhaustiveness`` — ``manager/messages.py`` classes
-  and ``handle()`` isinstance matches must cover each other.
 - **R3** ``sim-time-purity`` — no ``time.time``/``datetime.now``/
   unseeded randomness in DES-managed code.
 - **R4** ``float-equality`` — no ``==``/``!=`` on float capacity/theta

@@ -44,14 +44,6 @@ def root_name(node: ast.expr) -> str | None:
     return None
 
 
-def is_self_rooted(node: ast.expr) -> bool:
-    """True for expressions reaching through ``self`` (attributes,
-    subscripts, or calls rooted at ``self``)."""
-    while isinstance(node, (ast.Attribute, ast.Subscript, ast.Call)):
-        node = node.func if isinstance(node, ast.Call) else node.value
-    return isinstance(node, ast.Name) and node.id == "self"
-
-
 class ImportTracker:
     """Resolve local names to the modules/objects they were imported as.
 
@@ -90,4 +82,4 @@ class ImportTracker:
         return f"{origin}.{rest}" if rest else origin
 
 
-__all__ = ["dotted", "terminal_name", "root_name", "is_self_rooted", "ImportTracker"]
+__all__ = ["dotted", "terminal_name", "root_name", "ImportTracker"]

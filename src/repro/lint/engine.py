@@ -1,11 +1,8 @@
 """The reprolint engine: file discovery, parsing, and rule dispatch.
 
-Two rule shapes exist.  *Module* rules see one file at a time (R1, R3,
-R4, R5).  *Project* rules see every parsed module at once (R2 — protocol
-exhaustiveness needs the message definitions and all their handlers in
-view together).  Both return :class:`~repro.lint.findings.Finding`
-lists; the engine applies per-line suppressions, assigns occurrence
-indices, and sorts.
+Every rule (R3, R4, R5) sees one parsed file at a time and returns a
+list of :class:`~repro.lint.findings.Finding`; the engine applies
+per-line suppressions, assigns occurrence indices, and sorts.
 """
 
 from __future__ import annotations
@@ -52,15 +49,8 @@ class Rule:
     id = "R0"
     name = "unnamed"
     description = ""
-    #: project rules get every module at once
-    project = False
 
     def check(self, module: LintModule) -> list[Finding]:  # pragma: no cover
-        return []
-
-    def check_project(
-        self, modules: list[LintModule]
-    ) -> list[Finding]:  # pragma: no cover
         return []
 
 
@@ -130,13 +120,9 @@ def load_modules(
 def default_rules() -> list[Rule]:
     from .rules_aliasing import CacheAliasingRule
     from .rules_floateq import FloatEqualityRule
-    from .rules_protocol import ProtocolExhaustivenessRule
     from .rules_simtime import SimTimePurityRule
-    from .rules_version import VersionBumpRule
 
     return [
-        VersionBumpRule(),
-        ProtocolExhaustivenessRule(),
         SimTimePurityRule(),
         FloatEqualityRule(),
         CacheAliasingRule(),
@@ -158,11 +144,8 @@ def run_lint(
         rules = [r for r in rules if r.id in wanted]
     modules, findings = load_modules(paths, root)
     for rule in rules:
-        if rule.project:
-            findings.extend(rule.check_project(modules))
-        else:
-            for module in modules:
-                findings.extend(rule.check(module))
+        for module in modules:
+            findings.extend(rule.check(module))
     by_path = {m.relpath: m for m in modules}
     kept = [
         f

@@ -2,9 +2,9 @@
 
 A finding is suppressed by a trailing comment on the flagged line::
 
-    t.revoked = True  # reprolint: disable=R1
-    x = time.time()   # reprolint: disable=R3,R4
-    y = risky()       # reprolint: disable
+    U[0] += 1.0     # reprolint: disable=R5
+    x = time.time() # reprolint: disable=R3,R4
+    y = risky()     # reprolint: disable
 
 The bare form suppresses every rule on that line.  Suppressions are
 deliberately line-scoped — there is no file- or block-level off switch;

@@ -28,6 +28,7 @@ from .grm import GlobalResourceManager
 from .hierarchy import HierarchicalGRM, build_hierarchical_grm
 from .lrm import LocalResourceManager
 from .messages import (
+    AllocationDenied,
     AllocationGrant,
     AllocationRequestMsg,
     AvailabilityBatch,
@@ -48,5 +49,6 @@ __all__ = [
     "AvailabilityBatch",
     "AllocationRequestMsg",
     "AllocationGrant",
+    "AllocationDenied",
     "ReleaseMsg",
 ]

@@ -20,6 +20,8 @@ name -> index map, so reports, grants and releases are O(1) updates and
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
+
 import numpy as np
 
 from .. import sanitize as _sanitize
@@ -120,11 +122,16 @@ class GlobalResourceManager:
         self, principal: str, available: float, resource_type: str = "general"
     ) -> None:
         """Record the latest availability report for one principal."""
+        self._record(resource_type, ((principal, available),))
+
+    def _record(self, resource_type: str, reports: Iterable[tuple[str, float]]) -> None:
+        """Store ``(principal, available)`` reports for one resource type."""
         vec = self._avail_vector(resource_type)
-        try:
-            vec[self._pindex[principal]] = available
-        except KeyError:
-            raise UnknownPrincipalError(principal) from None
+        for principal, available in reports:
+            try:
+                vec[self._pindex[principal]] = available
+            except KeyError:
+                raise UnknownPrincipalError(principal) from None
 
     def availability(self, principal: str, resource_type: str = "general") -> float:
         vec = self._avail_vector(resource_type)
@@ -137,25 +144,16 @@ class GlobalResourceManager:
     # -- protocol --------------------------------------------------------------------
 
     def handle(self, message: Message) -> Message | None:
-        if isinstance(message, AvailabilityReport):
-            self.set_availability(
-                message.sender, message.available, message.resource_type
-            )
-            return None
-        if isinstance(message, AvailabilityBatch):
-            vec = self._avail_vector(message.resource_type)
-            for principal, available in message.reports:
-                try:
-                    vec[self._pindex[principal]] = available
-                except KeyError:
-                    raise UnknownPrincipalError(principal) from None
-            return None
-        if isinstance(message, AllocationRequestMsg):
-            return self._allocate(message)
-        if isinstance(message, ReleaseMsg):
-            self._release(message)
-            return None
-        raise ManagerError(f"GRM {self.name!r} cannot handle {type(message).__name__}")
+        handler = self.HANDLERS.get(type(message))
+        if handler is None:
+            raise ManagerError(f"GRM {self.name!r} cannot handle {type(message).__name__}")
+        return handler(self, message)
+
+    def _on_report(self, msg: AvailabilityReport) -> None:
+        self._record(msg.resource_type, ((msg.sender, msg.available),))
+
+    def _on_batch(self, msg: AvailabilityBatch) -> None:
+        self._record(msg.resource_type, msg.reports)
 
     def _allocate(self, msg: AllocationRequestMsg) -> Message:
         self._sync_principals()
@@ -252,6 +250,16 @@ class GlobalResourceManager:
             i = self._pindex.get(p)
             if i is not None:
                 vec[i] += t
+
+    #: The GRM's side of the protocol: every message type it accepts, by
+    #: exact type.  Its replies are :class:`AllocationGrant` and
+    #: :class:`AllocationDenied`; anything else is rejected by :meth:`handle`.
+    HANDLERS: dict[type[Message], Callable[..., Message | None]] = {
+        AvailabilityReport: _on_report,
+        AvailabilityBatch: _on_batch,
+        AllocationRequestMsg: _allocate,
+        ReleaseMsg: _release,
+    }
 
     # -- conveniences -----------------------------------------------------------------
 

@@ -22,131 +22,6 @@ def rules_of(findings):
     return [f.rule for f in findings]
 
 
-class TestR1VersionBump:
-    POSITIVE = """
-        class Registry:
-            def __init__(self):
-                self._items = []
-                self._version = 0
-
-            def _bump_version(self):
-                self._version += 1
-
-            def add(self, item):
-                self._items.append(item)
-        """
-
-    def test_fires_on_unbumped_mutation(self, tmp_path):
-        findings = lint_source(tmp_path, self.POSITIVE, select={"R1"})
-        assert rules_of(findings) == ["R1"]
-        assert "add" in findings[0].message
-
-    def test_bumping_method_is_clean(self, tmp_path):
-        src = """
-            class Registry:
-                def __init__(self):
-                    self._items = []
-                    self._version = 0
-
-                def _bump_version(self):
-                    self._version += 1
-
-                def add(self, item):
-                    self._items.append(item)
-                    self._bump_version()
-            """
-        assert lint_source(tmp_path, src, select={"R1"}) == []
-
-    def test_private_and_cache_writes_exempt(self, tmp_path):
-        src = """
-            class Registry:
-                def __init__(self):
-                    self._cache = {}
-                    self._version = 0
-
-                def _bump_version(self):
-                    self._version += 1
-
-                def lookup(self, key):
-                    self._cache[key] = key * 2
-                    return self._cache[key]
-
-                def _internal(self, item):
-                    self._cache.clear()
-            """
-        assert lint_source(tmp_path, src, select={"R1"}) == []
-
-    def test_suppression(self, tmp_path):
-        src = self.POSITIVE.replace(
-            "self._items.append(item)",
-            "self._items.append(item)  # reprolint: disable=R1",
-        )
-        assert lint_source(tmp_path, src, select={"R1"}) == []
-
-    def test_unversioned_class_ignored(self, tmp_path):
-        src = """
-            class Bag:
-                def __init__(self):
-                    self._items = []
-
-                def add(self, item):
-                    self._items.append(item)
-            """
-        assert lint_source(tmp_path, src, select={"R1"}) == []
-
-
-class TestR2ProtocolExhaustiveness:
-    MESSAGES = """
-        class Message:
-            pass
-
-        class PingMsg(Message):
-            pass
-
-        class OrphanMsg(Message):
-            pass
-        """
-    HANDLER = """
-        from .messages import Message, PingMsg
-
-        class Manager:
-            def handle(self, message):
-                if isinstance(message, PingMsg):
-                    return None
-                return None
-        """
-
-    def _write(self, tmp_path, messages, handler):
-        pkg = tmp_path / "manager"
-        pkg.mkdir()
-        (pkg / "__init__.py").write_text("")
-        (pkg / "messages.py").write_text(textwrap.dedent(messages))
-        (pkg / "grm.py").write_text(textwrap.dedent(handler))
-
-    def test_unhandled_message_fires(self, tmp_path):
-        self._write(tmp_path, self.MESSAGES, self.HANDLER)
-        findings = run_lint([tmp_path], root=tmp_path, select={"R2"})
-        assert rules_of(findings) == ["R2"]
-        assert "OrphanMsg" in findings[0].message
-
-    def test_constructed_reply_counts_as_covered(self, tmp_path):
-        handler = self.HANDLER.replace(
-            "return None\n",
-            "return OrphanMsg()\n",
-            1,
-        ).replace("import Message, PingMsg", "import Message, OrphanMsg, PingMsg")
-        self._write(tmp_path, self.MESSAGES, handler)
-        assert run_lint([tmp_path], root=tmp_path, select={"R2"}) == []
-
-    def test_suppression(self, tmp_path):
-        messages = self.MESSAGES.replace(
-            "class OrphanMsg(Message):",
-            "class OrphanMsg(Message):  # reprolint: disable=R2",
-        )
-        self._write(tmp_path, messages, self.HANDLER)
-        assert run_lint([tmp_path], root=tmp_path, select={"R2"}) == []
-
-
 class TestR3SimTimePurity:
     def test_wall_clock_fires(self, tmp_path):
         src = """

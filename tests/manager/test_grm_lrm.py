@@ -5,15 +5,16 @@ import pytest
 from repro.economy import Bank
 from repro.errors import ManagerError, UnknownPrincipalError
 from repro.manager import (
+    AllocationDenied,
     AllocationGrant,
     AllocationRequestMsg,
     AvailabilityReport,
     GlobalResourceManager,
     InProcessTransport,
     LocalResourceManager,
+    Message,
     ReleaseMsg,
 )
-from repro.manager.messages import AllocationDenied
 from repro.units import ResourceVector
 
 
@@ -168,6 +169,34 @@ class TestAllocation:
         )
         assert isinstance(granted, AllocationGrant)
         assert granted.take_for("a") == pytest.approx(1.0)
+
+
+def message_types(cls=Message):
+    """Every library ``Message`` subclass, recursively."""
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("repro."):
+            yield sub
+        yield from message_types(sub)
+
+
+class TestProtocolClosure:
+    """The GRM's handler table and its replies cover the whole protocol."""
+
+    REPLIES = {AllocationGrant, AllocationDenied}
+
+    def test_every_message_is_handled_or_a_reply(self):
+        handled = set(GlobalResourceManager.HANDLERS)
+        unclaimed = {t.__name__ for t in message_types() if t not in handled | self.REPLIES}
+        assert unclaimed == set()
+
+    def test_table_keys_are_messages(self):
+        for key in GlobalResourceManager.HANDLERS:
+            assert isinstance(key, type) and issubclass(key, Message)
+
+    def test_unhandled_type_raises(self):
+        transport, _, _ = build_cluster(n=2)
+        with pytest.raises(ManagerError, match="cannot handle Message"):
+            transport.send("grm", Message(sender="isp0"))
 
 
 class TestMultiLevelGRM:

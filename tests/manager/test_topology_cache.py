@@ -13,13 +13,14 @@ import pytest
 import repro.obs as obs
 from repro.agreements import complete_structure
 from repro.economy import Bank
+from repro.errors import EconomyError
 from repro.manager import (
+    AllocationDenied,
     AllocationGrant,
     AllocationRequestMsg,
     GlobalResourceManager,
     InProcessTransport,
 )
-from repro.manager.messages import AllocationDenied
 from repro.proxysim.manager_bridge import ManagerPolicy
 from repro.units import ResourceVector
 
@@ -52,6 +53,45 @@ def request_for_b(transport, amount=2.0):
     )
 
 
+#: Bank's public mutators; also the names perfbench's tracer wraps.
+MUTATORS = (
+    "create_currency",
+    "deposit_capacity",
+    "issue_absolute_ticket",
+    "issue_relative_ticket",
+    "revoke_ticket",
+    "inflate_currency",
+)
+
+
+def seeded_bank():
+    """Two principals, capacity on a, one relative ticket a -> b."""
+    bank = Bank()
+    bank.create_currency("a", face_value=100.0)
+    bank.create_currency("b", face_value=100.0)
+    bank.deposit_capacity("a", 10.0)
+    ticket = bank.issue_relative_ticket("a", "b", 50)
+    return bank, ticket
+
+
+MUTATION_CALLS = {
+    "create_currency": lambda bank, t: bank.create_currency("c"),
+    "deposit_capacity": lambda bank, t: bank.deposit_capacity("b", 5.0),
+    "issue_absolute_ticket": lambda bank, t: bank.issue_absolute_ticket("a", "b", 2.0),
+    "issue_relative_ticket": lambda bank, t: bank.issue_relative_ticket("b", "a", 10),
+    "revoke_ticket": lambda bank, t: bank.revoke_ticket(t.ticket_id),
+    "inflate_currency": lambda bank, t: bank.inflate_currency("a", 2.0),
+}
+
+
+REJECTED_CALLS = {
+    "duplicate_currency": lambda bank, t: bank.create_currency("a"),
+    "double_revoke": lambda bank, t: bank.revoke_ticket(t.ticket_id),
+    "self_backing_ticket": lambda bank, t: bank.issue_relative_ticket("a", "a", 10),
+    "non_positive_inflation": lambda bank, t: bank.inflate_currency("a", 0.0),
+}
+
+
 class TestVersionCounter:
     def test_mutations_bump_version(self):
         bank = Bank()
@@ -71,6 +111,28 @@ class TestVersionCounter:
         v = bank.version
         bank.inflate_currency("a", 2.0)
         assert bank.version == v + 1
+
+    def test_mutators_are_exactly_the_marked_methods(self):
+        marked = {name for name, fn in vars(Bank).items() if getattr(fn, "__mutates__", False)}
+        assert marked == set(MUTATORS) == set(MUTATION_CALLS)
+
+    @pytest.mark.parametrize("name", MUTATORS)
+    def test_mutation_bumps_once_and_invalidates(self, name):
+        bank, ticket = seeded_bank()
+        v, before = bank.version, bank.topology()
+        MUTATION_CALLS[name](bank, ticket)
+        assert bank.version == v + 1
+        assert bank.topology() is not before
+
+    @pytest.mark.parametrize("case", sorted(REJECTED_CALLS))
+    def test_rejected_mutation_keeps_version(self, case):
+        bank, _ = seeded_bank()
+        revoked = bank.issue_relative_ticket("b", "a", 10)
+        bank.revoke_ticket(revoked.ticket_id)
+        v = bank.version
+        with pytest.raises(EconomyError):
+            REJECTED_CALLS[case](bank, revoked)
+        assert bank.version == v
 
     def test_reads_do_not_bump(self):
         bank = Bank()
