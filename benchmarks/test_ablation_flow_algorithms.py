@@ -2,14 +2,27 @@
 
 The transitive coefficients are recomputed whenever the agreement
 structure changes; this bench quantifies the cost of exactness at the
-paper's scale (n = 10) and beyond, and verifies the approximation's
-upper-bound property.
+paper's scale (n = 10) and beyond and verifies the approximation's
+upper-bound property.  The DP's exactness against the DFS oracle is
+tested in ``tests/agreements/test_flow.py``.
+
+Run untimed (``--benchmark-disable``) it doubles as a regression guard:
+the n = 16 complete closure must finish inside ``DP_BUDGET_S``.
 """
+
+import time
 
 import numpy as np
 import pytest
 
+from repro.agreements import complete_structure, loop_structure
 from repro.agreements.flow import transitive_coefficients
+
+#: Wall-clock budget for the n = 16 complete full closure.  The vectorised
+#: DP takes ~0.55 s on a 2-core Xeon host; the per-subset Python loop it
+#: replaced took ~22 s there, so the budget fails that and leaves room
+#: for slow CI runners.
+DP_BUDGET_S = 5.0
 
 
 def random_S(n, seed=0, scale=None):
@@ -31,6 +44,30 @@ def test_flow_method_speed_n14(benchmark, method):
     S = random_S(14)
     T = benchmark(transitive_coefficients, S, None, method)
     assert T.shape == (14, 14)
+
+
+def test_flow_dp_speed_n16_complete(benchmark):
+    S = complete_structure(16, share=1 / 15).S
+    T = benchmark(transitive_coefficients, S, None, "dp")
+    # by symmetry every off-diagonal coefficient is equal
+    off = T[~np.eye(16, dtype=bool)]
+    np.testing.assert_allclose(off, off[0], rtol=1e-12)
+
+
+@pytest.mark.parametrize("level", [3, None], ids=["level3", "full"])
+def test_flow_dp_speed_n20_loop(benchmark, level):
+    # One simple path per length: the DP keeps only the live subsets.
+    S = loop_structure(20, share=0.8, skip=1).S
+    T = benchmark(transitive_coefficients, S, level, "dp")
+    assert np.count_nonzero(T) == 20 * (3 if level else 19)
+
+
+def test_dp_n16_complete_within_budget():
+    S = complete_structure(16, share=1 / 15).S
+    start = time.perf_counter()
+    transitive_coefficients(S, None, "dp")
+    elapsed = time.perf_counter() - start
+    assert elapsed < DP_BUDGET_S, f"n=16 complete closure took {elapsed:.2f} s"
 
 
 def test_walk_bounds_exact_everywhere():

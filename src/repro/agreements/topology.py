@@ -3,7 +3,9 @@
 The enforcement pipeline separates two rates of change.  The agreement
 *structure* — who shares what fraction with whom — changes slowly (ticket
 issue/revoke), and owning it is expensive: the transitive coefficients
-``T^(m)`` behind every flow query cost an O(2^n * n^2) dynamic program.
+``T^(m)`` behind every flow query cost a subset DP, exponential in the
+number of principals (~6 ms at the paper's n = 10, ~0.55 s for a complete
+n = 16 structure).
 Raw *capacities* ``V`` change every scheduling epoch as availability
 fluctuates, but everything derived from them (``I``, ``U``, ``C``) is a
 few dense matrix operations.

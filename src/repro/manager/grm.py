@@ -8,10 +8,10 @@ delegate a subset of principals to a child GRM ("the architecture also
 permits splitting of the GRMs into multiple levels").
 
 Hot path: allocation reuses the bank's version-keyed topology cache
-(:meth:`repro.economy.Bank.topology`), so the O(2^n * n^2) coefficient
-DP and the funding-graph flattening run once per *agreement change*
-rather than once per request; each request only binds the current
-availability vector to the cached topology as a
+(:meth:`repro.economy.Bank.topology`), so the coefficient DP (exponential
+in n; ~6 ms at n = 10) and the funding-graph flattening run once per
+*agreement change* rather than once per request; each request only binds
+the current availability vector to the cached topology as a
 :class:`~repro.agreements.topology.CapacityView`.  Availability itself
 is kept in per-resource-type vectors indexed through a prebuilt
 name -> index map, so reports, grants and releases are O(1) updates and

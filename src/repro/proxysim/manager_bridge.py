@@ -16,7 +16,11 @@ agreements.
 Message traffic per consultation is one :class:`AvailabilityBatch`
 (carrying all n proxy reports) plus the allocation request, instead of n
 individual :class:`AvailabilityReport` sends; the single-report path
-remains in the GRM for plain LRMs.
+remains in the GRM for plain LRMs.  From the second consultation on, a
+:class:`ReleaseMsg` first returns the previous consultation's grant: the
+simulator books redirected work itself and reports fresh availability
+every time, so a grant is dead once its plan is made, and releasing it
+keeps the GRM's open-grant table at one entry for the whole run.
 """
 
 from __future__ import annotations
@@ -25,7 +29,12 @@ import numpy as np
 
 from ..economy.bank import Bank
 from ..manager.grm import GlobalResourceManager
-from ..manager.messages import AllocationGrant, AllocationRequestMsg, AvailabilityBatch
+from ..manager.messages import (
+    AllocationGrant,
+    AllocationRequestMsg,
+    AvailabilityBatch,
+    ReleaseMsg,
+)
 from ..manager.transport import InProcessTransport
 from ..obs import get_observer
 from .redirect import RedirectPolicy
@@ -55,9 +64,9 @@ def bank_for_structure(system) -> Bank:
 class ManagerPolicy(RedirectPolicy):
     """A redirect policy backed by a GRM over a message transport.
 
-    Each :meth:`plan` call sends one batched availability report covering
-    every proxy, followed by an allocation request, exactly as an LRM
-    aggregator would.
+    Each :meth:`plan` call releases the previous call's grant, then sends
+    one batched availability report covering every proxy, followed by an
+    allocation request, exactly as an LRM aggregator would.
     """
 
     def __init__(self, system, level: int | None = None):
@@ -74,6 +83,8 @@ class ManagerPolicy(RedirectPolicy):
         #: msg_id of the most recent allocation request — the key for
         #: ``repro.obs.explain`` against the decision flight recorder
         self.last_request_id: int | None = None
+        #: (sender, grant msg_id) of the grant the next plan releases
+        self._held: tuple[str, int] | None = None
 
     def plan(self, requester: int, excess: float, avail: np.ndarray) -> np.ndarray:
         # The whole consultation — availability batch, request, possible
@@ -85,6 +96,10 @@ class ManagerPolicy(RedirectPolicy):
             requester=self.principals[requester],
             excess=float(excess),
         ):
+            if self._held is not None:
+                sender, grant_id = self._held
+                self.transport.send("grm", ReleaseMsg(sender=sender, grant_id=grant_id))
+                self._held = None
             # One batched availability refresh for all proxies.
             self.transport.send(
                 "grm",
@@ -122,6 +137,7 @@ class ManagerPolicy(RedirectPolicy):
             self.lp_solves = self.grm.requests_served + self.grm.requests_denied
             take = np.zeros(self.n)
             if isinstance(reply, AllocationGrant):
+                self._held = (self.principals[requester], reply.msg_id)
                 for principal, amount in reply.takes:
                     take[self._pindex[principal]] = amount
             # Denials and any unplaced remainder stay local.

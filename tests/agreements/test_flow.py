@@ -1,10 +1,19 @@
 """Tests for the transitive flow computation (T, I, K, U, C)."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.agreements import (
+    complete_structure,
+    hierarchical_structure,
+    loop_structure,
+    sparse_structure,
+)
 from repro.agreements.flow import (
     capacities,
     flow_matrix,
@@ -13,6 +22,12 @@ from repro.agreements.flow import (
     u_matrix,
 )
 from repro.errors import AgreementError
+
+from .loop_reference import coefficients_loop
+
+# The vectorised DP sums the same products as the loop reference in a
+# different order; float64 rounding then differs by a few ulp per term.
+LOOP_RTOL, LOOP_ATOL = 1e-12, 1e-15
 
 
 def random_S(seed: int, n: int, density: float = 1.0, scale: float = 0.3):
@@ -111,6 +126,22 @@ class TestMethodAgreement:
                 atol=1e-12,
             )
 
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_dp_matches_dfs_on_paper_structures(self, data):
+        """Every level of every structure family the paper names, plus
+        random and overdraft (row sums above 1) ones, agrees with path
+        enumeration."""
+        S = data.draw(_structures())
+        n = S.shape[0]
+        for m in range(1, n):
+            np.testing.assert_allclose(
+                transitive_coefficients(S, m, "dp"),
+                transitive_coefficients(S, m, "dfs"),
+                rtol=1e-12,
+                atol=1e-12,
+            )
+
     @given(st.integers(0, 10_000), st.integers(2, 7))
     @settings(max_examples=30, deadline=None)
     def test_walk_upper_bounds_exact(self, seed, n):
@@ -128,6 +159,130 @@ class TestMethodAgreement:
             transitive_coefficients(S, None, "dp")[np.triu_indices(n, 1)],
             atol=1e-12,
         )
+
+
+@st.composite
+def _structures(draw):
+    """Loop, sparse, hierarchical, random or overdraft agreement matrices,
+    n <= 8."""
+    kind = draw(
+        st.sampled_from(["loop", "sparse", "hierarchical", "random", "overdraft"])
+    )
+    if kind == "hierarchical":
+        groups = draw(st.integers(1, 4))
+        size = draw(st.integers(1, 8 // groups))
+        intra = draw(st.floats(0.1, 0.9))
+        return hierarchical_structure(groups, size, intra_share_total=intra).S
+    n = draw(st.integers(2, 8))
+    if kind == "loop":
+        skip = draw(st.integers(1, n - 1))
+        return loop_structure(n, share=draw(st.floats(0.1, 1.0)), skip=skip).S
+    if kind == "sparse":
+        degree = draw(st.integers(0, n - 1))
+        return sparse_structure(n, degree=degree, seed=draw(st.integers(0, 10_000))).S
+    # on average a full random row shares 0.9 of its resources and an
+    # overdraft one about 3x
+    seed = draw(st.integers(0, 10_000))
+    density = draw(st.floats(0.2, 1.0))
+    scale = (1.8 if kind == "random" else 6.0) / (n - 1)
+    return random_S(seed, n, density=density, scale=scale)
+
+
+class TestLoopReference:
+    """The vectorised DP against the loop reference, where DFS is too slow."""
+
+    @pytest.mark.parametrize("n", [9, 10, 11, 12])
+    def test_dense_random_full_closure(self, n):
+        S = random_S(100 + n, n, scale=0.9 / (n - 1))
+        np.testing.assert_allclose(
+            transitive_coefficients(S, None, "dp"),
+            coefficients_loop(S, n - 1),
+            rtol=LOOP_RTOL,
+            atol=LOOP_ATOL,
+        )
+
+    @pytest.mark.parametrize("n", [9, 10, 11, 12])
+    @pytest.mark.parametrize("level", [2, 4])
+    def test_partial_density_levels(self, n, level):
+        S = random_S(200 + n, n, density=0.5, scale=0.5)
+        np.testing.assert_allclose(
+            transitive_coefficients(S, level, "dp"),
+            coefficients_loop(S, level),
+            rtol=LOOP_RTOL,
+            atol=LOOP_ATOL,
+        )
+
+    @pytest.mark.parametrize(
+        "S",
+        [
+            loop_structure(12, share=0.8, skip=1).S,
+            loop_structure(12, share=0.8, skip=5).S,
+            sparse_structure(12, degree=3, seed=4).S,
+            hierarchical_structure(3, 4).S,
+            complete_structure(10, share=0.5, allow_overdraft=True).S,
+        ],
+        ids=["loop-skip1", "loop-skip5", "sparse", "hierarchical", "overdraft"],
+    )
+    def test_structures_every_level(self, S):
+        n = S.shape[0]
+        for m in range(1, n):
+            np.testing.assert_allclose(
+                transitive_coefficients(S, m, "dp"),
+                coefficients_loop(S, m),
+                rtol=LOOP_RTOL,
+                atol=LOOP_ATOL,
+            )
+
+
+class TestDPCost:
+    def test_level_limited_n20_stays_small(self):
+        """n = 20 at level 3 must not allocate anything like a
+        ``2^n x n`` table (168 MB); the DP keeps only short-path layers."""
+        S = loop_structure(20, share=0.8, skip=1).S
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            T = transitive_coefficients(S, 3, "dp")
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert elapsed < 1.0
+        # each node reaches its next three along the loop
+        assert T[0, 3] == pytest.approx(0.8**3)
+        assert np.count_nonzero(T) == 20 * 3
+
+    def test_retains_nothing_after_return(self):
+        """A complete n = 14 closure builds ~2^13 subsets per source; none
+        of that, nor any per-size index table, may outlive the call."""
+        S = complete_structure(14, share=1 / 13).S
+        transitive_coefficients(complete_structure(4, share=0.3).S, None, "dp")
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            T = transitive_coefficients(S, None, "dp")
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before - T.nbytes < 64 * 2**10
+        assert peak - before > 2**20  # the layers were really built
+
+    def test_more_nodes_than_int64_mask_bits(self):
+        """66 nodes within two hops of every source: subset masks no longer
+        fit int64, yet level 2 is cheap and must stay exact."""
+        n, share = 66, 0.01
+        S = complete_structure(n, share=share).S
+        T = transitive_coefficients(S, 2, "dp")
+        off = T[~np.eye(n, dtype=bool)]
+        # direct share plus one two-hop path through each other node
+        np.testing.assert_allclose(off, share + (n - 2) * share**2, rtol=1e-12)
+
+    def test_unreachable_targets_are_zero(self):
+        # two disjoint cycles: nothing flows between them at any level
+        S = loop_structure(8, share=0.5, skip=2).S
+        T = transitive_coefficients(S, None, "dp")
+        assert not np.any(T[0::2, 1::2]) and not np.any(T[1::2, 0::2])
 
 
 class TestFlowAndCapacities:

@@ -106,6 +106,29 @@ class TestInstrumentedStack:
             "allocation.requests", scheme="lp") == 1
         assert observer.registry.get_histogram("allocation.theta").count == 1
 
+    def test_flow_dp_reports_its_size(self, traced_observer):
+        from repro.agreements.flow import transitive_coefficients
+        from repro.agreements.structures import complete_structure
+        from repro.obs.events import read_trace
+        from repro.obs.report import render_trace
+
+        observer, path = traced_observer
+        transitive_coefficients(complete_structure(5, share=0.2).S)
+        # complete n=5: 4 reachable per source; a layer per non-empty
+        # subset of them, 4 last nodes each, for each of 5 sources
+        states = 5 * 4 * (2**4 - 1)
+        h = observer.registry.get_histogram("flow.dp_states", reachable=4)
+        assert h is not None and h.count == 1 and h.total == states
+        obs.disable()
+        (span,) = [
+            r
+            for r in read_trace(path)
+            if r.get("kind") == "span" and r["name"] == "flow.coefficients"
+        ]
+        assert span["attrs"]["reachable"] == 4
+        assert span["attrs"]["states"] == states
+        assert "flow.dp_states" in render_trace(path)
+
     def test_transport_per_endpoint_counters(self, observer):
         from repro.manager.messages import Message
         from repro.manager.transport import InProcessTransport

@@ -113,3 +113,28 @@ class TestSimulationThroughManager:
         assert result.total_redirected > 0
         assert result.total_requests == 42
         assert sim.policy.messages > 0
+
+    def test_grants_released_across_epochs(self, system):
+        """Each consultation returns the previous one's grant, so a
+        many-epoch run leaves at most the last grant open."""
+        streams = [[], [], [Request(40_000.0, 1_000.0, 2)]]
+        for b in range(8):  # alternating bursts on proxies 0 and 1
+            p = b % 2
+            streams[p] += [Request(1_000.0 + b * 4_000.0 + i * 0.01, 3e6, p) for i in range(40)]
+        cfg = SimulationConfig(
+            n_proxies=3,
+            scheme="lp",
+            epoch=60.0,
+            threshold=5.0,
+            warmup_days=0,
+            measure_days=1,
+            requests_per_day=100.0,
+        )
+        sim = ProxySimulation(cfg, system, streams=streams)
+        policy = sim.policy = ManagerPolicy(system)
+        result = sim.run()
+        assert result.scheduler_consults >= 8
+        assert policy.grm.requests_served >= 8
+        assert policy.grm.open_grants() <= 1
+        # a release and a batch + request per consultation after the first
+        assert policy.messages == 3 * result.scheduler_consults - 1
