@@ -11,7 +11,6 @@ test:
 	$(PY) -m pytest tests/
 
 lint:
-	$(PY) scripts/reprolint.py src
 	@command -v ruff >/dev/null 2>&1 && ruff check src tests benchmarks scripts || echo "ruff not installed; skipped"
 	@command -v mypy >/dev/null 2>&1 && mypy src/repro || echo "mypy not installed; skipped"
 

@@ -22,8 +22,20 @@ from repro.manager import (
 from repro.units import ResourceVector
 
 
+class CountingTransport(InProcessTransport):
+    """The in-process transport, counting every message sent over it."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.messages = 0
+
+    def send(self, to, message):
+        self.messages += 1
+        return super().send(to, message)
+
+
 def main() -> None:
-    transport = InProcessTransport()
+    transport = CountingTransport()
     bank = Bank()
     grm = GlobalResourceManager("grm", bank)
     grm.attach(transport)
@@ -72,7 +84,7 @@ def main() -> None:
     for principal, _ in grant.takes:
         lrms[int(principal[-1])].release(grant.msg_id)
     print("\nafter release, open grants:", grm.open_grants())
-    print(f"messages exchanged: {transport.delivered}")
+    print(f"messages exchanged: {transport.messages}")
 
 
 if __name__ == "__main__":

@@ -64,7 +64,7 @@ def manager_cluster() -> None:
     print(f"grant to isp2: takes={grant.takes} theta={grant.theta:.3f}")
     transport.send("grm", ReleaseMsg(sender="isp2", grant_id=grant.msg_id))
     sent = obs.get_observer().registry.snapshot()["counters"]["transport.sent"]
-    print(f"messages delivered: {transport.delivered} (per endpoint: {sent})")
+    print(f"messages delivered: {sum(sent.values()):g} (per endpoint: {sent})")
 
 
 def proxy_simulation() -> None:

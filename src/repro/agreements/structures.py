@@ -94,7 +94,7 @@ def sparse_structure(
     share_total: float = 0.3,
     capacity: float | Sequence[float] = 1.0,
     names: Sequence[str] | None = None,
-    seed: int | None = 0,
+    seed: int = 0,
     **kwargs,
 ) -> CapacityView:
     """Random sparse graph: each participant shares with ``degree`` others.
@@ -105,7 +105,7 @@ def sparse_structure(
     """
     if not (0 <= degree < n):
         raise InvalidAgreementMatrixError(f"degree must be in [0, n), got {degree}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(int(seed))  # None would draw OS entropy
     S = np.zeros((n, n))
     others = np.arange(n)
     for i in range(n):

@@ -343,7 +343,7 @@ class CapacityView:
             C = _flow.capacities(self.V, U)
             # Freeze before caching: every caller shares these arrays, so
             # an in-place write would corrupt the memo for the rest of
-            # the epoch (reprolint R5 is the static half of this guard).
+            # the epoch.
             U.flags.writeable = False
             C.flags.writeable = False
             pair = self._uc_cache[m] = (U, C)

@@ -6,9 +6,8 @@ Keeping the transport explicit (instead of direct method calls) preserves
 the protocol boundary — every GRM/LRM interaction goes through messages
 that a real distributed deployment could serialise.
 
-Message accounting: ``delivered`` counts every send, always.  Per-endpoint
-counts live in the :mod:`repro.obs` registry when observability is
-enabled (``transport.sent{endpoint=..., type=...}`` and
+Message accounting lives in the :mod:`repro.obs` registry when
+observability is enabled (``transport.sent{endpoint=..., type=...}`` and
 ``transport.received{endpoint=...}``), along with a per-endpoint
 handler-latency histogram.
 
@@ -45,7 +44,6 @@ class InProcessTransport:
     def __init__(self) -> None:
         self._handlers: dict[str, Callable[[Message], Message | None]] = {}
         self._mailboxes: dict[str, deque[Message]] = {}
-        self.delivered = 0
 
     def register(
         self,
@@ -69,7 +67,6 @@ class InProcessTransport:
         """Deliver a message; returns the handler's reply, if any."""
         if to not in self._mailboxes:
             raise self._unknown(to)
-        self.delivered += 1
         obs = get_observer()
         handler = self._handlers.get(to)
         if obs.enabled:

@@ -79,12 +79,17 @@ class ManagerPolicy(RedirectPolicy):
         self.bank = bank_for_structure(system)
         self.grm = GlobalResourceManager("grm", self.bank)
         self.grm.attach(self.transport)
+        #: messages sent to the GRM over the policy's lifetime
         self.messages = 0
         #: msg_id of the most recent allocation request — the key for
         #: ``repro.obs.explain`` against the decision flight recorder
         self.last_request_id: int | None = None
         #: (sender, grant msg_id) of the grant the next plan releases
         self._held: tuple[str, int] | None = None
+
+    def _send(self, message):
+        self.messages += 1
+        return self.transport.send("grm", message)
 
     def plan(self, requester: int, excess: float, avail: np.ndarray) -> np.ndarray:
         # The whole consultation — availability batch, request, possible
@@ -98,11 +103,10 @@ class ManagerPolicy(RedirectPolicy):
         ):
             if self._held is not None:
                 sender, grant_id = self._held
-                self.transport.send("grm", ReleaseMsg(sender=sender, grant_id=grant_id))
+                self._send(ReleaseMsg(sender=sender, grant_id=grant_id))
                 self._held = None
             # One batched availability refresh for all proxies.
-            self.transport.send(
-                "grm",
+            self._send(
                 AvailabilityBatch(
                     sender=self.principals[requester],
                     resource_type="general",
@@ -110,7 +114,7 @@ class ManagerPolicy(RedirectPolicy):
                         (principal, float(avail[k]))
                         for k, principal in enumerate(self.principals)
                     ),
-                ),
+                )
             )
             request = AllocationRequestMsg(
                 sender=self.principals[requester],
@@ -119,7 +123,7 @@ class ManagerPolicy(RedirectPolicy):
                 level=self.level,
             )
             self.last_request_id = request.msg_id
-            reply = self.transport.send("grm", request)
+            reply = self._send(request)
             if not isinstance(reply, AllocationGrant):
                 # The GRM uses request/deny semantics; an overloaded proxy
                 # re-requests what the denial quoted as available.
@@ -132,8 +136,7 @@ class ManagerPolicy(RedirectPolicy):
                         level=self.level,
                     )
                     self.last_request_id = retry.msg_id
-                    reply = self.transport.send("grm", retry)
-            self.messages = self.transport.delivered
+                    reply = self._send(retry)
             self.lp_solves = self.grm.requests_served + self.grm.requests_denied
             take = np.zeros(self.n)
             if isinstance(reply, AllocationGrant):

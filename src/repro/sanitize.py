@@ -1,9 +1,9 @@
 """Runtime invariant sanitizer for the agreement economy (``REPRO_SANITIZE=1``).
 
-The static rules in :mod:`repro.lint` prove what they can about the
-*source*; this module asserts the same contracts about *live values*, in
-cheap epilogue hooks at the spots where a violated invariant would
-otherwise propagate silently into later decisions:
+Structure and the tier-1 tests (``docs/static-analysis.md``) keep the
+*code* honest; this module asserts the agreement contracts about *live
+values*, in cheap epilogue hooks at the spots where a violated invariant
+would otherwise propagate silently into later decisions:
 
 - **Bank** (:meth:`repro.economy.Bank._bump_version`): the version
   counter is strictly monotonic, and — checked from the GRM epilogue —

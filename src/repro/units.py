@@ -33,9 +33,9 @@ def approx_eq(
 ) -> bool:
     """Tolerance-based equality for float capacity/theta quantities.
 
-    The reprolint rule R4 forbids ``==``/``!=`` on LP-derived floats;
-    this is the sanctioned comparison (a thin, domain-defaulted wrapper
-    over :func:`math.isclose`).
+    ``tests/test_float_equality.py`` forbids ``==``/``!=`` on LP-derived
+    floats in ``src/repro``; this is the sanctioned comparison (a thin,
+    domain-defaulted wrapper over :func:`math.isclose`).
     """
     return math.isclose(float(a), float(b), rel_tol=rel_tol, abs_tol=abs_tol)
 

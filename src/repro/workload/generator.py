@@ -88,7 +88,7 @@ def generate_streams(
     *,
     sizes: SizeDistribution | None = None,
     horizon: float = DAY_SECONDS,
-    seed: int | None = 0,
+    seed: int = 0,
 ) -> list[list[Request]]:
     """Build one sampled stream per proxy, neighbours skewed by ``gap``.
 
@@ -101,7 +101,7 @@ def generate_streams(
     """
     if n_proxies <= 0:
         raise WorkloadError("need at least one proxy")
-    root = np.random.default_rng(seed)
+    root = np.random.default_rng(int(seed))  # None would draw OS entropy
     seeds = root.integers(0, 2**63 - 1, size=n_proxies)
     streams: list[list[Request]] = []
     for i in range(n_proxies):

@@ -77,6 +77,10 @@ class TestSparse:
         b = sparse_structure(10, degree=2, seed=7)
         np.testing.assert_array_equal(a.S, b.S)
 
+    def test_entropy_seed_rejected(self):
+        with pytest.raises(TypeError):
+            sparse_structure(10, degree=2, seed=None)
+
     def test_zero_degree(self):
         sys_ = sparse_structure(5, degree=0)
         assert not np.any(sys_.S)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.agreements import AgreementTopology, CapacityView
 from repro.agreements import flow
+from repro.economy import Bank
 from repro.errors import InvalidAgreementMatrixError, OversharingError
 
 S3 = np.array([[0.0, 0.3, 0.2], [0.1, 0.0, 0.0], [0.0, 0.4, 0.0]])
@@ -33,21 +34,96 @@ class TestImmutability:
             with pytest.raises(ValueError):
                 arr[0, 1] = 99.0
 
-    def test_coefficients_frozen(self):
-        t = topo()
-        with pytest.raises(ValueError):
-            t.coefficients()[0, 1] = 99.0
-
-    def test_view_capacities_frozen(self):
-        v = topo().view(V3)
-        with pytest.raises(ValueError):
-            v.V[0] = 99.0
-
     def test_source_arrays_not_aliased(self):
         S = S3.copy()
         t = AgreementTopology(P3, S)
         S[0, 1] = 0.9  # caller mutates their own copy
         assert t.S[0, 1] == pytest.approx(0.3)
+
+
+def _bank():
+    bank = Bank()
+    for p, v in zip(P3, V3):
+        bank.create_currency(p)
+        bank.deposit_capacity(p, float(v))
+    bank.issue_relative_ticket("a", "b", 30.0)
+    bank.issue_relative_ticket("c", "b", 40.0)
+    bank.issue_absolute_ticket("a", "c", 2.0)
+    return bank
+
+
+def _direct():
+    view = CapacityView.from_matrices(P3, V3, S3, A3)
+    return view.topology, view
+
+
+def _through_bank():
+    bank = _bank()
+    return bank.topology(), bank.capacity_view()
+
+
+#: one system built from matrices, one flattened from a bank through its
+#: version-keyed topology cache
+SOURCES = {"direct": _direct, "bank": _through_bank}
+
+#: accessors whose arrays are cached and handed to every caller
+SHARED = {
+    "topology.S": lambda t, v: t.S,
+    "topology.A": lambda t, v: t.A,
+    "topology.coefficients()": lambda t, v: t.coefficients(),
+    "topology.coefficients(1)": lambda t, v: t.coefficients(1),
+    "view.V": lambda t, v: v.V,
+    "view.S": lambda t, v: v.S,
+    "view.A": lambda t, v: v.A,
+    "view.u()": lambda t, v: v.u(),
+    "view.u(1)": lambda t, v: v.u(1),
+    "view.capacities()": lambda t, v: v.capacities(),
+    "view.capacities(1)": lambda t, v: v.capacities(1),
+    "view.coefficients()": lambda t, v: v.coefficients(),
+    "view.coefficients(1)": lambda t, v: v.coefficients(1),
+}
+
+#: accessors that compute a new array on every call
+FRESH = {
+    "topology.flows(V)": lambda t, v: t.flows(v.V),
+    "topology.u(V)": lambda t, v: t.u(v.V),
+    "topology.capacities(V)": lambda t, v: t.capacities(v.V),
+    "topology.u(V, 1)": lambda t, v: t.u(v.V, 1),
+    "view.flows()": lambda t, v: v.flows(),
+    "view.flows(1)": lambda t, v: v.flows(1),
+}
+
+
+class TestCacheAliasing:
+    """No caller can corrupt an array another caller shares: cached
+    arrays are read-only, uncached ones are new on every call."""
+
+    @pytest.mark.parametrize("source", SOURCES)
+    @pytest.mark.parametrize("accessor", SHARED)
+    def test_shared_arrays_read_only(self, source, accessor):
+        topology, view = SOURCES[source]()
+        arr = SHARED[accessor](topology, view)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.flat[0] = 99.0
+
+    def test_bank_base_capacities_read_only(self):
+        V = _bank().base_capacities()
+        assert not V.flags.writeable
+        with pytest.raises(ValueError):
+            V[0] = 99.0
+
+    @pytest.mark.parametrize("source", SOURCES)
+    @pytest.mark.parametrize("accessor", FRESH)
+    def test_uncached_arrays_fresh(self, source, accessor):
+        topology, view = SOURCES[source]()
+        get = FRESH[accessor]
+        first, second = get(topology, view), get(topology, view)
+        assert first.flags.writeable
+        assert not np.shares_memory(first, second)
+        expected = second.copy()
+        first.fill(-1.0)
+        np.testing.assert_array_equal(get(topology, view), expected)
 
 
 class TestIdentity:

@@ -223,24 +223,3 @@ class TestCoefficientInvariants:
         )
         K = system.coefficients()
         assert float(K.max()) <= 1.0 + 1e-9
-
-
-class TestFrozenCaches:
-    def test_view_cache_arrays_are_read_only(self):
-        view = CapacityView.from_matrices(
-            ["a", "b"], np.array([10.0, 10.0]), np.array([[0.0, 0.4], [0.4, 0.0]])
-        )
-        with pytest.raises(ValueError):
-            view.capacities(1)[0] = 0.0
-        with pytest.raises(ValueError):
-            view.u(1)[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            view.coefficients(1)[0, 0] = 1.0
-
-    def test_bank_base_capacities_read_only(self):
-        bank = Bank()
-        bank.create_currency("a")
-        bank.deposit_capacity("a", 5.0)
-        V = bank.base_capacities()
-        with pytest.raises(ValueError):
-            V[0] = 99.0

@@ -172,3 +172,7 @@ class TestGenerateStreams:
     def test_zero_proxies_rejected(self):
         with pytest.raises(WorkloadError):
             generate_streams(0, DiurnalProfile(), gap=0.0)
+
+    def test_entropy_seed_rejected(self):
+        with pytest.raises(TypeError):
+            generate_streams(2, DiurnalProfile(), gap=0.0, seed=None)
