@@ -10,7 +10,7 @@ path for substituting a real trace:
    fit quality (is this trace diurnal enough for the paper's setup?);
 3. drive the proxy simulation directly from the trace streams.
 
-Run:  python examples/trace_driven.py   (~20 s)
+Run:  python examples/trace_driven.py   (~4 s)
 """
 
 import tempfile

@@ -23,7 +23,8 @@ class QueuedItem:
     time spans redirections); ``service`` is the work it requires in
     seconds; ``ready`` is the earliest time service may start (defaults to
     ``arrival``; redirection sets it to the transfer-completion time);
-    ``payload`` is caller data (the request object).
+    ``payload`` is caller data (the proxy simulation stores the index of
+    the proxy whose stream the request came from).
     """
 
     arrival: float

@@ -44,8 +44,9 @@ class ServiceModel:
         if self.a < 0 or self.b < 0 or self.c <= 0:
             raise SimulationError(f"invalid service model {self!r}")
 
-    def service_time(self, length_bytes: float) -> float:
-        return min(self.a + self.b * length_bytes, self.c)
+    def service_time(self, length_bytes: float | np.ndarray) -> float | np.ndarray:
+        """Seconds of work per request; ``length_bytes`` may be an array."""
+        return np.minimum(self.a + self.b * length_bytes, self.c)
 
     def mean_service(self, sizes: SizeDistribution) -> float:
         """Approximate E[service] under a size distribution (ignores the cap)."""

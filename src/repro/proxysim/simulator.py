@@ -22,7 +22,7 @@ from ..agreements.topology import CapacityView
 from ..des.engine import Engine
 from ..des.queues import QueuedItem, WorkQueue
 from ..obs import get_observer
-from ..workload.generator import Request, generate_streams
+from ..workload.generator import Stream, generate_streams
 from .config import SimulationConfig
 from .metrics import SimulationResult
 from .redirect import RedirectPolicy, make_policy
@@ -45,10 +45,14 @@ class ProxySimulation:
         self,
         config: SimulationConfig,
         system: CapacityView | None = None,
-        streams: list[list[Request]] | None = None,
+        streams: list[Stream] | None = None,
         system_updates: list[tuple[float, CapacityView]] | None = None,
     ):
-        """``system_updates`` is an optional schedule of agreement changes:
+        """``streams`` holds one :class:`~repro.workload.generator.Stream`
+        per proxy (default: sampled from the config); proxy ``k``'s waits are
+        recorded under ``k`` whatever its rows' ``origins`` say.
+
+        ``system_updates`` is an optional schedule of agreement changes:
         ``[(time, new_system), ...]`` applied at the first epoch tick at or
         after each time — modelling the paper's dynamically renegotiated
         or revoked agreements (principals joining/leaving, tickets revoked).
@@ -75,7 +79,10 @@ class ProxySimulation:
             raise ValueError(
                 f"got {len(streams)} streams for {config.n_proxies} proxies"
             )
+        if not all(isinstance(s, Stream) for s in streams):
+            raise TypeError("streams must be Stream objects (see Stream.from_requests)")
         self.streams = streams
+        self._services = [config.service.service_time(s.lengths) for s in streams]
         self._cursor = [0] * config.n_proxies
         # Per-proxy expected service work per second over the day (the load
         # information LRMs report to the GRM): lambda_i(t) * E[service].
@@ -92,30 +99,26 @@ class ProxySimulation:
     # -- internals -----------------------------------------------------------
 
     def _push_arrivals(self, proxy: int, until: float) -> None:
-        """Move stream arrivals with time <= until into the proxy's queue."""
-        stream = self.streams[proxy]
+        """Move stream arrivals with time <= until into the proxy's queue.
+
+        Each item carries its proxy's index as payload, so its wait is
+        recorded under the stream it came from.
+        """
+        arrivals = self.streams[proxy].arrivals
         i = self._cursor[proxy]
-        queue = self.queues[proxy]
-        service = self.config.service
-        while i < len(stream) and stream[i].arrival <= until:
-            req = stream[i]
-            queue.push(
-                QueuedItem(
-                    arrival=req.arrival,
-                    service=service.service_time(req.length),
-                    payload=req,
-                )
-            )
-            i += 1
-        self._cursor[proxy] = i
+        j = i + int(np.searchsorted(arrivals[i:], until, side="right"))
+        push = self.queues[proxy].push
+        services = self._services[proxy][i:j].tolist()
+        for t, s in zip(arrivals[i:j].tolist(), services):
+            push(QueuedItem(arrival=t, service=s, payload=proxy))
+        self._cursor[proxy] = j
 
     def _on_served(self, item: QueuedItem, start: float) -> None:
-        req: Request = item.payload
-        if req.arrival >= self.config.measure_start:
+        if item.arrival >= self.config.measure_start:
             self.result.record_wait(
-                req.origin,
-                req.arrival,
-                max(start - req.arrival, 0.0),
+                item.payload,
+                item.arrival,
+                max(start - item.arrival, 0.0),
                 redirected=item.hops > 0,
             )
 
@@ -254,7 +257,7 @@ class ProxySimulation:
 def run_simulation(
     config: SimulationConfig,
     system: CapacityView | None = None,
-    streams: list[list[Request]] | None = None,
+    streams: list[Stream] | None = None,
     system_updates: list[tuple[float, CapacityView]] | None = None,
 ) -> SimulationResult:
     """Convenience one-shot wrapper around :class:`ProxySimulation`."""

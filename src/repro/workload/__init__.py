@@ -14,13 +14,16 @@ properties the experiments depend on (see DESIGN.md):
    the "gap" between geographically distant ISPs
    (:mod:`~repro.workload.generator`).
 
+A stream is a :class:`~repro.workload.generator.Stream`: sorted arrival,
+length and origin columns, with no per-request objects.
+
 :mod:`~repro.workload.trace` reads and writes trace files so a real trace
 can be substituted where available.
 """
 
 from .diurnal import DiurnalProfile
 from .fit import fit_profile, profile_fit_error
-from .generator import Request, RequestStream, generate_streams
+from .generator import Request, RequestStream, Stream, generate_streams
 from .sizes import LogNormalSizes, ParetoSizes, SizeDistribution
 from .trace import read_trace, write_trace
 from .weekly import WeeklyProfile
@@ -31,6 +34,7 @@ __all__ = [
     "profile_fit_error",
     "Request",
     "RequestStream",
+    "Stream",
     "generate_streams",
     "SizeDistribution",
     "LogNormalSizes",

@@ -19,26 +19,26 @@ import numpy as np
 
 from ..errors import WorkloadError
 from .diurnal import DAY_SECONDS, DiurnalProfile
-from .generator import Request
+from .generator import Stream
 
 __all__ = ["fit_profile", "profile_fit_error"]
 
 
-def _binned_rates(requests, bins: int):
-    counts = np.zeros(bins)
-    total_days = 0.0
-    max_t = 0.0
-    for r in requests:
-        counts[int((r.arrival % DAY_SECONDS) // (DAY_SECONDS / bins)) % bins] += 1
-        max_t = max(max_t, r.arrival)
-    total_days = max(math.ceil((max_t + 1e-9) / DAY_SECONDS), 1)
+def _binned_rates(stream: Stream, bins: int):
+    if len(stream) == 0:
+        raise WorkloadError("cannot fit a profile to an empty trace")
+    arrivals = stream.arrivals
     width = DAY_SECONDS / bins
+    slot = ((arrivals % DAY_SECONDS) // width).astype(np.int64) % bins
+    counts = np.bincount(slot, minlength=bins)
+    max_t = max(float(arrivals[-1]), 0.0)
+    total_days = max(math.ceil((max_t + 1e-9) / DAY_SECONDS), 1)
     rates = counts / (width * total_days)
     mids = (np.arange(bins) + 0.5) * width
     return mids, rates, total_days
 
 
-def fit_profile(requests: list[Request], bins: int = 48) -> DiurnalProfile:
+def fit_profile(stream: Stream, bins: int = 48) -> DiurnalProfile:
     """Least-squares fit of the two-harmonic diurnal model to a trace.
 
     The model is ``rate(t) = b0 + c1 cos w + s1 sin w + c2 cos 2w +
@@ -47,9 +47,7 @@ def fit_profile(requests: list[Request], bins: int = 48) -> DiurnalProfile:
     Traces shorter than one day are extrapolated pro rata; empty traces
     are rejected.
     """
-    if not requests:
-        raise WorkloadError("cannot fit a profile to an empty trace")
-    mids, rates, _days = _binned_rates(requests, bins)
+    mids, rates, _days = _binned_rates(stream, bins)
     w = 2.0 * math.pi * mids / DAY_SECONDS
     X = np.column_stack(
         [np.ones_like(w), np.cos(w), np.sin(w), np.cos(2 * w), np.sin(2 * w)]
@@ -78,7 +76,7 @@ def fit_profile(requests: list[Request], bins: int = 48) -> DiurnalProfile:
 
 
 def profile_fit_error(
-    requests: list[Request], profile: DiurnalProfile, bins: int = 48
+    stream: Stream, profile: DiurnalProfile, bins: int = 48
 ) -> float:
     """Normalised RMS error between a trace's binned rates and a profile.
 
@@ -87,9 +85,7 @@ def profile_fit_error(
     substituting a real trace to confirm it is diurnal-shaped before
     reusing the paper's experiment configurations.
     """
-    if not requests:
-        raise WorkloadError("empty trace")
-    mids, rates, _days = _binned_rates(requests, bins)
+    mids, rates, _days = _binned_rates(stream, bins)
     predicted = profile.rate(mids)
     rms = float(np.sqrt(np.mean((rates - predicted) ** 2)))
     scale = float(np.std(rates)) or 1.0

@@ -1,20 +1,21 @@
 """Trace file I/O.
 
 The simulator is trace-driven; where a real trace is available it can be
-substituted for the synthetic generator.  The format is a minimal CSV —
-``arrival_seconds,length_bytes[,origin]`` — with ``#`` comments.  A parser
-for the Common Log Format (the format the Berkeley-era traces shipped in)
-is included so raw proxy logs can be converted.
+substituted for the synthetic generator: :func:`read_trace` returns the
+same :class:`~repro.workload.generator.Stream` the generator does.  The
+format is a minimal CSV — ``arrival_seconds,length_bytes[,origin]`` —
+with ``#`` comments.  A parser for the Common Log Format (the format the
+Berkeley-era traces shipped in) is included so raw proxy logs can be
+converted.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable
 from pathlib import Path
 
 from ..errors import WorkloadError
-from .generator import Request
+from .generator import Request, Stream
 
 __all__ = ["read_trace", "write_trace", "parse_common_log_line"]
 
@@ -30,22 +31,25 @@ _MONTHS = {
 }
 
 
-def write_trace(path: str | Path, requests: Iterable[Request]) -> int:
-    """Write requests as CSV; returns the number of rows written."""
+def write_trace(path: str | Path, stream: Stream) -> int:
+    """Write a stream as CSV; returns the number of rows written."""
     path = Path(path)
-    count = 0
+    rows = zip(stream.arrivals.tolist(), stream.lengths.tolist(), stream.origins.tolist())
     with path.open("w") as fh:
         fh.write("# arrival_seconds,length_bytes,origin\n")
-        for r in requests:
-            fh.write(f"{r.arrival:.6f},{r.length:.1f},{r.origin}\n")
-            count += 1
-    return count
+        fh.writelines(f"{t:.6f},{x:.1f},{o}\n" for t, x, o in rows)
+    return len(stream)
 
 
-def read_trace(path: str | Path) -> list[Request]:
-    """Read a CSV trace written by :func:`write_trace` (or hand-made)."""
+def read_trace(path: str | Path) -> Stream:
+    """Read a CSV trace written by :func:`write_trace` (or hand-made).
+
+    Rows are stably sorted by arrival; a two-column row has origin 0.
+    """
     path = Path(path)
-    out: list[Request] = []
+    arrivals: list[float] = []
+    lengths: list[float] = []
+    origins: list[int] = []
     with path.open() as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -67,9 +71,10 @@ def read_trace(path: str | Path) -> list[Request]:
                 raise WorkloadError(
                     f"{path}:{lineno}: negative arrival or length"
                 )
-            out.append(Request(arrival, length, origin))
-    out.sort(key=lambda r: r.arrival)
-    return out
+            arrivals.append(arrival)
+            lengths.append(length)
+            origins.append(origin)
+    return Stream.from_columns(arrivals, lengths, origins)
 
 
 def parse_common_log_line(line: str, day_origin: bool = True) -> Request | None:

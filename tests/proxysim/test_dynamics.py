@@ -4,7 +4,7 @@ import pytest
 
 from repro.agreements import complete_structure
 from repro.proxysim import ProxySimulation, SimulationConfig
-from repro.workload import Request
+from repro.workload import Request, Stream
 
 
 def overload_streams():
@@ -12,7 +12,7 @@ def overload_streams():
     early = [Request(1_000.0 + i * 0.01, 3e6, 0) for i in range(40)]
     late = [Request(50_000.0 + i * 0.01, 3e6, 0) for i in range(40)]
     idle = [Request(80_000.0, 1_000.0, 1)]
-    return [early + late, idle]
+    return [Stream.from_requests(early + late), Stream.from_requests(idle)]
 
 
 def config(**overrides):

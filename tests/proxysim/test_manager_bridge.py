@@ -7,7 +7,7 @@ from repro.agreements import complete_structure
 from repro.proxysim import ProxySimulation, SimulationConfig
 from repro.proxysim.manager_bridge import ManagerPolicy, bank_for_structure
 from repro.proxysim.redirect import LPPolicy
-from repro.workload import Request
+from repro.workload import Request, Stream
 
 
 @pytest.fixture
@@ -107,7 +107,8 @@ class TestSimulationThroughManager:
             n_proxies=3, scheme="lp", epoch=60.0, threshold=5.0,
             warmup_days=0, measure_days=1, requests_per_day=100.0,
         )
-        sim = ProxySimulation(cfg, system, streams=[burst, idle1, idle2])
+        streams = [Stream.from_requests(rows) for rows in (burst, idle1, idle2)]
+        sim = ProxySimulation(cfg, system, streams=streams)
         sim.policy = ManagerPolicy(system)  # swap in the manager path
         result = sim.run()
         assert result.total_redirected > 0
@@ -130,7 +131,7 @@ class TestSimulationThroughManager:
             measure_days=1,
             requests_per_day=100.0,
         )
-        sim = ProxySimulation(cfg, system, streams=streams)
+        sim = ProxySimulation(cfg, system, streams=[Stream.from_requests(s) for s in streams])
         policy = sim.policy = ManagerPolicy(system)
         result = sim.run()
         assert result.scheduler_consults >= 8

@@ -40,7 +40,7 @@ def _one_day():
     policy = sim.policy = ManagerPolicy(system)
     result = sim.run()
     return (
-        streams,
+        [(s.arrivals.tobytes(), s.lengths.tobytes(), s.origins.tobytes()) for s in streams],
         result.total_requests,
         result.total_redirected,
         result.scheduler_consults,

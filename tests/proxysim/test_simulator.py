@@ -11,7 +11,7 @@ import pytest
 from repro.agreements import complete_structure
 from repro.errors import SimulationError
 from repro.proxysim import ProxySimulation, SimulationConfig, run_simulation
-from repro.workload import Request
+from repro.workload import Request, Stream, read_trace
 
 
 def tiny_config(**overrides):
@@ -65,19 +65,45 @@ class TestExternalStreams:
         reqs0 = [Request(100.0 * i, 5_000.0, 0) for i in range(10)]
         reqs1 = [Request(50.0 + 100.0 * i, 5_000.0, 1) for i in range(10)]
         cfg = tiny_config(warmup_days=0)
-        result = run_simulation(cfg, streams=[reqs0, reqs1])
+        streams = [Stream.from_requests(reqs0), Stream.from_requests(reqs1)]
+        result = run_simulation(cfg, streams=streams)
         assert result.total_requests == 20
+
+    def test_waits_follow_stream_not_row_origin(self, tmp_path):
+        """A two-column trace reads back with origin 0 on every row; fed in
+        as proxy 1's stream, its waits still belong to proxy 1."""
+        paths = []
+        for k in range(2):
+            path = tmp_path / f"proxy{k}.csv"
+            path.write_text("".join(f"{50.0 * k + 100.0 * i},5000\n" for i in range(10)))
+            paths.append(path)
+        streams = [read_trace(p) for p in paths]
+        assert all(int(o) == 0 for s in streams for o in s.origins)
+        result = run_simulation(tiny_config(warmup_days=0), streams=streams)
+        counts = [int(w.counts().sum()) for w in result.waits_by_proxy]
+        assert counts == [10, 10]
+
+    def test_row_origin_beyond_proxy_count_ignored(self):
+        rows = [Request(100.0 * i, 5_000.0, 7) for i in range(5)]
+        streams = [Stream.from_requests(rows), Stream.from_requests(rows)]
+        result = run_simulation(tiny_config(warmup_days=0), streams=streams)
+        assert [int(w.counts().sum()) for w in result.waits_by_proxy] == [5, 5]
+
+    def test_request_lists_rejected(self):
+        rows = [Request(100.0, 5_000.0, 0)]
+        with pytest.raises(TypeError, match="Stream"):
+            run_simulation(tiny_config(), streams=[rows, rows])
 
     def test_stream_count_mismatch(self):
         with pytest.raises(ValueError, match="streams"):
-            run_simulation(tiny_config(), streams=[[]])
+            run_simulation(tiny_config(), streams=[Stream.from_requests([])])
 
     def test_deterministic_waits_for_fixed_stream(self):
         """Two closely spaced heavy requests: exact Lindley waits."""
         service_len = 1_000_000.0  # 0.1 + 1.0 = 1.1 s service
         reqs = [Request(10.0, service_len, 0), Request(10.5, service_len, 0)]
         cfg = tiny_config(n_proxies=1, gap=0.0, epoch=100.0)
-        result = run_simulation(cfg, streams=[reqs])
+        result = run_simulation(cfg, streams=[Stream.from_requests(reqs)])
         # first waits 0; second waits (10 + 1.1) - 10.5 = 0.6
         total_wait = float(result.waits_all._sum.sum())
         assert total_wait == pytest.approx(0.6)
@@ -93,7 +119,8 @@ class TestRedirection:
             **overrides,
         )
         system = complete_structure(2, share=0.5)
-        return run_simulation(cfg, system, streams=[burst, idle])
+        streams = [Stream.from_requests(burst), Stream.from_requests(idle)]
+        return run_simulation(cfg, system, streams=streams)
 
     def test_no_sharing_never_redirects(self):
         result = self.make_overload("none")

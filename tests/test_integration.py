@@ -16,7 +16,7 @@ from repro.manager import (
 )
 from repro.proxysim import SimulationConfig, run_simulation
 from repro.units import ResourceVector
-from repro.workload import Request
+from repro.workload import Request, Stream
 
 
 class TestEconomyToAllocation:
@@ -108,7 +108,8 @@ class TestSimulationUsesEconomy:
             n_proxies=3, scheme="lp", epoch=60.0, threshold=5.0,
             warmup_days=0, measure_days=1, requests_per_day=100.0,
         )
-        result = run_simulation(cfg, system, streams=[burst, quiet1, quiet2])
+        streams = [Stream.from_requests(rows) for rows in (burst, quiet1, quiet2)]
+        result = run_simulation(cfg, system, streams=streams)
         assert result.total_redirected > 0
         assert result.total_requests == 52
 
@@ -121,7 +122,9 @@ class TestEndToEndInvariants:
         for origin in range(3):
             arrivals = np.sort(rng.uniform(0, 40_000, size=200))
             streams.append(
-                [Request(float(t), float(rng.uniform(1e3, 1e6)), origin) for t in arrivals]
+                Stream.from_requests(
+                    [Request(float(t), float(rng.uniform(1e3, 1e6)), origin) for t in arrivals]
+                )
             )
         from repro.agreements import complete_structure
 

@@ -7,7 +7,7 @@ from repro.errors import WorkloadError
 from repro.workload import DiurnalProfile, RequestStream
 from repro.workload.diurnal import DAY_SECONDS
 from repro.workload.fit import fit_profile, profile_fit_error
-from repro.workload.generator import Request
+from repro.workload.generator import Request, Stream
 
 
 class TestFitProfile:
@@ -46,11 +46,11 @@ class TestFitProfile:
 
     def test_empty_trace_rejected(self):
         with pytest.raises(WorkloadError, match="empty"):
-            fit_profile([])
+            fit_profile(Stream.from_requests([]))
 
     def test_positivity_clamp(self):
         """A pathological spike trace fits without violating positivity."""
-        reqs = [Request(100.0 + i * 0.001, 1000.0) for i in range(5_000)]
+        reqs = Stream.from_requests([Request(100.0 + i * 0.001, 1000.0) for i in range(5_000)])
         fitted = fit_profile(reqs)
         assert abs(fitted.a1) + abs(fitted.a2) < 1.0
 
@@ -71,4 +71,4 @@ class TestFitError:
 
     def test_empty(self):
         with pytest.raises(WorkloadError):
-            profile_fit_error([], DiurnalProfile())
+            profile_fit_error(Stream.from_requests([]), DiurnalProfile())

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import WorkloadError
-from repro.workload import Request, read_trace, write_trace
+from repro.workload import Request, Stream, read_trace, write_trace
 from repro.workload.trace import parse_common_log_line
 
 
@@ -11,19 +11,19 @@ class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):
         reqs = [Request(1.5, 2048.0, 0), Request(0.5, 512.0, 2)]
         path = tmp_path / "trace.csv"
-        assert write_trace(path, reqs) == 2
+        assert write_trace(path, Stream.from_requests(reqs)) == 2
         back = read_trace(path)
         # read_trace sorts by arrival
-        assert back[0].arrival == pytest.approx(0.5)
-        assert back[0].origin == 2
-        assert back[1].length == pytest.approx(2048.0)
+        assert back.arrivals[0] == pytest.approx(0.5)
+        assert back.origins[0] == 2
+        assert back.lengths[1] == pytest.approx(2048.0)
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("# header\n\n1.0,100\n")
         reqs = read_trace(path)
         assert len(reqs) == 1
-        assert reqs[0].origin == 0  # default origin
+        assert reqs.origins[0] == 0  # default origin
 
     def test_bad_field_count(self, tmp_path):
         path = tmp_path / "t.csv"
