@@ -39,7 +39,9 @@ remainders ``V'``, plus ``theta`` — the ``n^2 + n + 1`` of Section 3.1).
 ``formulation="reduced"`` eliminates ``I'`` and ``C'`` algebraically
 (substituting (1) into (2)) leaving only the takes ``d_i = V_i - V'_i``
 and ``theta``.  The optima are identical (property-tested); reduced is the
-default in the simulator for speed.
+default in the simulator for speed.  The reduced LP is built directly as
+arrays, the faithful one through :class:`~repro.lp.LinearProgram`; both
+are solved by :func:`repro.lp.solve` with either backend.
 """
 
 from __future__ import annotations
@@ -51,9 +53,8 @@ from ..errors import (
     InsufficientResourcesError,
     LPError,
 )
-from ..lp import LinearProgram
+from ..lp import BACKENDS, LinearProgram, solve
 from ..obs import get_observer
-from ..obs.decision import current_decision
 from .problem import Allocation, AllocationRequest
 
 __all__ = ["allocate_lp"]
@@ -99,6 +100,12 @@ def allocate_lp(
         With ``take`` summing to the satisfied amount and the post-state
         ``V'`` / ``C'`` vectors.
     """
+    if formulation not in ("reduced", "faithful"):
+        raise LPError(f"unknown formulation {formulation!r}; use 'reduced' or 'faithful'")
+    if objective not in ("others", "all"):
+        raise LPError(f"unknown objective {objective!r}; use 'others' or 'all'")
+    if backend not in BACKENDS:
+        raise LPError(f"unknown LP backend {backend!r}; choose from {sorted(BACKENDS)}")
     request = AllocationRequest(principal, amount, level)
     a = system.index(principal)
     n = system.n
@@ -127,29 +134,26 @@ def allocate_lp(
                 system, request, np.zeros(n), "lp", satisfied=0.0, theta=0.0
             )
 
-        if objective not in ("others", "all"):
-            raise LPError(f"unknown objective {objective!r}; use 'others' or 'all'")
-        try:
-            if formulation == "reduced" and backend == "scipy":
-                # Hot path for the simulator: build the arrays directly
-                # instead of going through the expression layer (identical
-                # LP, ~2x faster).
-                take, theta = _solve_reduced_arrays(n, a, x, V, U, T, objective)
-            elif formulation == "reduced":
-                take, theta = _solve_reduced(n, a, x, V, U, T, objective, backend)
-            elif formulation == "faithful":
-                take, theta = _solve_faithful(n, a, x, V, U, T, C, objective, backend)
+        with obs.span("lp.build", formulation=formulation, n=n):
+            if formulation == "reduced":
+                arrays = _reduced_arrays(n, a, x, V, U, T, objective)
             else:
-                raise LPError(
-                    f"unknown formulation {formulation!r}; use 'reduced' or 'faithful'"
-                )
-        except InfeasibleAllocationError:
+                arrays = _faithful_model(n, a, x, V, U, T, C, objective).to_arrays()[:6]
+        res = solve(*arrays, backend=backend, model=f"allocate-{formulation}")
+        if not res.ok:
             obs.counter("allocation.infeasible")
             obs.event(
                 "allocation.infeasible", principal=principal, amount=x,
                 formulation=formulation, backend=backend,
             )
-            raise
+            raise InfeasibleAllocationError(
+                f"allocation LP reported {res.status.value} "
+                f"(x={x:g}, requester index {a})"
+            )
+        # The faithful LP's first n variables are the remainders V'.
+        take = res.x[:n] if formulation == "reduced" else V - res.x[:n]
+        take = np.clip(take, 0.0, None)
+        theta = float(res.x[-1])
         if obs.enabled:
             donors = int(np.count_nonzero(take > _TOL))
             obs.counter("allocation.requests", scheme="lp")
@@ -167,16 +171,13 @@ def _donor_bounds(n: int, a: int, V: np.ndarray, U: np.ndarray) -> np.ndarray:
     return ub
 
 
-def _solve_reduced_arrays(n, a, x, V, U, T, objective):
-    """Reduced formulation assembled as raw scipy arrays (scipy backend only).
+def _reduced_arrays(n, a, x, V, U, T, objective):
+    """The reduced formulation as ``(c, A_ub, b_ub, A_eq, b_eq, bounds)``.
 
-    Variables ``[d_0 .. d_{n-1}, theta]``; drop constraints
-    ``d_i + sum_k d_k T_ki <= theta`` become rows of ``T.T + I`` with a
-    ``-1`` theta column.  Mathematically identical to :func:`_solve_reduced`
-    (cross-checked in the test suite).
+    Variables ``[d_0 .. d_{n-1}, theta]``: the drop of principal ``i``,
+    ``d_i + sum_k d_k T_ki``, is row ``i`` of ``I + T.T``, kept below
+    ``theta`` by a ``-1`` theta column; ``sum d = x``; ``0 <= d_i <= ub_i``.
     """
-    from scipy.optimize import linprog
-
     ub = _donor_bounds(n, a, V, U)
     rows = np.arange(n) if objective == "all" else np.delete(np.arange(n), a)
     A_ub = np.zeros((len(rows), n + 1))
@@ -188,70 +189,10 @@ def _solve_reduced_arrays(n, a, x, V, U, T, objective):
     c = np.zeros(n + 1)
     c[n] = 1.0
     bounds = [(0.0, float(u)) for u in ub] + [(0.0, None)]
-    obs = get_observer()
-    with obs.span("lp.solve", backend="scipy", model="allocate-reduced-arrays") as sp:
-        res = linprog(
-            c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[x], bounds=bounds,
-            method="highs",
-        )
-        if obs.enabled:
-            iterations = int(getattr(res, "nit", 0) or 0)
-            obs.counter("lp.solves", backend="scipy")
-            obs.histogram("lp.iterations", iterations, backend="scipy")
-            sp.set(status=int(res.status), iterations=iterations)
-            dec = current_decision()
-            if dec is not None:
-                # Attach solver evidence to whichever allocation decision
-                # (GRM grant, direct policy plan) is in flight.
-                dec.set(
-                    lp_backend="scipy",
-                    lp_status=int(res.status),
-                    lp_iterations=iterations,
-                )
-    if res.status != 0:
-        raise InfeasibleAllocationError(
-            f"allocation LP failed (scipy status {res.status}): {res.message}"
-        )
-    take = np.clip(res.x[:n], 0.0, None)
-    return take, float(res.x[n])
+    return c, A_ub, b_ub, A_eq, np.array([x]), bounds
 
 
-def _solve_reduced(n, a, x, V, U, T, objective, backend):
-    """Variables: takes d_i and theta; flows and capacities eliminated."""
-    lp = LinearProgram("allocate-reduced")
-    ub = _donor_bounds(n, a, V, U)
-    d = [lp.variable(f"d{i}", lower=0.0, upper=ub[i]) for i in range(n)]
-    theta = lp.variable("theta", lower=0.0)
-
-    total = d[0]
-    for i in range(1, n):
-        total = total + d[i]
-    lp.add_constraint(total == x, name="total")
-
-    # Drop of principal i: C_i - C'_i = d_i + sum_{k != i} d_k T_ki  <= theta
-    rows = range(n) if objective == "all" else (i for i in range(n) if i != a)
-    for i in rows:
-        drop = d[i] * 1.0
-        for k in range(n):
-            if k != i and T[k, i] != 0.0:
-                drop = drop + d[k] * float(T[k, i])
-        lp.add_constraint(drop <= theta, name=f"drop{i}")
-
-    lp.minimize(theta)
-    res = lp.solve(backend=backend)
-    dec = current_decision()
-    if dec is not None:
-        dec.set(lp_backend=backend, lp_status=res.status.value)
-    if not res.ok:
-        raise InfeasibleAllocationError(
-            f"allocation LP reported {res.status.value} "
-            f"(x={x:g}, requester index {a})"
-        )
-    take = np.array([res[f"d{i}"] for i in range(n)])
-    return np.clip(take, 0.0, None), float(res.objective)
-
-
-def _solve_faithful(n, a, x, V, U, T, C, objective, backend):
+def _faithful_model(n, a, x, V, U, T, C, objective):
     """The paper's full variable set: V'_i, C'_i, I'_ij and theta."""
     lp = LinearProgram("allocate-faithful")
     ub = _donor_bounds(n, a, V, U)
@@ -295,14 +236,4 @@ def _solve_faithful(n, a, x, V, U, T, C, objective, backend):
         lp.add_constraint(cp[i] <= float(C[i]), name=f"hi{i}")
 
     lp.minimize(theta)
-    res = lp.solve(backend=backend)
-    dec = current_decision()
-    if dec is not None:
-        dec.set(lp_backend=backend, lp_status=res.status.value)
-    if not res.ok:
-        raise InfeasibleAllocationError(
-            f"allocation LP reported {res.status.value} "
-            f"(x={x:g}, requester index {a})"
-        )
-    take = np.array([float(V[i]) - res[f"Vp{i}"] for i in range(n)])
-    return np.clip(take, 0.0, None), float(res.objective)
+    return lp

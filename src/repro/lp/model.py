@@ -1,9 +1,9 @@
 """LP model builder.
 
 :class:`LinearProgram` accumulates named variables and linear constraints,
-normalises them into the dense/sparse array form
+normalises them into the dense array form
 ``min c.x  s.t.  A_ub x <= b_ub,  A_eq x == b_eq,  lb <= x <= ub``
-and dispatches to a backend solver.
+and solves that with :func:`repro.lp.solver.solve`.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import LPError
+from . import solver
 from .expr import LinExpr, Relation, Variable
 from .result import LPResult
 
@@ -157,24 +158,21 @@ class LinearProgram:
 
     # -- solving -----------------------------------------------------------------
 
-    def solve(self, backend: str = "scipy", **kwargs) -> LPResult:
+    def solve(self, backend: str = "scipy", **options) -> LPResult:
         """Solve the model with the given backend (``"scipy"`` or ``"simplex"``).
 
         The returned objective is always in the user's sense (a ``max``
         model reports the maximum).
         """
-        from .scipy_backend import solve_scipy
-        from .simplex import solve_simplex
-
-        solvers = {"scipy": solve_scipy, "simplex": solve_simplex}
-        try:
-            solver = solvers[backend]
-        except KeyError:
-            raise LPError(f"unknown LP backend {backend!r}; choose from {sorted(solvers)}") from None
-        result = solver(self, **kwargs)
+        c, A_ub, b_ub, A_eq, b_eq, bounds, const = self.to_arrays()
+        result = solver.solve(
+            c, A_ub, b_ub, A_eq, b_eq, bounds, backend=backend, model=self.name, **options
+        )
         result.names = tuple(v.name for v in self._vars)
-        if self._obj_sense == "max" and result.ok:
-            result.objective = -result.objective
+        if result.ok:
+            result.objective += const
+            if self._obj_sense == "max":
+                result.objective = -result.objective
         return result
 
     def __repr__(self) -> str:

@@ -1,296 +1,153 @@
-"""A from-scratch dense two-phase primal simplex solver.
+"""A from-scratch dense bounded-variable primal simplex.
 
 The paper cites Gass's *Linear Programming* textbook for its solver; this
-module is the textbook method: convert to standard form (equalities over
-non-negative variables), run phase 1 with artificial variables to find a
-basic feasible solution, then phase 2 on the real objective.  Bland's rule
-guarantees termination.  It is deliberately simple and dense — the
-allocation LPs in this library have at most a few hundred variables — and
-exists so the library's results do not hinge on a single external solver.
-The scipy/HiGHS backend is cross-checked against this one in the tests.
+module is the textbook bounded-variable method.  It works on the array form
+every backend shares,
+
+    min c.x   s.t.   A_ub x <= b_ub,   A_eq x == b_eq,   lo <= x <= hi,
+
+as given: each row gets one logical variable (``[0, inf)`` on an inequality
+row, ``[0, 0]`` on an equality row), a nonbasic variable sits at one of its
+finite bounds (a free one at 0), and the ratio test stops a move at the first
+bound reached, whether a basic variable's or the entering variable's own.
+Phase 1 gives every row whose logical starts out of bounds an artificial and
+minimises their sum; phase 2 fixes the artificials at 0 and minimises
+``c.x``.  Bland's rule (the smallest eligible index enters, the smallest
+basic index leaves on a tie) guarantees termination.
+
+It is deliberately dense and simple (the allocation LPs here have at most a
+few hundred variables) and exists so the library's results do not hinge on
+one external solver; HiGHS is cross-checked against it in the tests.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import LPSolverError
-from ..obs import get_observer
-from .result import LPResult, LPStatus
+__all__ = ["SimplexResult", "solve_simplex"]
 
-__all__ = ["solve_simplex"]
-
-_TOL = 1e-9
+_TOL = 1e-9  # pivot and reduced-cost tolerance
+_FEAS_TOL = 1e-7  # phase-1 objective above which the LP is infeasible
 
 
-@dataclass
-class _StandardForm:
-    """``min c.y  s.t.  A y = b, y >= 0`` plus the map back to model vars."""
+class SimplexResult(NamedTuple):
+    """Outcome in :func:`scipy.optimize.linprog`'s terms: ``status`` is 0
+    (optimal), 1 (iteration limit), 2 (infeasible) or 3 (unbounded);
+    ``nit`` counts pivots and bound flips."""
 
-    A: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    # recover[i] = (kind, payload); kinds: "shifted" (col, lower),
-    # "split" (col_plus, col_minus)
-    recover: list[tuple]
-    const: float
-
-
-def _to_standard_form(model) -> _StandardForm:
-    c0, A_ub, b_ub, A_eq, b_eq, bounds, const = model.to_arrays()
-    n = len(c0)
-
-    # 1. Substitute out bounds: x = l + y (y >= 0); free x = y+ - y-;
-    #    finite upper bounds become extra <= rows on y.
-    cols: list[np.ndarray] = []  # new columns expressed over original index
-    recover: list[tuple] = []
-    col_of: list[tuple] = []  # per-original-var mapping spec
-    extra_ub_rows: list[tuple[int, float]] = []  # (new col, bound on y)
-    shift = np.zeros(n)
-
-    new_index = 0
-    for j, (lo, hi) in enumerate(bounds):
-        if lo is None:
-            lo = -math.inf
-        if hi is None:
-            hi = math.inf
-        if math.isfinite(lo):
-            shift[j] = lo
-            col_of.append(("shifted", new_index))
-            recover.append(("shifted", new_index, lo))
-            if math.isfinite(hi):
-                extra_ub_rows.append((new_index, hi - lo))
-            new_index += 1
-        elif math.isfinite(hi):
-            # x <= hi with no lower bound: x = hi - y, y >= 0.
-            shift[j] = hi
-            col_of.append(("reflected", new_index))
-            recover.append(("reflected", new_index, hi))
-            new_index += 1
-        else:
-            col_of.append(("split", new_index, new_index + 1))
-            recover.append(("split", new_index, new_index + 1))
-            new_index += 2
-
-    n_new = new_index
-
-    def transform_matrix(A: np.ndarray) -> np.ndarray:
-        if A.size == 0:
-            return np.zeros((A.shape[0], n_new))
-        out = np.zeros((A.shape[0], n_new))
-        for j in range(n):
-            spec = col_of[j]
-            if spec[0] == "shifted":
-                out[:, spec[1]] += A[:, j]
-            elif spec[0] == "reflected":
-                out[:, spec[1]] -= A[:, j]
-            else:
-                out[:, spec[1]] += A[:, j]
-                out[:, spec[2]] -= A[:, j]
-        return out
-
-    A_ub_t = transform_matrix(A_ub)
-    b_ub_t = b_ub - (A_ub @ shift if A_ub.size else np.zeros(A_ub.shape[0]))
-    A_eq_t = transform_matrix(A_eq)
-    b_eq_t = b_eq - (A_eq @ shift if A_eq.size else np.zeros(A_eq.shape[0]))
-
-    c_t = np.zeros(n_new)
-    for j in range(n):
-        spec = col_of[j]
-        if spec[0] == "shifted":
-            c_t[spec[1]] += c0[j]
-        elif spec[0] == "reflected":
-            c_t[spec[1]] -= c0[j]
-        else:
-            c_t[spec[1]] += c0[j]
-            c_t[spec[2]] -= c0[j]
-    const_t = const + float(c0 @ shift)
-
-    # 2. Append upper-bound rows to the <= block.
-    if extra_ub_rows:
-        rows = np.zeros((len(extra_ub_rows), n_new))
-        rhs = np.zeros(len(extra_ub_rows))
-        for r, (col, ub) in enumerate(extra_ub_rows):
-            rows[r, col] = 1.0
-            rhs[r] = ub
-        A_ub_t = np.vstack([A_ub_t, rows]) if A_ub_t.size else rows
-        b_ub_t = np.concatenate([b_ub_t, rhs]) if b_ub_t.size else rhs
-
-    # 3. Add slacks to turn <= into =.
-    m_ub, m_eq = A_ub_t.shape[0], A_eq_t.shape[0]
-    m = m_ub + m_eq
-    A = np.zeros((m, n_new + m_ub))
-    b = np.zeros(m)
-    if m_ub:
-        A[:m_ub, :n_new] = A_ub_t
-        A[:m_ub, n_new : n_new + m_ub] = np.eye(m_ub)
-        b[:m_ub] = b_ub_t
-    if m_eq:
-        A[m_ub:, :n_new] = A_eq_t
-        b[m_ub:] = b_eq_t
-
-    # 4. Make b >= 0.
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-
-    c_full = np.concatenate([c_t, np.zeros(m_ub)])
-    return _StandardForm(A=A, b=b, c=c_full, recover=recover, const=const_t)
+    status: int
+    x: np.ndarray | None
+    fun: float
+    nit: int
+    message: str
 
 
-def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    for r in range(T.shape[0]):
-        if r != row and abs(T[r, col]) > 0.0:
-            T[r] -= T[r, col] * T[row]
-    basis[row] = col
+def solve_simplex(c, A_ub, b_ub, A_eq, b_eq, bounds, max_iter: int = 50_000) -> SimplexResult:
+    """Minimise ``c.x`` over the rows and per-variable ``(lower, upper)``
+    ``bounds`` (``None`` or an infinity for a missing side)."""
+    c = np.asarray(c, dtype=float)
+    n = len(c)
+    A = np.vstack([np.reshape(A_ub, (-1, n)), np.reshape(A_eq, (-1, n))]).astype(float)
+    b = np.concatenate([np.ravel(b_ub), np.ravel(b_eq)]).astype(float)
+    m, m_ub = len(b), np.size(b_ub)
+    bnd = np.array(bounds, dtype=float).reshape(n, 2)  # None -> nan
+    lo_x = np.where(np.isnan(bnd[:, 0]), -np.inf, bnd[:, 0])
+    hi_x = np.where(np.isnan(bnd[:, 1]), np.inf, bnd[:, 1])
+
+    # Start every structural at a finite bound; each row's logical takes up
+    # the residual, and a row whose logical would leave its bounds gets an
+    # artificial carrying |residual| instead.
+    x0 = np.where(np.isfinite(lo_x), lo_x, np.where(np.isfinite(hi_x), hi_x, 0.0))
+    residual = b - A @ x0
+    eq_row = np.arange(m) >= m_ub
+    short = np.flatnonzero(np.where(eq_row, residual != 0.0, residual < 0.0))
+    sign = np.sign(residual[short])
+    k = len(short)
+    N = n + m + k
+
+    T = np.zeros((m, N))  # B^-1 [A | I | artificial columns]; B is diagonal +-1 here
+    T[:, :n] = A
+    T[:, n : n + m] = np.eye(m)
+    T[short, n + m + np.arange(k)] = sign
+    T[short] *= sign[:, None]
+    lo = np.concatenate([lo_x, np.zeros(m + k)])
+    hi = np.concatenate([hi_x, np.where(eq_row, 0.0, np.inf), np.full(k, np.inf)])
+    x = np.concatenate([x0, residual, np.abs(residual[short])])
+    x[n + short] = 0.0
+    basis = n + np.arange(m)
+    basis[short] = n + m + np.arange(k)
+
+    cost = np.zeros(N)
+    cost[n + m :] = 1.0
+    status, nit = _iterate(T, basis, x, lo, hi, cost, 0, max_iter)
+    if status == 0:
+        if x[n + m :].sum() > _FEAS_TOL:
+            return SimplexResult(2, None, np.nan, nit, "infeasible")
+        # Phase 2: artificials are fixed at 0, so none can re-enter and a
+        # basic one (left on a redundant row) blocks any move that would
+        # change it.
+        hi[n + m :] = 0.0
+        cost[:] = 0.0
+        cost[:n] = c
+        status, nit = _iterate(T, basis, x, lo, hi, cost, nit, max_iter)
+    if status != 0:  # phase 1 is bounded below by 0, so only phase 2 can be unbounded
+        message = "unbounded" if status == 3 else f"simplex exceeded {max_iter} iterations"
+        return SimplexResult(status, None, np.nan, nit, message)
+
+    # Recompute the basic values in one pass from b and the nonbasic values,
+    # so the step-by-step updates' rounding does not reach the answer; the
+    # tableau's logical columns hold B^-1.
+    nonbasic = np.ones(N, dtype=bool)
+    nonbasic[basis] = False
+    x[basis] = T[:, n : n + m] @ b - T[:, nonbasic] @ x[nonbasic]
+    return SimplexResult(0, x[:n].copy(), float(c @ x[:n]), nit, "optimal")
 
 
-def _simplex_core(A, b, c, basis, max_iter) -> tuple[str, int]:
-    """Run primal simplex on tableau rows [A | b] with objective c.
-
-    ``basis`` must index an identity submatrix of A.  Returns
-    (status, iterations) where status is "optimal" or "unbounded"; the
-    tableau and basis are updated in place.
-    """
-    m, ncols = A.shape
-    iterations = 0
+def _iterate(T, basis, x, lo, hi, cost, nit: int, max_iter: int) -> tuple[int, int]:
+    """Primal simplex with Bland's rule on the tableau ``T`` (updated in
+    place with ``basis`` and ``x``); returns ``(status, iterations)``."""
+    m, N = T.shape
+    is_basic = np.zeros(N, dtype=bool)
+    is_basic[basis] = True
+    d = cost - cost[basis] @ T  # reduced costs, updated with each pivot
     while True:
-        # Reduced costs: z_j - c_j = c_B B^-1 A_j - c_j; with the tableau
-        # kept in canonical form, reduced cost = c_j - c_B . A_j(column).
-        cb = c[basis]
-        reduced = c - cb @ A
-        # Bland's rule: smallest index with negative reduced cost.
-        entering = -1
-        for j in range(ncols):
-            if reduced[j] < -_TOL:
-                entering = j
-                break
-        if entering < 0:
-            return "optimal", iterations
-        # Ratio test (Bland: smallest basis index on ties).
-        best_ratio = math.inf
-        leaving = -1
-        for r in range(m):
-            a = A[r, entering]
-            if a > _TOL:
-                ratio = b[r] / a
-                if ratio < best_ratio - _TOL or (
-                    abs(ratio - best_ratio) <= _TOL
-                    and (leaving < 0 or basis[r] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = r
-        if leaving < 0:
-            return "unbounded", iterations
-        # Pivot.
-        piv = A[leaving, entering]
-        A[leaving] /= piv
-        b[leaving] /= piv
-        for r in range(m):
-            if r != leaving and abs(A[r, entering]) > _TOL:
-                factor = A[r, entering]
-                A[r] -= factor * A[leaving]
-                b[r] -= factor * b[leaving]
-        b[b < 0] = np.where(b[b < 0] > -_TOL, 0.0, b[b < 0])
-        basis[leaving] = entering
-        iterations += 1
-        if iterations > max_iter:
-            raise LPSolverError(f"simplex exceeded {max_iter} iterations")
-
-
-def solve_simplex(model, max_iter: int = 50_000) -> LPResult:
-    """Solve a :class:`~repro.lp.model.LinearProgram` with two-phase simplex."""
-    obs = get_observer()
-    with obs.span("lp.solve", backend="simplex", model=model.name) as sp:
-        result = _solve_simplex_inner(model, max_iter)
-        if obs.enabled:
-            obs.counter("lp.solves", backend="simplex")
-            obs.histogram("lp.iterations", result.iterations, backend="simplex")
-            sp.set(status=result.status.value, iterations=result.iterations)
-    return result
-
-
-def _solve_simplex_inner(model, max_iter: int) -> LPResult:
-    sf = _to_standard_form(model)
-    A, b, c = sf.A.copy(), sf.b.copy(), sf.c.copy()
-    m, n = A.shape
-
-    if m == 0:
-        # No constraints: optimum is 0 for all-nonneg costs, else unbounded.
-        if np.any(c < -_TOL):
-            return LPResult(status=LPStatus.UNBOUNDED, backend="simplex")
-        x = _recover_x(np.zeros(n), sf, model.num_variables)
-        return LPResult(
-            status=LPStatus.OPTIMAL, objective=sf.const, x=x, backend="simplex"
-        )
-
-    # Phase 1: add artificials, minimise their sum.
-    A1 = np.hstack([A, np.eye(m)])
-    b1 = b.copy()
-    c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    basis = np.arange(n, n + m)
-    status, it1 = _simplex_core(A1, b1, c1, basis, max_iter)
-    if status == "unbounded":  # pragma: no cover - phase 1 is bounded below by 0
-        raise LPSolverError("phase-1 unbounded (internal error)")
-    phase1_obj = float(c1[basis] @ b1)
-    if phase1_obj > 1e-7:
-        return LPResult(status=LPStatus.INFEASIBLE, backend="simplex", iterations=it1)
-
-    # Drive remaining artificials out of the basis where possible.
-    for r in range(m):
-        if basis[r] >= n:
-            pivot_col = -1
-            for j in range(n):
-                if abs(A1[r, j]) > _TOL:
-                    pivot_col = j
-                    break
-            if pivot_col >= 0:
-                piv = A1[r, pivot_col]
-                A1[r] /= piv
-                b1[r] /= piv
-                for rr in range(m):
-                    if rr != r and abs(A1[rr, pivot_col]) > _TOL:
-                        factor = A1[rr, pivot_col]
-                        A1[rr] -= factor * A1[r]
-                        b1[rr] -= factor * b1[r]
-                basis[r] = pivot_col
-            # else: the row is redundant (all-zero over real vars); the
-            # artificial stays basic at value ~0, which is harmless.
-
-    # Phase 2 on real columns; keep artificial columns but price them +inf
-    # is unnecessary — zero them out so they are never re-entered.
-    A1[:, n:] = 0.0
-    c2 = np.concatenate([c, np.full(m, 1e18)])
-    status, it2 = _simplex_core(A1, b1, c2, basis, max_iter)
-    if status == "unbounded":
-        return LPResult(status=LPStatus.UNBOUNDED, backend="simplex", iterations=it1 + it2)
-
-    y = np.zeros(n + m)
-    for r, col in enumerate(basis):
-        y[col] = b1[r]
-    x = _recover_x(y[:n], sf, model.num_variables)
-    objective = float(c @ y[:n]) + sf.const
-    return LPResult(
-        status=LPStatus.OPTIMAL,
-        objective=objective,
-        x=x,
-        backend="simplex",
-        iterations=it1 + it2,
-    )
-
-
-def _recover_x(y: np.ndarray, sf: _StandardForm, n_model: int) -> np.ndarray:
-    """Map standard-form solution y back to original model variables."""
-    x = np.zeros(n_model)
-    for j, spec in enumerate(sf.recover[:n_model]):
-        if spec[0] == "shifted":
-            x[j] = y[spec[1]] + spec[2]
-        elif spec[0] == "reflected":
-            x[j] = spec[2] - y[spec[1]]
-        else:
-            x[j] = y[spec[1]] - y[spec[2]]
-    return x
+        up = (d < -_TOL) & (x < hi)
+        down = (d > _TOL) & (x > lo)
+        eligible = np.flatnonzero((up | down) & ~is_basic)
+        if not eligible.size:
+            return 0, nit
+        if nit >= max_iter:
+            return 1, nit
+        j = eligible[0]
+        step = 1.0 if up[j] else -1.0
+        alpha = step * T[:, j]  # x_B moves by -t * alpha
+        xb, lb, ub = x[basis], lo[basis], hi[basis]
+        ratio = np.full(m, np.inf)
+        fall, rise = alpha > _TOL, alpha < -_TOL
+        ratio[fall] = (xb[fall] - lb[fall]) / alpha[fall]
+        ratio[rise] = (ub[rise] - xb[rise]) / -alpha[rise]
+        np.maximum(ratio, 0.0, out=ratio)
+        t_row = ratio.min() if m else np.inf
+        t_flip = hi[j] - lo[j]
+        nit += 1
+        if t_flip <= t_row:
+            if np.isinf(t_flip):
+                return 3, nit
+            x[basis] -= t_flip * alpha
+            x[j] = hi[j] if step > 0 else lo[j]
+            continue
+        ties = np.flatnonzero(ratio <= t_row + _TOL)
+        r = ties[np.argmin(basis[ties])]
+        x[basis] -= t_row * alpha
+        x[j] += step * t_row
+        leaving = basis[r]
+        x[leaving] = lo[leaving] if alpha[r] > 0 else hi[leaving]
+        pivot = T[r] / T[r, j]
+        rows = np.flatnonzero(T[:, j])  # the tableaux here are mostly zeros
+        T[rows] -= np.outer(T[rows, j], pivot)
+        T[r] = pivot
+        d -= d[j] * pivot
+        basis[r] = j
+        is_basic[leaving], is_basic[j] = False, True

@@ -28,9 +28,9 @@ Instrumented call sites follow one pattern::
     from ..obs import get_observer
     ...
     obs = get_observer()
-    with obs.span("lp.solve", backend="scipy") as sp:
+    with obs.span("flow.coefficients", method=method) as sp:
         ...
-    obs.counter("lp.solves", backend="scipy")
+    obs.counter("flow.builds", method=method)
 
 Spans automatically feed a duration histogram named ``span.<name>``, so
 enabling metrics alone (no trace file) still yields timing breakdowns.

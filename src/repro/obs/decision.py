@@ -67,7 +67,8 @@ class DecisionRecord:
     grm: str = ""
     bank_version: int | None = None
     lp_backend: str | None = None
-    lp_status: int | str | None = None
+    #: an :class:`~repro.lp.LPStatus` value, e.g. ``"optimal"``
+    lp_status: str | None = None
     lp_iterations: int | None = None
     availability_before: dict[str, float] = field(default_factory=dict)
     capacities_before: dict[str, float] = field(default_factory=dict)

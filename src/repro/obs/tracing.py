@@ -18,9 +18,9 @@ single causal tree across per-node trace files.
 
 Use as a context manager::
 
-    with tracer.span("lp.solve", backend="scipy") as sp:
+    with tracer.span("flow.coefficients", method="dp") as sp:
         ...
-        sp.set(iterations=12)
+        sp.set(states=12)
 
 or as a decorator::
 

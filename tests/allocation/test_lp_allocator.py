@@ -142,13 +142,34 @@ class TestFormulationsAgree:
                         backend="simplex")
         assert a.theta == pytest.approx(b.theta, abs=1e-6)
 
-    def test_unknown_formulation(self):
+    # Arguments are validated before the zero-amount and over-capacity
+    # shortcuts, so a bad name never yields an empty Allocation or an
+    # InsufficientResourcesError.
+    @pytest.mark.parametrize(
+        "principal, amount, kwargs",
+        [
+            ("a", 1.0, {}),
+            ("isp0", 0.0, {"objective": "bogus", "backend": "gurobi"}),
+            ("a", 1e6, {}),
+        ],
+        ids=["plain", "zero-amount", "over-capacity"],
+    )
+    def test_unknown_formulation(self, principal, amount, kwargs):
+        system = complete_structure(4, 0.1) if principal == "isp0" else two_node()
         with pytest.raises(LPError, match="formulation"):
-            allocate_lp(two_node(), "a", 1.0, formulation="quantum")
+            allocate_lp(system, principal, amount, formulation="quantum", **kwargs)
 
-    def test_unknown_objective(self):
+    @pytest.mark.parametrize(
+        "amount", [1.0, 0.0, 1e6], ids=["plain", "zero-amount", "over-capacity"]
+    )
+    def test_unknown_objective(self, amount):
         with pytest.raises(LPError, match="objective"):
-            allocate_lp(two_node(), "a", 1.0, objective="everything")
+            allocate_lp(two_node(), "a", amount, objective="everything")
+
+    @pytest.mark.parametrize("amount", [1.0, 0.0], ids=["plain", "zero-amount"])
+    def test_unknown_backend(self, amount):
+        with pytest.raises(LPError, match="backend"):
+            allocate_lp(two_node(), "a", amount, backend="gurobi")
 
 
 class TestObjectiveVariants:

@@ -1,13 +1,12 @@
-"""Edge-case tests targeting the from-scratch simplex's standard-form
-transformation (shifted / reflected / split variables, redundant rows,
-degenerate pivoting)."""
+"""Edge-case tests for the from-scratch bounded-variable simplex: every
+bound kind (boxed / upper-only / free variables), redundant rows and
+degenerate pivoting."""
 
 import numpy as np
 import pytest
 
 from repro.errors import LPSolverError
 from repro.lp import LinearProgram, LPStatus
-from repro.lp.simplex import solve_simplex
 
 
 class TestVariableTransforms:
@@ -16,7 +15,7 @@ class TestVariableTransforms:
         lp = LinearProgram()
         x = lp.variable("x", lower=2.0, upper=5.0)
         lp.minimize(x)
-        res = solve_simplex(lp)
+        res = lp.solve(backend="simplex")
         assert res.objective == pytest.approx(2.0)
         assert res.x[0] == pytest.approx(2.0)
 
@@ -34,7 +33,7 @@ class TestVariableTransforms:
         y = lp.variable("y")
         lp.add_constraint(x + y >= 3)
         lp.minimize(y - x)
-        res = solve_simplex(lp)
+        res = lp.solve(backend="simplex")
         assert res.ok
         assert res.x[0] == pytest.approx(10.0)
         assert res.objective == pytest.approx(-10.0)
@@ -45,7 +44,7 @@ class TestVariableTransforms:
         lp.add_constraint(x >= -3)
         lp.add_constraint(x <= 7)
         lp.minimize(x)
-        res = solve_simplex(lp)
+        res = lp.solve(backend="simplex")
         assert res.objective == pytest.approx(-3.0)
 
     def test_mixed_variable_kinds(self):
@@ -69,14 +68,14 @@ class TestDegenerateCases:
         lp = LinearProgram()
         lp.variable("x", upper=3.0)
         lp.minimize(lp.get_variable("x"))
-        res = solve_simplex(lp)
+        res = lp.solve(backend="simplex")
         assert res.objective == pytest.approx(0.0)
 
     def test_no_constraints_unbounded(self):
         lp = LinearProgram()
         x = lp.variable("x")
         lp.minimize(-x)
-        assert solve_simplex(lp).status is LPStatus.UNBOUNDED
+        assert lp.solve(backend="simplex").status is LPStatus.UNBOUNDED
 
     def test_redundant_equality_rows(self):
         lp = LinearProgram()
@@ -121,7 +120,7 @@ class TestDegenerateCases:
         lp.add_constraint(expr <= 100)
         lp.minimize(-expr)
         with pytest.raises(LPSolverError, match="exceeded"):
-            solve_simplex(lp, max_iter=0)
+            lp.solve(backend="simplex", max_iter=0)
 
     def test_equality_with_negative_rhs(self):
         lp = LinearProgram()
@@ -137,6 +136,6 @@ class TestDegenerateCases:
         x, y = lp.variable("x", upper=4), lp.variable("y", upper=4)
         lp.add_constraint(x + y <= 6)
         lp.maximize(x + 2 * y)
-        res = solve_simplex(lp)
+        res = lp.solve(backend="simplex")
         assert res.ok
         assert res.iterations > 0

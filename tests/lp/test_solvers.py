@@ -1,15 +1,17 @@
 """Backend tests: scipy/HiGHS vs the from-scratch simplex.
 
 The two backends must agree on status and optimum for every model; the
-property test generates random feasible LPs and cross-checks them.
+property test generates random LPs (feasible, infeasible and unbounded)
+and holds the simplex to HiGHS as a differential oracle.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
-from repro.lp import LinearProgram, LPStatus
+from repro.lp import LinearProgram, LPStatus, solve
 
 BACKENDS = ("scipy", "simplex")
 
@@ -115,45 +117,71 @@ class TestStatuses:
             assert res["x"] == pytest.approx(0.0)
 
 
+BOUND_KINDS = ("boxed", "lower", "upper", "free", "fixed")
+
+
 @st.composite
-def random_feasible_lp(draw):
-    """Random LP with a known feasible point (so never infeasible) and
-    box-bounded variables (so never unbounded)."""
-    n = draw(st.integers(2, 6))
-    m = draw(st.integers(1, 6))
-    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
-    x0 = rng.uniform(0, 5, size=n)  # feasible point
-    A = rng.uniform(-2, 2, size=(m, n))
-    slack = rng.uniform(0.1, 3.0, size=m)
-    b = A @ x0 + slack
-    c = rng.uniform(-3, 3, size=n)
-    ub = x0 + rng.uniform(0.5, 5.0, size=n)
-    return n, m, A, b, c, ub
+def random_lp(draw):
+    """Random LP over small integers with every bound kind and both row
+    kinds; nothing rules out infeasible or unbounded instances, and the
+    integer data keeps every status clear of solver tolerances."""
+    n = draw(st.integers(1, 6))
+    m_ub = draw(st.integers(0, 6))
+    m_eq = draw(st.integers(0, min(2, 6 - m_ub)))
+    small = st.integers(-3, 3)
+
+    def matrix(rows, cols):
+        cells = draw(st.lists(small, min_size=rows * cols, max_size=rows * cols))
+        return np.array(cells, dtype=float).reshape(rows, cols)
+
+    c = matrix(1, n)[0]
+    A_ub, b_ub = matrix(m_ub, n), 4.0 * matrix(1, m_ub)[0]
+    A_eq, b_eq = matrix(m_eq, n), matrix(1, m_eq)[0]
+    bounds = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(BOUND_KINDS))
+        lo, width = draw(small), draw(st.integers(1, 4))
+        bounds.append(
+            {
+                "boxed": (lo, lo + width),
+                "lower": (lo, None),
+                "upper": (None, lo),
+                "free": (None, None),
+                "fixed": (lo, lo),
+            }[kind]
+        )
+    return c, A_ub, b_ub, A_eq, b_eq, bounds
 
 
 class TestCrossValidation:
-    @given(random_feasible_lp())
-    @settings(max_examples=40, deadline=None)
+    @given(random_lp())
+    @settings(max_examples=300, deadline=None)
     def test_backends_agree_on_optimum(self, problem):
-        n, m, A, b, c, ub = problem
-        lp = LinearProgram()
-        xs = [lp.variable(f"x{i}", lower=0.0, upper=float(ub[i])) for i in range(n)]
-        for r in range(m):
-            expr = xs[0] * float(A[r, 0])
-            for i in range(1, n):
-                expr = expr + xs[i] * float(A[r, i])
-            lp.add_constraint(expr <= float(b[r]))
-        obj = xs[0] * float(c[0])
-        for i in range(1, n):
-            obj = obj + xs[i] * float(c[i])
-        lp.minimize(obj)
-        res_scipy = lp.solve(backend="scipy")
-        res_simplex = lp.solve(backend="simplex")
-        assert res_scipy.ok and res_simplex.ok
-        assert res_scipy.objective == pytest.approx(res_simplex.objective, abs=1e-6)
-        # Both solutions must be feasible.
-        for res in (res_scipy, res_simplex):
-            x = res.x
-            assert np.all(x >= -1e-8)
-            assert np.all(x <= ub + 1e-8)
-            assert np.all(A @ x <= b + 1e-6)
+        """Differential test of the simplex against HiGHS: same status, same
+        optimum, and a feasible point.  HiGHS runs without presolve, which
+        can report an unbounded LP as infeasible."""
+        c, A_ub, b_ub, A_eq, b_eq, bounds = problem
+        mine = solve(*problem, backend="simplex")
+        ref = linprog(
+            c,
+            A_ub=A_ub if A_ub.size else None,
+            b_ub=b_ub if b_ub.size else None,
+            A_eq=A_eq if A_eq.size else None,
+            b_eq=b_eq if b_eq.size else None,
+            bounds=bounds,
+            options={"presolve": False},
+        )
+        if ref.status == 4:  # "unbounded or infeasible"
+            assert mine.status in (LPStatus.INFEASIBLE, LPStatus.UNBOUNDED)
+            return
+        status = {0: LPStatus.OPTIMAL, 2: LPStatus.INFEASIBLE, 3: LPStatus.UNBOUNDED}
+        assert mine.status is status[ref.status]
+        if not mine.ok:
+            return
+        assert abs(mine.objective - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
+        x = mine.x
+        lo = np.array([-np.inf if lo is None else lo for lo, _ in bounds])
+        hi = np.array([np.inf if hi is None else hi for _, hi in bounds])
+        assert np.all(x >= lo - 1e-9) and np.all(x <= hi + 1e-9)
+        assert np.all(A_ub @ x <= b_ub + 1e-9)
+        assert np.all(np.abs(A_eq @ x - b_eq) <= 1e-9)

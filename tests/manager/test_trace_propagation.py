@@ -83,6 +83,9 @@ def test_explain_donor_split_sums_to_granted(traced):
     assert record.requestor == policy.principals[0]
     assert record.bank_version == policy.bank.version
     assert record.lp_backend is not None
+    # The one LP entry point records the solve in the library's own terms.
+    assert record.lp_status == "optimal"
+    assert isinstance(record.lp_iterations, int)
 
     split_total = sum(qty for _, qty in record.takes)
     assert split_total == pytest.approx(record.granted, rel=1e-9)
