@@ -23,7 +23,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..errors import AgreementError, InfeasibleAllocationError
-from ..lp import LinearProgram
+from ..lp import solve
 from .topology import CapacityView
 
 __all__ = ["suggest_shares"]
@@ -80,58 +80,39 @@ def suggest_shares(
     if allowed.shape != (n, n):
         raise AgreementError(f"allowed must be {n}x{n}")
 
-    lp = LinearProgram("negotiate-shares")
-    s = {}
-    for i in range(n):
-        for j in range(n):
-            if i != j and allowed[i, j] and V[i] > 0:
-                s[i, j] = lp.variable(
-                    f"s_{i}_{j}", lower=0.0, upper=float(max_edge_share)
-                )
+    # One variable s_ij per permitted edge out of a principal with capacity,
+    # in row-major order.
+    src, dst = np.nonzero(allowed & ~np.eye(n, dtype=bool) & (V > 0)[:, None])
 
-    # Capacity targets: V_i + sum_k V_k s_ki >= target_i.
-    for i in range(n):
-        need = float(targets[i] - V[i])
-        if need <= 0:
-            continue
-        inflow_vars = [(k, s[k, i]) for k in range(n) if (k, i) in s]
-        if not inflow_vars:
-            raise InfeasibleAllocationError(
-                f"principal {principals[i]!r} needs {need:g} more capacity "
-                "but no inbound agreement is allowed"
-            )
-        expr = inflow_vars[0][1] * float(V[inflow_vars[0][0]])
-        for k, var in inflow_vars[1:]:
-            expr = expr + var * float(V[k])
-        lp.add_constraint(expr >= need, name=f"target_{i}")
-
-    # Row sums: sum_j s_ij <= max_share_out.
-    for i in range(n):
-        out_vars = [s[i, j] for j in range(n) if (i, j) in s]
-        if not out_vars:
-            continue
-        expr = out_vars[0] * 1.0
-        for var in out_vars[1:]:
-            expr = expr + var
-        lp.add_constraint(expr <= float(max_share_out), name=f"rowsum_{i}")
+    # Capacity targets, negated to <= rows: -sum_k V_k s_ki <= V_i - target_i.
+    need = targets - V
+    short = np.flatnonzero(need > 0)
+    inflow = short[:, None] == dst
+    stranded = short[~inflow.any(axis=1)]
+    if stranded.size:
+        i = stranded[0]
+        raise InfeasibleAllocationError(
+            f"principal {principals[i]!r} needs {float(need[i]):g} more capacity "
+            "but no inbound agreement is allowed"
+        )
+    # Row sums: sum_j s_ij <= max_share_out, for each principal with an edge.
+    senders = np.unique(src)
+    A_ub = np.vstack([np.where(inflow, -V[src], 0.0), senders[:, None] == src])
+    b_ub = np.concatenate([-need[short], np.full(len(senders), float(max_share_out))])
 
     # Objective: total committed capacity.
-    if s:
-        items = list(s.items())
-        obj = items[0][1] * float(V[items[0][0][0]])
-        for (i, _j), var in items[1:]:
-            obj = obj + var * float(V[i])
-        lp.minimize(obj)
-
-    result = lp.solve(backend=backend)
+    result = solve(
+        V[src], A_ub, b_ub, np.zeros((0, len(src))), np.zeros(0),
+        [(0.0, float(max_edge_share))] * len(src),
+        backend=backend, model="negotiate-shares",
+    )
     if not result.ok:
         raise InfeasibleAllocationError(
             "no agreement matrix meets the requested capacity targets "
             f"(LP status: {result.status.value})"
         )
     S = np.zeros((n, n))
-    for (i, j), var in s.items():
-        S[i, j] = max(result[var.name], 0.0)
+    S[src, dst] = np.clip(result.x, 0.0, None)
     return CapacityView.from_matrices(
         principals, V, S, allow_overdraft=max_share_out > 1.0
     )

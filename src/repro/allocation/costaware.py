@@ -23,8 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InfeasibleAllocationError, InsufficientResourcesError
-from ..lp import LinearProgram
-from .lp_allocator import allocate_lp
+from ..lp import solve
+from .lp_allocator import allocate_lp, take_blocks
 from .problem import Allocation, AllocationRequest
 
 __all__ = ["allocate_cost_aware"]
@@ -79,35 +79,24 @@ def allocate_cost_aware(
         base = allocate_lp(
             system, principal, x, level=level, backend=backend
         )
-        theta_cap = base.theta + 1e-9
+        # A relative slack: a fixed 1e-9 vanishes below float resolution
+        # once theta reaches ~1e8.
+        theta_cap = base.theta * (1 + 1e-9) + 1e-9
 
-    lp = LinearProgram("allocate-cost")
-    ub = [V[a] if i == a else min(U[i, a], V[i]) for i in range(n)]
-    d = [lp.variable(f"d{i}", lower=0.0, upper=float(ub[i])) for i in range(n)]
-    total = d[0]
-    for i in range(1, n):
-        total = total + d[i]
-    lp.add_constraint(total == x, name="total")
-    if theta_cap is not None:
-        for i in range(n):
-            if i == a:
-                continue
-            drop = d[i] * 1.0
-            for k in range(n):
-                if k != i and T[k, i] != 0.0:
-                    drop = drop + d[k] * float(T[k, i])
-            lp.add_constraint(drop <= float(theta_cap), name=f"fair{i}")
-    obj = d[0] * float(costs[0])
-    for i in range(1, n):
-        obj = obj + d[i] * float(costs[i])
-    lp.minimize(obj)
-    res = lp.solve(backend=backend)
+    # The fairness cap is one drop row per other principal.
+    rows = np.arange(0) if theta_cap is None else np.delete(np.arange(n), a)
+    drops, total, ub = take_blocks(a, V, U, T, rows)
+    res = solve(
+        costs, drops, np.full(len(rows), theta_cap, dtype=float), total,
+        np.array([x]), [(0.0, u) for u in ub.tolist()],
+        backend=backend, model="allocate-cost",
+    )
     if not res.ok:
         raise InfeasibleAllocationError(
             f"cost-aware allocation LP reported {res.status.value} "
             f"(theta_cap={theta_cap!r})"
         )
-    take = np.array([max(res[f"d{i}"], 0.0) for i in range(n)])
+    take = np.clip(res.x, 0.0, None)
     return Allocation.finalize(
         system, request, take, "cost-aware", cost=float(res.objective)
     )

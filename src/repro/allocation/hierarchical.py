@@ -21,9 +21,10 @@ import numpy as np
 
 from ..agreements.topology import CapacityView
 from ..errors import AllocationError, InsufficientResourcesError
+from ..lp import solve
 from ..obs import get_observer
 from ..obs.decision import current_decision
-from .lp_allocator import allocate_lp
+from .lp_allocator import allocate_lp, min_theta_lp, take_blocks
 from .problem import Allocation, AllocationRequest
 
 __all__ = ["allocate_hierarchical", "coarsen"]
@@ -172,7 +173,7 @@ def allocate_hierarchical(
                     )
                     member_take = plan.take
                 else:
-                    member_take = _spread_within(sub, float(contribution))
+                    member_take = _spread_within(sub, float(contribution), backend)
                 for m, t in zip(members, member_take):
                     round_take[m] += t
             got = float(round_take.sum())
@@ -207,29 +208,14 @@ def allocate_hierarchical(
     )
 
 
-def _spread_within(sub: CapacityView, contribution: float) -> np.ndarray:
+def _spread_within(sub: CapacityView, contribution: float, backend: str) -> np.ndarray:
     """Spread a donor group's contribution over members, minimising the
-    maximum member drop (a small LP with an exogenous sink)."""
-    from ..lp import LinearProgram
-
+    maximum member drop (a small LP with an exogenous sink: every member's
+    drop is a row and each take is bounded by the member's ``V`` alone)."""
     k = sub.n
     contribution = min(contribution, float(sub.V.sum()))
-    lp = LinearProgram("refine")
-    d = [lp.variable(f"d{i}", lower=0.0, upper=float(sub.V[i])) for i in range(k)]
-    theta = lp.variable("theta", lower=0.0)
-    total = d[0]
-    for i in range(1, k):
-        total = total + d[i]
-    lp.add_constraint(total == contribution, name="total")
-    T = sub.coefficients()
-    for i in range(k):
-        drop = d[i] * 1.0
-        for j in range(k):
-            if j != i and T[j, i] != 0.0:
-                drop = drop + d[j] * float(T[j, i])
-        lp.add_constraint(drop <= theta, name=f"drop{i}")
-    lp.minimize(theta)
-    res = lp.solve()
+    blocks = take_blocks(0, sub.V, None, sub.coefficients(), np.arange(k))
+    res = solve(*min_theta_lp(contribution, *blocks), backend=backend, model="refine")
     if not res.ok:  # pragma: no cover - bounded by construction
         raise AllocationError(f"group refinement LP {res.status.value}")
-    return np.array([max(res[f"d{i}"], 0.0) for i in range(k)])
+    return np.clip(res.x[:k], 0.0, None)

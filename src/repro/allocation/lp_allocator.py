@@ -13,7 +13,7 @@ global availability the least:
                sum_i (V_i - V'_i) = x                 (5)
                C_i - theta <= C'_i <= C_i             (6)
 
-Two points the paper leaves implicit are resolved here and exercised in
+Three points the paper leaves implicit are resolved here and exercised in
 the tests:
 
 **The requester's row.**  Constraints (2), (3) and (6) cannot all hold for
@@ -33,15 +33,25 @@ degenerate objective.  We therefore support both consistent readings:
 Both yield valid agreement-respecting allocations; they may differ in
 which donor they prefer in ties.
 
+**Absolute agreements.**  (2) sums relative flows only, but ``C_i`` also
+holds absolute grants (Section 3.2's ``U_ki = min(I_ki + A_ki, V_k)``).
+The faithful LP adds that part of ``C_i`` to (2) as a constant, so
+``C_i - C'_i`` is the drop the reduced LP bounds and the two formulations
+agree with absolute agreements too.
+
 **Formulations.**  ``formulation="faithful"`` materialises every variable
 the paper counts (``n(n-1)`` flows ``I'``, ``n`` capacities ``C'``, ``n``
 remainders ``V'``, plus ``theta`` — the ``n^2 + n + 1`` of Section 3.1).
 ``formulation="reduced"`` eliminates ``I'`` and ``C'`` algebraically
 (substituting (1) into (2)) leaving only the takes ``d_i = V_i - V'_i``
 and ``theta``.  The optima are identical (property-tested); reduced is the
-default in the simulator for speed.  The reduced LP is built directly as
-arrays, the faithful one through :class:`~repro.lp.LinearProgram`; both
-are solved by :func:`repro.lp.solve` with either backend.
+default in the simulator for speed.  Both are built directly as arrays
+and solved by :func:`repro.lp.solve` with either backend.
+
+:func:`take_blocks` builds the reduced LP's rows once — the capacity-drop
+rows, the total row and the take bounds — and every allocator that
+optimises over takes (this one, the cost-aware, views and multigrid
+allocators) assembles its LP from them.
 """
 
 from __future__ import annotations
@@ -53,11 +63,11 @@ from ..errors import (
     InsufficientResourcesError,
     LPError,
 )
-from ..lp import BACKENDS, LinearProgram, solve
+from ..lp import BACKENDS, solve
 from ..obs import get_observer
 from .problem import Allocation, AllocationRequest
 
-__all__ = ["allocate_lp"]
+__all__ = ["allocate_lp", "min_theta_lp", "take_blocks"]
 
 _TOL = 1e-7
 
@@ -135,10 +145,12 @@ def allocate_lp(
             )
 
         with obs.span("lp.build", formulation=formulation, n=n):
+            rows = np.arange(n) if objective == "all" else np.delete(np.arange(n), a)
+            drops, total, ub = take_blocks(a, V, U, T, rows)
             if formulation == "reduced":
-                arrays = _reduced_arrays(n, a, x, V, U, T, objective)
+                arrays = min_theta_lp(x, drops, total, ub)
             else:
-                arrays = _faithful_model(n, a, x, V, U, T, C, objective).to_arrays()[:6]
+                arrays = _faithful_arrays(a, x, V, U, C, T, ub, rows, objective)
         res = solve(*arrays, backend=backend, model=f"allocate-{formulation}")
         if not res.ok:
             obs.counter("allocation.infeasible")
@@ -163,77 +175,93 @@ def allocate_lp(
     return Allocation.finalize(system, request, take, "lp", satisfied=x, theta=theta)
 
 
-def _donor_bounds(n: int, a: int, V: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Upper bound on the take from each principal (constraint (4))."""
-    ub = np.empty(n)
-    for i in range(n):
-        ub[i] = V[a] if i == a else min(U[i, a], V[i])
-    return ub
+def take_blocks(a, V, U, T, rows):
+    """The reduced LP's blocks over the takes ``d_0 .. d_{n-1}``.
 
-
-def _reduced_arrays(n, a, x, V, U, T, objective):
-    """The reduced formulation as ``(c, A_ub, b_ub, A_eq, b_eq, bounds)``.
-
-    Variables ``[d_0 .. d_{n-1}, theta]``: the drop of principal ``i``,
-    ``d_i + sum_k d_k T_ki``, is row ``i`` of ``I + T.T``, kept below
-    ``theta`` by a ``-1`` theta column; ``sum d = x``; ``0 <= d_i <= ub_i``.
+    Returns ``(drops, total, ub)``: ``drops`` holds rows ``rows`` of
+    ``I + T.T`` (row ``i`` is principal ``i``'s capacity drop
+    ``d_i + sum_k d_k T_ki``), ``total`` is the ``1 x n`` row of
+    ``sum d = x``, and ``ub`` bounds each take by constraint (4):
+    ``min(U_kA, V_k)`` for a donor ``k`` and ``V_A`` for the requester.
+    ``U=None`` bounds every take by ``V`` alone.
     """
-    ub = _donor_bounds(n, a, V, U)
-    rows = np.arange(n) if objective == "all" else np.delete(np.arange(n), a)
-    A_ub = np.zeros((len(rows), n + 1))
-    A_ub[:, :n] = (T.T + np.eye(n))[rows]
-    A_ub[:, n] = -1.0
-    b_ub = np.zeros(len(rows))
-    A_eq = np.ones((1, n + 1))
-    A_eq[0, n] = 0.0
+    n = len(V)
+    drops = (T.T + np.eye(n))[rows]
+    ub = np.array(V, dtype=float) if U is None else np.minimum(U[:, a], V)
+    ub[a] = V[a]
+    return drops, np.ones((1, n)), ub
+
+
+def min_theta_lp(x, drops, total, ub):
+    """``min theta`` s.t. ``drops @ d <= theta``, ``total @ d = x`` and
+    ``0 <= d <= ub``, as ``(c, A_ub, b_ub, A_eq, b_eq, bounds)`` over
+    ``[d_0 .. d_{n-1}, theta]``."""
+    m, n = drops.shape
     c = np.zeros(n + 1)
     c[n] = 1.0
-    bounds = [(0.0, float(u)) for u in ub] + [(0.0, None)]
-    return c, A_ub, b_ub, A_eq, np.array([x]), bounds
+    A_ub = np.zeros((m, n + 1))
+    A_ub[:, :n] = drops
+    A_ub[:, n] = -1.0
+    A_eq = np.zeros((1, n + 1))
+    A_eq[:, :n] = total
+    bounds = [(0.0, u) for u in ub.tolist()] + [(0.0, None)]
+    return c, A_ub, np.zeros(m), A_eq, np.array([x]), bounds
 
 
-def _faithful_model(n, a, x, V, U, T, C, objective):
-    """The paper's full variable set: V'_i, C'_i, I'_ij and theta."""
-    lp = LinearProgram("allocate-faithful")
-    ub = _donor_bounds(n, a, V, U)
-    vp = [lp.variable(f"Vp{i}", lower=float(max(V[i] - ub[i], 0.0)), upper=float(V[i])) for i in range(n)]
-    cp = [lp.variable(f"Cp{i}", lower=0.0) for i in range(n)]
-    ip = {}
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                ip[i, j] = lp.variable(f"Ip{i}_{j}", lower=0.0)
-    theta = lp.variable("theta", lower=0.0)
+def _faithful_arrays(a, x, V, U, C, T, ub, rows, objective):
+    """The paper's full variable set as arrays, over
+    ``[V'_0 .. V'_{n-1}, C'_0 .. C'_{n-1}, I'_ij (i != j, row-major), theta]``.
 
-    # (1) I'_ij = V'_i T_ij
-    for (i, j), var in ip.items():
-        lp.add_constraint(var == vp[i] * float(T[i, j]), name=f"flow{i}_{j}")
+    Equality rows: (1) ``I'_ij - T_ij V'_i = 0``; (2) ``C'_i - V'_i -
+    sum_k I'_ki = a_i`` for ``i`` in ``rows``; (3) ``C'_A = C_A - x`` under
+    ``"others"``; (5) ``-sum V' = x - sum V``.  Inequality rows, per ``i``
+    in ``rows``: (6) ``-C'_i - theta <= -C_i`` then ``C'_i <= C_i``.
 
-    # (2) C'_i = V'_i + sum_{k != i} I'_ki   (all rows, or all but A)
-    for i in range(n):
-        if objective == "others" and i == a:
-            continue
-        expr = vp[i] * 1.0
-        for k in range(n):
-            if k != i:
-                expr = expr + ip[k, i]
-        lp.add_constraint(cp[i] == expr, name=f"cap{i}")
+    ``a_i = sum_k (U_ki - V_k T_ki)`` is the part of ``C_i`` the relative
+    flows do not carry — absolute grants and clamps at donor capacity —
+    held fixed, as the reduced LP holds it; it is 0 without absolute
+    agreements.
+    """
+    n = len(V)
+    src, dst = np.nonzero(~np.eye(n, dtype=bool))
+    nf = len(src)
+    flow = 2 * n + np.arange(nf)  # column of I'_ij
+    theta = 2 * n + nf
+    nvar = theta + 1
+    r = len(rows)
+    requester = objective == "others"
 
-    # (3) C'_A = C_A - x  (only in the "others" reading)
-    if objective == "others":
-        lp.add_constraint(cp[a] == float(C[a] - x), name="requester")
+    A_eq = np.zeros((nf + r + requester + 1, nvar))
+    b_eq = np.zeros(len(A_eq))
+    f = np.arange(nf)
+    A_eq[f, flow] = 1.0
+    A_eq[f, src] = -T[src, dst]
+    cap = nf + np.arange(r)
+    A_eq[cap, n + rows] = 1.0
+    A_eq[cap, rows] = -1.0
+    row, inflow = np.nonzero(rows[:, None] == dst)  # I'_ki enters C'_i
+    A_eq[cap[row], flow[inflow]] = -1.0
+    b_eq[cap] = (U - V[:, None] * T).sum(axis=0)[rows]
+    if requester:
+        A_eq[nf + r, n + a] = 1.0
+        b_eq[nf + r] = C[a] - x
+    A_eq[-1, :n] = -1.0
+    # x - sum V, with V summed strictly left to right (np.sum pairs terms).
+    b_eq[-1] = x - np.cumsum(V)[-1]
 
-    # (5) sum (V_i - V'_i) = x
-    spent = (V[0] - vp[0]) * 1.0
-    for i in range(1, n):
-        spent = spent + (float(V[i]) - vp[i])
-    lp.add_constraint(spent == x, name="total")
+    A_ub = np.zeros((2 * r, nvar))
+    lo, hi = np.arange(0, 2 * r, 2), np.arange(1, 2 * r, 2)
+    A_ub[lo, n + rows] = -1.0
+    A_ub[lo, theta] = -1.0
+    A_ub[hi, n + rows] = 1.0
+    b_ub = np.empty(2 * r)
+    b_ub[lo] = -C[rows]
+    b_ub[hi] = C[rows]
 
-    # (6) C_i - theta <= C'_i <= C_i
-    rows = range(n) if objective == "all" else (i for i in range(n) if i != a)
-    for i in rows:
-        lp.add_constraint(cp[i] >= float(C[i]) - theta, name=f"lo{i}")
-        lp.add_constraint(cp[i] <= float(C[i]), name=f"hi{i}")
-
-    lp.minimize(theta)
-    return lp
+    c = np.zeros(nvar)
+    c[theta] = 1.0
+    lower = np.zeros(nvar)
+    lower[:n] = np.maximum(V - ub, 0.0)
+    upper = np.full(nvar, np.inf)
+    upper[:n] = V
+    return c, A_ub, b_ub, A_eq, b_eq, list(zip(lower.tolist(), upper.tolist()))

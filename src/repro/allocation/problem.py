@@ -37,7 +37,7 @@ class AllocationRequest:
     level: int | None = None
 
     def __post_init__(self) -> None:
-        if self.amount < 0:
+        if not self.amount >= 0:  # also rejects NaN
             raise ValueError(f"request amount must be >= 0, got {self.amount}")
 
 

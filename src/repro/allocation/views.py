@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import AllocationError, InsufficientResourcesError
-from ..lp import LinearProgram
+from ..lp import solve
+from .lp_allocator import take_blocks
 from .problem import Allocation, AllocationRequest
 
 __all__ = ["ViewSet", "allocate_views"]
@@ -106,44 +107,37 @@ def allocate_views(
         if amounts[v] > cap + 1e-9:
             raise InsufficientResourcesError(principal, amounts[v], cap)
 
-    lp = LinearProgram(f"views-{viewset.name}")
-    d = {}
-    for v in views:
-        system = viewset.systems[v]
-        U = system.u(level)
-        for k in range(n):
-            ub = system.V[a] if k == a else min(U[k, a], system.V[k])
-            d[v, k] = lp.variable(f"d_{v}_{k}", lower=0.0, upper=float(ub))
-    theta = lp.variable("theta", lower=0.0)
-
-    # Per-view totals.
-    for v in views:
-        total = d[v, 0] * 1.0
-        for k in range(1, n):
-            total = total + d[v, k]
-        lp.add_constraint(total == float(amounts[v]), name=f"total_{v}")
-
-    # Shared physical capacity per donor.
-    for k in range(n):
-        joint = d[views[0], k] * 1.0
-        for v in views[1:]:
-            joint = joint + d[v, k]
-        lp.add_constraint(joint <= float(viewset.base_capacity[k]), name=f"base_{k}")
-
-    # Perturbation: per-view capacity drops of other principals.
-    for v in views:
-        T = viewset.systems[v].coefficients(level)
-        for i in range(n):
-            if i == a:
-                continue
-            drop = d[v, i] * 1.0
-            for k in range(n):
-                if k != i and T[k, i] != 0.0:
-                    drop = drop + d[v, k] * float(T[k, i])
-            lp.add_constraint(drop <= theta, name=f"drop_{v}_{i}")
-
-    lp.minimize(theta)
-    res = lp.solve(backend=backend)
+    # Variables [d[v0, 0..n-1], d[v1, 0..n-1], ..., theta]: one block of
+    # takes per view.  Rows: each view's total; then the shared base
+    # capacity per donor; then each view's drop rows for i != A.
+    others = np.delete(np.arange(n), a)
+    blocks = [
+        take_blocks(a, s.V, s.u(level), s.coefficients(level), others)
+        for s in (viewset.systems[v] for v in views)
+    ]
+    k, r = len(views), n - 1
+    A_eq = np.zeros((k, k * n + 1))
+    A_drop = np.zeros((k * r, k * n + 1))
+    for i, (drops, total, _ub) in enumerate(blocks):
+        cols = slice(i * n, (i + 1) * n)
+        A_eq[i, cols] = total
+        A_drop[i * r:(i + 1) * r, cols] = drops
+    A_drop[:, -1] = -1.0
+    A_base = np.zeros((n, k * n + 1))
+    A_base[:, :-1] = np.tile(np.eye(n), k)
+    c = np.zeros(k * n + 1)
+    c[-1] = 1.0
+    ub = np.concatenate([view_ub for _drops, _total, view_ub in blocks])
+    res = solve(
+        c,
+        np.vstack([A_base, A_drop]),
+        np.concatenate([viewset.base_capacity, np.zeros(k * r)]),
+        A_eq,
+        np.array([float(amounts[v]) for v in views]),
+        [(0.0, u) for u in ub.tolist()] + [(0.0, None)],
+        backend=backend,
+        model=f"views-{viewset.name}",
+    )
     if not res.ok:
         # The joint base-capacity constraint is the only coupling, so an
         # infeasible joint program means the base resource is the binding
@@ -158,9 +152,9 @@ def allocate_views(
         v: Allocation.finalize(
             viewset.systems[v],
             AllocationRequest(principal, float(amounts[v]), level),
-            np.array([max(res[f"d_{v}_{k}"], 0.0) for k in range(n)]),
+            np.clip(res.x[i * n:(i + 1) * n], 0.0, None),
             f"views:{v}",
             theta=float(res.objective),
         )
-        for v in views
+        for i, v in enumerate(views)
     }

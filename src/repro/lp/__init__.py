@@ -12,35 +12,29 @@ The paper enforces sharing agreements by solving a linear program
   bounded-variable primal simplex on those arrays, so the library's
   correctness does not hinge on a single solver (the two are cross-checked
   in the test suite);
-- :class:`~repro.lp.model.LinearProgram` — a named-variable LP model builder
-  with linear expressions and ``<=``/``==``/``>=`` constraints, solved as
-  ``to_arrays()`` plus :func:`solve`;
 - :class:`~repro.lp.result.LPResult` — solver-independent result type.
 
-Typical use::
+Every LP in the library is built as those arrays by its caller.  Typical
+use, ``max x + y  s.t.  x + 2y <= 14,  3x - y >= 0,  x, y >= 0``::
 
-    lp = LinearProgram("demo")
-    x = lp.variable("x", lower=0.0)
-    y = lp.variable("y", lower=0.0)
-    lp.add_constraint(x + 2 * y <= 14, name="c1")
-    lp.add_constraint(3 * x - y >= 0, name="c2")
-    lp.minimize(-x - y)
-    result = lp.solve()           # HiGHS by default
-    result = lp.solve(backend="simplex")
+    import numpy as np
+    from repro.lp import solve
+
+    c = np.array([-1.0, -1.0])                     # maximise by minimising -c.x
+    A_ub = np.array([[1.0, 2.0], [-3.0, 1.0]])     # >= rows are negated
+    b_ub = np.array([14.0, 0.0])
+    no_rows = np.zeros((0, 2)), np.zeros(0)
+    result = solve(c, A_ub, b_ub, *no_rows, [(0.0, None)] * 2)   # HiGHS
+    result = solve(c, A_ub, b_ub, *no_rows, [(0.0, None)] * 2, backend="simplex")
+    -result.objective, result.x                  # 14.0, [14.0, 0.0]
 """
 
-from .expr import LinExpr, Variable
-from .model import Constraint, LinearProgram
 from .result import LPResult, LPStatus
 from .simplex import solve_simplex
 from .solver import BACKENDS, solve
 
 __all__ = [
     "BACKENDS",
-    "LinearProgram",
-    "Constraint",
-    "Variable",
-    "LinExpr",
     "LPResult",
     "LPStatus",
     "solve",

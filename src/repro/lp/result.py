@@ -21,7 +21,7 @@ class LPStatus(enum.Enum):
 
 @dataclass
 class LPResult:
-    """Result of solving a :class:`~repro.lp.model.LinearProgram`.
+    """Result of one :func:`~repro.lp.solver.solve` call.
 
     Attributes
     ----------
@@ -30,9 +30,7 @@ class LPResult:
     objective:
         Optimal objective value (``nan`` unless :attr:`status` is OPTIMAL).
     x:
-        Optimal variable values in model index order.
-    names:
-        Variable names matching :attr:`x`.
+        Optimal variable values, in the order of the columns of ``c``.
     backend:
         Which solver produced the result (``"scipy"`` or ``"simplex"``).
     iterations:
@@ -42,21 +40,9 @@ class LPResult:
     status: LPStatus
     objective: float = float("nan")
     x: np.ndarray = field(default_factory=lambda: np.empty(0))
-    names: tuple[str, ...] = ()
     backend: str = ""
     iterations: int = 0
 
     @property
     def ok(self) -> bool:
         return self.status is LPStatus.OPTIMAL
-
-    def __getitem__(self, name: str) -> float:
-        """Value of the variable called ``name``."""
-        try:
-            return float(self.x[self.names.index(name)])
-        except ValueError:
-            raise KeyError(name) from None
-
-    def as_dict(self) -> dict[str, float]:
-        """All variable values keyed by name."""
-        return {n: float(v) for n, v in zip(self.names, self.x)}

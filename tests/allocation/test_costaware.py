@@ -92,3 +92,22 @@ class TestFairnessCap:
         assert lex.theta <= base.theta + 1e-6
         # among least-perturbing plans, the cheap donor is preferred
         assert lex.take[1] >= lex.take[3] - 1e-9
+
+    @pytest.mark.parametrize("backend", ["scipy", "simplex"])
+    def test_lexicographic_at_large_capacities(self, backend):
+        """The theta cap's slack is relative: at theta ~ 1e8 and above an
+        absolute 1e-9 is below float resolution and the cost LP turns
+        infeasible against its own perturbation optimum."""
+        rng = np.random.default_rng(0)
+        V = rng.uniform(0.1, 1.0, 8) * 1e9
+        system = complete_structure(8, 0.1, capacity=V)
+        costs = rng.uniform(0.0, 1.0, 8)
+        for _ in range(20):
+            p = system.principals[int(rng.integers(8))]
+            x = float(rng.uniform(0.1, 1.0)) * system.capacity_of(p)
+            lex = allocate_cost_aware(
+                system, p, x, costs, lexicographic=True, backend=backend
+            )
+            base = allocate_lp(system, p, x, backend=backend)
+            assert lex.satisfied == pytest.approx(x)
+            assert lex.theta <= base.theta * (1 + 1e-6)

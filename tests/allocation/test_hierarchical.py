@@ -80,3 +80,21 @@ class TestAllocate:
         multi = allocate_hierarchical(hier, "node0", 1.5)
         assert multi.satisfied == pytest.approx(flat.satisfied, rel=1e-6)
         assert multi.theta <= flat.theta * 5 + 0.5
+
+    def test_simplex_backend_reaches_every_lp(self, monkeypatch):
+        """``backend="simplex"`` holds for the in-group refine too: with
+        HiGHS unavailable, a group-spanning request still solves."""
+        import scipy.optimize
+
+        def no_highs(*args, **kwargs):
+            raise AssertionError("HiGHS ran under backend='simplex'")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", no_highs)
+        system = hierarchical_structure(3, 4, inter_share=0.2)
+        ask = 0.95 * system.capacity_of("node0")
+        al = allocate_hierarchical(
+            system, "node0", ask, backend="simplex", partial=True
+        )
+        outside = [i for i in np.nonzero(al.take)[0] if i not in system.topology.groups[0]]
+        assert outside  # the request crossed groups, so the refine ran
+        assert al.satisfied > 0.0

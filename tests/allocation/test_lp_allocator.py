@@ -48,9 +48,11 @@ class TestFeasibility:
         assert not np.any(al.take)
         assert al.theta == 0.0
 
-    def test_negative_request_rejected(self):
-        with pytest.raises(ValueError):
-            allocate_lp(two_node(), "a", -1.0)
+    @pytest.mark.parametrize("backend", ["scipy", "simplex"])
+    @pytest.mark.parametrize("amount", [-1.0, float("nan")])
+    def test_negative_request_rejected(self, amount, backend):
+        with pytest.raises(ValueError, match="request amount must be >= 0"):
+            allocate_lp(two_node(), "a", amount, backend=backend)
 
     def test_level_limits_reachable_capacity(self):
         # chain a -> b -> c, c requests: at level 1 only b's resources reach c.
@@ -118,20 +120,30 @@ class TestFormulationsAgree:
                             objective=objective)
             assert r.theta == pytest.approx(f.theta, abs=1e-6)
 
-    @given(st.integers(0, 5_000))
+    @given(
+        st.integers(0, 5_000),
+        st.booleans(),
+        st.sampled_from(["others", "all"]),
+        st.sampled_from(["scipy", "simplex"]),
+    )
     @settings(max_examples=25, deadline=None)
-    def test_formulations_agree_property(self, seed):
+    def test_formulations_agree_property(self, seed, absolute, objective, backend):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 7))
         S = rng.random((n, n)) * (0.9 / n)
         np.fill_diagonal(S, 0.0)
         V = rng.random(n) * 5
-        sys_ = CapacityView.from_matrices([f"p{i}" for i in range(n)], V, S)
+        A = None
+        if absolute:
+            A = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
+            np.fill_diagonal(A, 0.0)
+        sys_ = CapacityView.from_matrices([f"p{i}" for i in range(n)], V, S, A)
         a = int(rng.integers(0, n))
         cap = sys_.capacity_of(f"p{a}")
         x = float(rng.random() * cap)
-        r = allocate_lp(sys_, f"p{a}", x, formulation="reduced")
-        f = allocate_lp(sys_, f"p{a}", x, formulation="faithful")
+        kw = dict(objective=objective, backend=backend)
+        r = allocate_lp(sys_, f"p{a}", x, formulation="reduced", **kw)
+        f = allocate_lp(sys_, f"p{a}", x, formulation="faithful", **kw)
         assert r.theta == pytest.approx(f.theta, abs=1e-6)
         assert r.satisfied == pytest.approx(f.satisfied)
 

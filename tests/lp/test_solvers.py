@@ -11,110 +11,90 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from repro.lp import LinearProgram, LPStatus, solve
+from repro.errors import LPError
+from repro.lp import LPStatus, solve
+
+from .arrays import lp_arrays
 
 BACKENDS = ("scipy", "simplex")
 
 
-def _both(lp):
-    return {b: lp.solve(backend=b) for b in BACKENDS}
+def _both(problem):
+    return {b: solve(*problem, backend=b) for b in BACKENDS}
 
 
 class TestKnownOptima:
     def test_textbook_max(self):
         # max 3x + 4y st x+2y<=14, 3x-y>=0, x-y<=2  -> 34 at (6, 4)
-        lp = LinearProgram()
-        x, y = lp.variable("x"), lp.variable("y")
-        lp.add_constraint(x + 2 * y <= 14)
-        lp.add_constraint(3 * x - y >= 0)
-        lp.add_constraint(x - y <= 2)
-        lp.maximize(3 * x + 4 * y)
-        for backend, res in _both(lp).items():
+        problem = lp_arrays(
+            [-3, -4], ub=[([1, 2], 14), ([-3, 1], 0), ([1, -1], 2)]
+        )
+        for backend, res in _both(problem).items():
             assert res.ok, backend
-            assert res.objective == pytest.approx(34.0)
-            assert res["x"] == pytest.approx(6.0)
-            assert res["y"] == pytest.approx(4.0)
+            assert -res.objective == pytest.approx(34.0)
+            assert res.x[0] == pytest.approx(6.0)
+            assert res.x[1] == pytest.approx(4.0)
 
     def test_degenerate_feasibility_only(self):
-        lp = LinearProgram()
-        x = lp.variable("x", upper=1)
-        lp.add_constraint(x >= 0.5)
-        for backend, res in _both(lp).items():
+        # 0 <= x <= 1, x >= 0.5, no objective
+        problem = lp_arrays([0], ub=[([-1], -0.5)], bounds=[(0, 1)])
+        for backend, res in _both(problem).items():
             assert res.ok, backend
-            assert 0.5 - 1e-9 <= res["x"] <= 1 + 1e-9
+            assert 0.5 - 1e-9 <= res.x[0] <= 1 + 1e-9
 
     def test_negative_lower_bounds(self):
-        lp = LinearProgram()
-        a = lp.variable("a", lower=-5, upper=5)
-        b = lp.variable("b", upper=10)
-        lp.add_constraint(a + b == 3)
-        lp.minimize(2 * a + b)
-        for backend, res in _both(lp).items():
+        # min 2a + b st a + b == 3, a in [-5, 5], b in [0, 10]
+        problem = lp_arrays([2, 1], eq=[([1, 1], 3)], bounds=[(-5, 5), (0, 10)])
+        for backend, res in _both(problem).items():
             assert res.objective == pytest.approx(-2.0), backend
-            assert res["a"] == pytest.approx(-5.0)
+            assert res.x[0] == pytest.approx(-5.0)
 
     def test_free_variable(self):
-        lp = LinearProgram()
-        x = lp.variable("x", lower=-np.inf)
-        lp.add_constraint(x >= -7)
-        lp.minimize(x)
-        for backend, res in _both(lp).items():
+        # min x st x >= -7, x free
+        problem = lp_arrays([1], ub=[([-1], 7)], bounds=[(-np.inf, np.inf)])
+        for backend, res in _both(problem).items():
             assert res.objective == pytest.approx(-7.0), backend
 
     def test_upper_bounded_only_variable(self):
-        lp = LinearProgram()
-        x = lp.variable("x", lower=-np.inf, upper=4)
-        lp.maximize(x)
-        for backend, res in _both(lp).items():
-            assert res.objective == pytest.approx(4.0), backend
+        # max x, x <= 4
+        problem = lp_arrays([-1], bounds=[(-np.inf, 4)])
+        for backend, res in _both(problem).items():
+            assert -res.objective == pytest.approx(4.0), backend
 
     def test_equality_system(self):
         # x + y = 10, x - y = 4 -> (7, 3)
-        lp = LinearProgram()
-        x, y = lp.variable("x"), lp.variable("y")
-        lp.add_constraint(x + y == 10)
-        lp.add_constraint(x - y == 4)
-        lp.minimize(x)
-        for backend, res in _both(lp).items():
-            assert res["x"] == pytest.approx(7.0), backend
-            assert res["y"] == pytest.approx(3.0), backend
+        problem = lp_arrays([1, 0], eq=[([1, 1], 10), ([1, -1], 4)])
+        for backend, res in _both(problem).items():
+            assert res.x[0] == pytest.approx(7.0), backend
+            assert res.x[1] == pytest.approx(3.0), backend
 
 
 class TestStatuses:
     def test_infeasible(self):
-        lp = LinearProgram()
-        x = lp.variable("x", upper=1)
-        lp.add_constraint(x >= 2)
-        lp.minimize(x)
-        for backend, res in _both(lp).items():
+        # min x st x >= 2, 0 <= x <= 1
+        problem = lp_arrays([1], ub=[([-1], -2)], bounds=[(0, 1)])
+        for backend, res in _both(problem).items():
             assert res.status is LPStatus.INFEASIBLE, backend
             assert not res.ok
 
     def test_unbounded(self):
-        lp = LinearProgram()
-        x = lp.variable("x")
-        lp.minimize(-x)
-        for backend, res in _both(lp).items():
+        for backend, res in _both(lp_arrays([-1])).items():
             assert res.status is LPStatus.UNBOUNDED, backend
 
     def test_infeasible_equalities(self):
-        lp = LinearProgram()
-        x = lp.variable("x")
-        lp.add_constraint(x == 1)
-        lp.add_constraint(x == 2)
-        lp.minimize(x)
-        for backend, res in _both(lp).items():
+        problem = lp_arrays([1], eq=[([1], 1), ([1], 2)])
+        for backend, res in _both(problem).items():
             assert res.status is LPStatus.INFEASIBLE, backend
 
     def test_redundant_equalities_ok(self):
-        lp = LinearProgram()
-        x, y = lp.variable("x"), lp.variable("y")
-        lp.add_constraint(x + y == 4)
-        lp.add_constraint(2 * x + 2 * y == 8)  # redundant
-        lp.minimize(x)
-        for backend, res in _both(lp).items():
+        problem = lp_arrays([1, 0], eq=[([1, 1], 4), ([2, 2], 8)])  # redundant
+        for backend, res in _both(problem).items():
             assert res.ok, backend
-            assert res["x"] == pytest.approx(0.0)
+            assert res.x[0] == pytest.approx(0.0)
+
+    def test_unknown_backend(self):
+        with pytest.raises(LPError, match="unknown LP backend"):
+            solve(*lp_arrays([0]), backend="cplex")
 
 
 BOUND_KINDS = ("boxed", "lower", "upper", "free", "fixed")

@@ -1,5 +1,6 @@
 """Span nesting, timing, and the observer lifecycle."""
 
+import numpy as np
 import pytest
 
 import repro.obs as obs
@@ -85,14 +86,15 @@ class TestInstrumentedStack:
     """Spot-checks that real call sites hit the registry when enabled."""
 
     def test_lp_solve_records_span_and_counter(self, observer):
-        from repro.lp import LinearProgram
+        from repro.lp import solve
 
-        lp = LinearProgram("t")
-        x = lp.variable("x", lower=0.0, upper=4.0)
-        lp.add_constraint(x <= 3.0)
-        lp.minimize(x * -1.0)
+        # min -x st x <= 3, 0 <= x <= 4
+        problem = (
+            np.array([-1.0]), np.array([[1.0]]), np.array([3.0]),
+            np.zeros((0, 1)), np.zeros(0), [(0.0, 4.0)],
+        )
         for backend in ("scipy", "simplex"):
-            lp.solve(backend=backend)
+            solve(*problem, backend=backend, model="t")
             assert observer.registry.counter_value("lp.solves", backend=backend) == 1
         assert observer.registry.get_histogram("span.lp.solve").count == 2
 
