@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
-"""Read repro.obs JSONL traces: span trees, summary tables, decision audits.
+"""Read a repro.obs JSONL trace: span trees, summary tables, decision audits.
 
-Every node in a GRM/LRM deployment writes its own JSONL trace; the trace
-context on each span line (trace/span/parent ids) is what stitches one
-allocation's journey back together.  The default ``tree`` command merges
-the files, rebuilds the per-request trees, and attributes each request's
-latency to queueing vs transport vs topology work vs the LP solve.
+The trace/span/parent ids on each span line stitch one allocation's
+journey back together.  The default ``tree`` command rebuilds the
+per-request trees and attributes each request's latency to queueing vs
+transport vs topology work vs the LP solve.  Every command reads one
+trace.
 
 Usage::
 
     PYTHONPATH=src python scripts/obs_trace.py run.jsonl
-    PYTHONPATH=src python scripts/obs_trace.py node-a.jsonl node-b.jsonl
     PYTHONPATH=src python scripts/obs_trace.py --trace-id 1a2b3c run.jsonl
     PYTHONPATH=src python scripts/obs_trace.py --json run.jsonl
     PYTHONPATH=src python scripts/obs_trace.py report run.jsonl
@@ -24,8 +23,8 @@ summary instead, for piping into other tooling).
 ``explain REQUEST_ID`` prints the flight-recorder record(s) for one
 allocation decision (requestor, donor split, theta, LP statistics,
 capacities before/after) — the offline counterpart of
-``repro.obs.explain``.  Exit status 1 if the request id appears in none
-of the given traces.
+``repro.obs.explain``.  Exit status 1 if the request id is not in the
+trace.
 """
 
 from __future__ import annotations
@@ -45,21 +44,13 @@ from repro.obs.report import render_trace, summarize_trace  # noqa: E402
 from repro.obs.trace_tools import (  # noqa: E402
     build_trees,
     find_decisions,
-    load_traces,
     render_trees,
     trees_summary,
 )
 
 
-def _check_traces(parser: argparse.ArgumentParser, traces: list[str]) -> None:
-    for trace in traces:
-        if not Path(trace).exists():
-            parser.error(f"trace file not found: {trace}")
-
-
 def _cmd_tree(args) -> int:
-    records = load_traces(args.traces)
-    trees = build_trees(records)
+    trees = build_trees(read_trace(args.trace))
     if args.json:
         summary = trees_summary(trees)
         if args.trace_id is not None:
@@ -71,21 +62,18 @@ def _cmd_tree(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    (trace,) = args.traces
     if args.json:
-        print(json.dumps(summarize_trace(read_trace(trace)), indent=2))
+        print(json.dumps(summarize_trace(read_trace(args.trace)), indent=2))
     else:
-        print(render_trace(trace))
+        print(render_trace(args.trace))
     return 0
 
 
 def _cmd_explain(args) -> int:
-    records = load_traces(args.traces)
-    decisions = find_decisions(records, request_id=args.request_id)
+    decisions = find_decisions(read_trace(args.trace), request_id=args.request_id)
     if not decisions:
         print(
-            f"no decision record for request {args.request_id} in "
-            f"{len(args.traces)} trace file(s)",
+            f"no decision record for request {args.request_id} in {args.trace}",
             file=sys.stderr,
         )
         return 1
@@ -97,7 +85,7 @@ def _cmd_explain(args) -> int:
         for key in (
             "requestor", "resource_type", "amount", "granted", "theta",
             "reason", "grm", "bank_version", "lp_backend", "lp_status",
-            "lp_iterations", "trace_id", "source",
+            "lp_iterations", "trace_id",
         ):
             if key in dec:
                 print(f"  {key}: {dec[key]}")
@@ -115,17 +103,15 @@ def _cmd_explain(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # Default subcommand: a bare list of trace files means "tree".
+    # Default subcommand: a bare trace file means "tree".
     if argv and argv[0] not in ("tree", "report", "explain", "-h", "--help"):
         argv.insert(0, "tree")
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_tree = sub.add_parser(
-        "tree", help="merge traces and print per-request span trees"
-    )
-    p_tree.add_argument("traces", nargs="+", help="JSONL trace file(s) to merge")
+    p_tree = sub.add_parser("tree", help="print per-request span trees")
+    p_tree.add_argument("trace", help="JSONL trace written by repro.obs")
     p_tree.add_argument("--trace-id", help="only show this trace")
     p_tree.add_argument("--json", action="store_true", help="machine-readable output")
     p_tree.set_defaults(fn=_cmd_tree)
@@ -133,9 +119,7 @@ def main(argv: list[str] | None = None) -> int:
     p_report = sub.add_parser(
         "report", help="replay one trace into summary tables"
     )
-    p_report.add_argument(
-        "traces", nargs=1, metavar="trace", help="JSONL trace written by repro.obs"
-    )
+    p_report.add_argument("trace", help="JSONL trace written by repro.obs")
     p_report.add_argument(
         "--json", action="store_true", help="emit the aggregated summary as JSON"
     )
@@ -145,12 +129,13 @@ def main(argv: list[str] | None = None) -> int:
         "explain", help="print the decision record(s) for a request id"
     )
     p_explain.add_argument("request_id", type=int, help="request (message) id")
-    p_explain.add_argument("traces", nargs="+", help="JSONL trace file(s) to search")
+    p_explain.add_argument("trace", help="JSONL trace written by repro.obs")
     p_explain.add_argument("--json", action="store_true", help="machine-readable output")
     p_explain.set_defaults(fn=_cmd_explain)
 
     args = parser.parse_args(argv)
-    _check_traces(parser, args.traces)
+    if not Path(args.trace).exists():
+        parser.error(f"trace file not found: {args.trace}")
     try:
         return args.fn(args)
     except BrokenPipeError:  # e.g. piped into `head`

@@ -4,13 +4,9 @@ A deliberately small kernel: events are ``(time, sequence, callback)``
 triples on a binary heap; the sequence number makes simultaneous events
 fire in scheduling order, so runs are deterministic.
 
-Trace propagation: scheduling an event is an async boundary — the
-callback fires later, from an empty call stack.  With observability
-enabled, :meth:`Engine.schedule_at` captures the scheduler's trace
-context onto the event and :meth:`Engine.run` re-activates it around the
-callback, so spans opened inside DES callbacks stay causally attached to
-whatever scheduled them.  With observability disabled the captured
-context is ``None`` and firing takes the original fast path.
+Callbacks fire inside :meth:`Engine.run`, so a span a callback opens
+nests under whatever span is open around the ``run()`` call (for the
+proxy simulation, ``proxysim.run``).
 """
 
 from __future__ import annotations
@@ -22,8 +18,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from ..errors import SimulationError
-from ..obs import get_observer, use_context
-from ..obs.context import TraceContext
+from ..obs import get_observer
 
 __all__ = ["Engine", "Event"]
 
@@ -36,8 +31,6 @@ class Event:
     seq: int
     fn: Callable[[], None] = field(compare=False)
     cancelled: bool = field(default=False, compare=False)
-    #: trace context captured at schedule time (None when obs is off)
-    ctx: TraceContext | None = field(default=None, compare=False, repr=False)
 
     def cancel(self) -> None:
         """Prevent the event from firing (it stays on the heap)."""
@@ -78,9 +71,7 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule at {time:g}; clock is already at {self._now:g}"
             )
-        obs = get_observer()
-        ctx = obs.current_context() if obs.enabled else None
-        ev = Event(max(time, self._now), next(self._seq), fn, ctx=ctx)
+        ev = Event(max(time, self._now), next(self._seq), fn)
         heapq.heappush(self._heap, ev)
         return ev
 
@@ -113,11 +104,7 @@ class Engine:
                     skipped += 1
                     continue
                 self._now = ev.time
-                if ev.ctx is not None:
-                    with use_context(ev.ctx):
-                        ev.fn()
-                else:
-                    ev.fn()
+                ev.fn()
                 fired += 1
                 if max_events is not None and fired >= max_events:
                     return

@@ -1,19 +1,14 @@
 """Message types exchanged between LRMs and the GRM.
 
-Every message optionally carries a :class:`~repro.obs.context.TraceContext`
-(``ctx``): the transport stamps outbound messages with the sending span's
-context and re-activates it on the receiving side, so one allocation's
-spans form a single causal tree across manager hops.  ``ctx`` is ``None``
-whenever observability is disabled — messages then cost exactly what
-they did before tracing existed.
+Messages carry protocol data only.  Delivery is synchronous, so one
+allocation's spans form a single causal tree across manager hops through
+the tracer's span stack (see :mod:`repro.obs.tracing`).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-
-from ..obs.context import TraceContext
 
 __all__ = [
     "Message",
@@ -30,12 +25,10 @@ _msg_counter = itertools.count(1)
 
 @dataclass(frozen=True)
 class Message:
-    """Base class: every message carries sender, a unique id, and an
-    optional trace context for cross-hop causality."""
+    """Base class: every message carries sender and a unique id."""
 
     sender: str
     msg_id: int = field(default_factory=lambda: next(_msg_counter))
-    ctx: TraceContext | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,11 @@ observability is enabled (``transport.sent{endpoint=..., type=...}`` and
 ``transport.received{endpoint=...}``), along with a per-endpoint
 handler-latency histogram.
 
-Trace propagation: with observability enabled, each delivery runs inside
-a ``transport.send`` span whose context is stamped onto the message
-(``Message.ctx``) and re-activated around the handler, so the handler's
-spans — and, for pull endpoints, whatever the eventual consumer records
-under :func:`repro.obs.use_context` — join the sender's trace.  With
-observability disabled the original zero-overhead path is untouched.
+With observability enabled, each delivery runs inside a
+``transport.send`` span.  Delivery is synchronous, so the handler's spans
+open on top of it and join the sender's trace through the tracer's span
+stack.  With observability disabled, ``send`` calls the handler (or
+queues the message) with no span.
 """
 
 from __future__ import annotations
@@ -24,10 +23,9 @@ from __future__ import annotations
 import time
 from collections import deque
 from collections.abc import Callable
-from dataclasses import replace
 
 from ..errors import ManagerError
-from ..obs import get_observer, use_context
+from ..obs import get_observer
 from .messages import Message
 
 __all__ = ["InProcessTransport"]
@@ -77,19 +75,14 @@ class InProcessTransport:
         return None
 
     def _send_observed(self, to, message, handler, obs) -> Message | None:
-        """The instrumented delivery path: span + context stamping."""
+        """The instrumented delivery path: a span around the handler."""
         msg_type = type(message).__name__
         obs.counter("transport.sent", endpoint=to, type=msg_type)
-        with obs.span("transport.send", endpoint=to, type=msg_type) as sp:
-            if message.ctx is None and sp.context is not None:
-                # Stamp the hop's own context so the receiver's spans
-                # become children of this transport.send span.
-                message = replace(message, ctx=sp.context)
+        with obs.span("transport.send", endpoint=to, type=msg_type):
             if handler is not None:
                 start = time.perf_counter()
                 try:
-                    with use_context(message.ctx):
-                        return handler(message)
+                    return handler(message)
                 finally:
                     obs.histogram(
                         "transport.handle_seconds",
@@ -102,9 +95,8 @@ class InProcessTransport:
     def receive(self, name: str) -> Message | None:
         """Pop the oldest queued message for a pull endpoint.
 
-        The returned message still carries its sender's trace context;
-        consumers that do traced work on it should wrap that work in
-        ``repro.obs.use_context(message.ctx)``.
+        Spans the consumer opens while handling it belong to whatever
+        span is open at that point, not to the sender's trace.
         """
         if name not in self._mailboxes:
             raise self._unknown(name)

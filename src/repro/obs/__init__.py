@@ -20,8 +20,7 @@ or from the environment, with no code changes::
 
 A written trace is replayed into summary tables by
 ``scripts/obs_trace.py report`` (or :func:`repro.obs.report.render_trace`),
-and per-request span trees are reconstructed — across one or many
-per-node trace files — by ``scripts/obs_trace.py``.
+and per-request span trees are reconstructed by ``scripts/obs_trace.py``.
 
 Instrumented call sites follow one pattern::
 
@@ -34,10 +33,10 @@ Instrumented call sites follow one pattern::
 
 Spans automatically feed a duration histogram named ``span.<name>``, so
 enabling metrics alone (no trace file) still yields timing breakdowns.
-Each span also carries a :class:`~repro.obs.context.TraceContext`
-(trace/span/parent ids) propagated across messages and DES events, with
-head-based sampling (``REPRO_OBS_SAMPLE``) deciding per *trace* whether
-its spans/events are written to the JSONL file; metrics are always on.
+Each span also carries trace/span/parent ids taken from the tracer's span
+stack (see :mod:`repro.obs.tracing`), with head-based sampling
+(``REPRO_OBS_SAMPLE``) deciding per *trace* whether its spans/events are
+written to the JSONL file; metrics are always on.
 
 Allocation decisions additionally land in a bounded flight recorder
 (:mod:`repro.obs.decision`): :func:`explain` answers "why did request N
@@ -51,8 +50,6 @@ import atexit
 import os
 from pathlib import Path
 
-from . import context as trace_context
-from .context import TraceContext, use_context
 from .decision import DecisionBuilder, DecisionRecord, FlightRecorder
 from .events import EventLog
 from .null import NULL_OBSERVER, NullObserver
@@ -66,9 +63,6 @@ __all__ = [
     "MetricsRegistry",
     "Tracer",
     "Span",
-    "TraceContext",
-    "use_context",
-    "trace_context",
     "DecisionRecord",
     "FlightRecorder",
     "traced",
@@ -139,14 +133,9 @@ class Observer:
         """A span that starts a new, independently-sampled trace."""
         return self.tracer.root_span(name, **attrs)
 
-    def current_context(self) -> TraceContext | None:
-        """The trace context in effect on this thread (span or ambient)."""
-        return self.tracer.current_context()
-
     def _on_span_close(self, span: Span) -> None:
         self.registry.observe(f"span.{span.name}", span.duration)
-        ctx = span.ctx
-        if ctx is not None and not ctx.sampled:
+        if not span.sampled:
             self.registry.counter_inc("trace.sampled_out_spans")
             return
         record = {
@@ -155,24 +144,23 @@ class Observer:
             "path": span.path,
             "dur": round(span.duration, 9),
             "attrs": span.attrs,
+            "trace": span.trace_id,
+            "span": span.span_id,
         }
-        if ctx is not None:
-            record["trace"] = ctx.trace_id
-            record["span"] = ctx.span_id
-            if ctx.parent_id is not None:
-                record["parent"] = ctx.parent_id
+        if span.parent_id is not None:
+            record["parent"] = span.parent_id
         self.events_log.emit(record)
 
     # -- events -------------------------------------------------------------
 
     def event(self, kind: str, **fields) -> None:
-        ctx = self.tracer.current_context()
-        if ctx is not None:
-            if not ctx.sampled:
+        top = self.tracer.current
+        if top is not None:
+            if not top.sampled:
                 self.registry.counter_inc("trace.sampled_out_events")
                 return
-            fields.setdefault("trace", ctx.trace_id)
-            fields.setdefault("span", ctx.span_id)
+            fields.setdefault("trace", top.trace_id)
+            fields.setdefault("span", top.span_id)
         self.events_log.emit({"kind": "event", "event": kind, **fields})
 
     # -- decisions ----------------------------------------------------------
@@ -188,14 +176,14 @@ class Observer:
         return DecisionBuilder(self, fields)
 
     def _record_decision(self, fields: dict) -> None:
-        ctx = self.tracer.current_context()
-        if ctx is not None:
-            fields.setdefault("trace_id", ctx.trace_id)
-            fields.setdefault("span_id", ctx.span_id)
+        top = self.tracer.current
+        if top is not None:
+            fields.setdefault("trace_id", top.trace_id)
+            fields.setdefault("span_id", top.span_id)
         record = DecisionRecord.from_fields(fields)
         self.decisions.record(record)
         self.registry.counter_inc("decision.recorded", outcome=record.outcome)
-        if ctx is None or ctx.sampled:
+        if top is None or top.sampled:
             self.events_log.emit(record.to_dict())
 
     def explain(self, request_id: int) -> DecisionRecord | None:
@@ -228,6 +216,9 @@ class Observer:
         self.events_log.flush()
 
     def close(self) -> None:
+        """Flush the metric snapshot and close the trace; later calls do nothing."""
+        if self.events_log.closed:
+            return
         self.flush()
         self.events_log.close()
 
@@ -266,20 +257,22 @@ def enable(
     aggregate in memory only.  ``sample`` is the head-based sampled-in
     fraction for new traces (default 1.0, or ``REPRO_OBS_SAMPLE``);
     ``decision_capacity`` bounds the allocation flight recorder (default
-    512, or ``REPRO_OBS_DECISIONS``).  Re-enabling flushes and closes
-    the previous observer's trace first, so no already-recorded data is
-    lost; the new trace file starts fresh.  The active trace is flushed
-    and closed on :func:`disable` or, failing that, at interpreter exit.
+    512, or ``REPRO_OBS_DECISIONS``).  A rate outside ``[0, 1]`` (or
+    NaN), a negative capacity, or a value that does not parse raises
+    :class:`ValueError` naming the argument or variable.  Re-enabling
+    flushes and closes the previous observer's trace first, so no
+    already-recorded data is lost; the new trace file starts fresh.  The
+    active trace is flushed and closed on :func:`disable` or, failing
+    that, at interpreter exit.
     """
     global _observer, _atexit_registered
+    sample = _rate(*_resolve("sample", sample, "REPRO_OBS_SAMPLE", 1.0))
+    decision_capacity = _capacity(*_resolve(
+        "decision_capacity", decision_capacity,
+        "REPRO_OBS_DECISIONS", DEFAULT_DECISION_CAPACITY,
+    ))
     if isinstance(_observer, Observer):
         _observer.close()
-    if sample is None:
-        sample = _env_float("REPRO_OBS_SAMPLE", 1.0)
-    if decision_capacity is None:
-        decision_capacity = int(
-            _env_float("REPRO_OBS_DECISIONS", DEFAULT_DECISION_CAPACITY)
-        )
     _observer = Observer(
         trace_path, sample=sample, decision_capacity=decision_capacity
     )
@@ -317,14 +310,35 @@ def _env_truthy(value: str | None) -> bool:
     return value is not None and value.strip().lower() not in ("", "0", "false", "no")
 
 
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
+def _resolve(arg: str, value, env: str, default) -> tuple[str, object]:
+    """``(name, value)`` of the argument if given, else of the set
+    environment variable, else of the default."""
+    if value is not None:
+        return arg, value
+    raw = os.environ.get(env, "").strip()
+    return env, raw or default
+
+
+def _rate(name: str, value) -> float:
     try:
-        return float(raw)
-    except ValueError:
-        return default
+        rate = float(value)
+        valid = 0.0 <= rate <= 1.0  # False for NaN
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise ValueError(f"{name}={value!r}: expected a sampling rate in [0, 1]")
+    return rate
+
+
+def _capacity(name: str, value) -> int:
+    try:
+        capacity = int(value)
+        valid = capacity >= 0
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise ValueError(f"{name}={value!r}: expected a non-negative integer")
+    return capacity
 
 
 if _env_truthy(os.environ.get("REPRO_OBS")):

@@ -35,6 +35,8 @@ class EventLog:
         self.path = Path(path) if path is not None else None
         self._t0 = time.perf_counter()
         self._records: deque[dict] | None = None
+        #: True once :meth:`close` has run
+        self.closed = False
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._fh = self.path.open("w", encoding="utf-8")
@@ -61,11 +63,7 @@ class EventLog:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
-
-    @property
-    def closed(self) -> bool:
-        """True once a file-backed log has been closed (in-memory: False)."""
-        return self.path is not None and self._fh is None
+        self.closed = True
 
 
 def _jsonable(value):

@@ -21,9 +21,6 @@ class NullSpan:
 
     __slots__ = ()
 
-    #: disabled spans belong to no trace
-    context = None
-
     def __enter__(self) -> NullSpan:
         return self
 
@@ -69,9 +66,6 @@ class NullObserver:
         return NULL_DECISION
 
     def explain(self, request_id: int) -> None:
-        return None
-
-    def current_context(self) -> None:
         return None
 
     def flush(self) -> None:

@@ -6,15 +6,14 @@ optionally split by a small set of string labels (for example
 tuple so ``counter("m", a=1, b=2)`` and ``counter("m", b=2, a=1)`` hit
 the same series.
 
-Histograms keep count/sum/min/max plus log-spaced bucket counts, which is
-enough for the report's mean/max columns and a coarse latency
-distribution without storing every sample.
+Histograms keep count/sum/min/max, which is enough for the report's
+mean/max columns without storing every sample.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["Histogram", "MetricsRegistry", "label_key", "label_str"]
 
@@ -29,20 +28,6 @@ def label_str(key: tuple) -> str:
     return ",".join(f"{k}={v}" for k, v in key)
 
 
-# Bucket upper bounds grow by 4x per bucket from 1 microsecond; the last
-# bucket is +inf.  Suits both sub-millisecond spans and minutes-long runs.
-_BUCKET_BASE = 1e-6
-_BUCKET_GROWTH = 4.0
-_NUM_BUCKETS = 16
-
-
-def _bucket_index(value: float) -> int:
-    if value <= _BUCKET_BASE:
-        return 0
-    idx = int(math.log(value / _BUCKET_BASE, _BUCKET_GROWTH)) + 1
-    return min(idx, _NUM_BUCKETS - 1)
-
-
 @dataclass
 class Histogram:
     """Streaming summary of observed values."""
@@ -51,7 +36,6 @@ class Histogram:
     total: float = 0.0
     min: float = math.inf
     max: float = -math.inf
-    buckets: list[int] = field(default_factory=lambda: [0] * _NUM_BUCKETS)
 
     def observe(self, value: float) -> None:
         value = float(value)
@@ -61,7 +45,6 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-        self.buckets[_bucket_index(value)] += 1
 
     @property
     def mean(self) -> float:

@@ -1,15 +1,13 @@
-"""Merge per-node traces and reconstruct per-request span trees.
+"""Reconstruct per-request span trees from a JSONL trace.
 
-Each node in a deployment writes its own JSONL trace; what connects them
-is the trace context every span line carries (``trace``/``span``/
-``parent`` ids, see :mod:`repro.obs.context`).  This module is the
-offline half of that design:
+Every span line carries ``trace``/``span``/``parent`` ids (see
+:mod:`repro.obs.tracing`).  This module is the offline half of that
+design, working on the records :func:`repro.obs.events.read_trace`
+returns:
 
-- :func:`load_traces` — read one or many JSONL files into a single
-  record list (each record tagged with its source file);
 - :func:`build_trees` — group span records by trace id and link them
-  into parent/child trees (a span whose parent never made it into any
-  file becomes a root, so partial traces still render);
+  into parent/child trees (a span whose parent is not in the trace
+  becomes a root, so torn or partial traces still render);
 - :func:`breakdown` — per-request critical-path latency attribution:
   because delivery is synchronous, a request's end-to-end latency is its
   root span's duration, and the interesting question is where it went —
@@ -25,13 +23,9 @@ offline half of that design:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-
-from .events import read_trace
 
 __all__ = [
     "SpanNode",
-    "load_traces",
     "build_trees",
     "breakdown",
     "find_decisions",
@@ -81,7 +75,7 @@ class SpanNode:
 
     @property
     def start(self) -> float:
-        """Approximate start offset within the source file's clock."""
+        """Approximate start offset within the trace's clock."""
         return float(self.record.get("ts", 0.0)) - self.duration
 
     @property
@@ -95,25 +89,13 @@ class SpanNode:
             yield from child.walk()
 
 
-def load_traces(paths: list[str | Path]) -> list[dict]:
-    """Read and concatenate JSONL traces, tagging records with their source."""
-    records: list[dict] = []
-    for path in paths:
-        source = str(path)
-        for record in read_trace(path):
-            record["source"] = source
-            records.append(record)
-    return records
-
-
 def build_trees(records: list[dict]) -> dict[str, list[SpanNode]]:
     """Group span records by trace id and link parent/child edges.
 
-    Returns ``{trace_id: [roots...]}``.  Spans with no trace id (written
-    by a pre-context trace) are grouped under ``"(untraced)"`` as flat
-    roots.  A span whose parent id is absent from the merged record set
-    (its file was lost, or the parent is still open) becomes a root of
-    its trace rather than being dropped.
+    Returns ``{trace_id: [roots...]}``.  Spans with no trace id are
+    grouped under ``"(untraced)"`` as flat roots.  A span whose parent id
+    is absent from the records (the file was torn, or the parent is still
+    open) becomes a root of its trace rather than being dropped.
     """
     by_trace: dict[str, list[SpanNode]] = {}
     for record in records:
@@ -135,10 +117,10 @@ def build_trees(records: list[dict]) -> dict[str, list[SpanNode]]:
                 parent.children.append(node)
         # Spans are emitted at close (children before parents, deeper
         # first); re-sort siblings by their start offset so the rendered
-        # tree reads in execution order within one source file.
+        # tree reads in execution order.
         for node in nodes:
-            node.children.sort(key=lambda n: (n.record.get("source", ""), n.start))
-        roots.sort(key=lambda n: (n.record.get("source", ""), n.start))
+            node.children.sort(key=lambda n: n.start)
+        roots.sort(key=lambda n: n.start)
         trees[trace_id] = roots
     return trees
 
@@ -159,7 +141,7 @@ def breakdown(roots: list[SpanNode]) -> dict[str, float]:
 
 
 def find_decisions(records: list[dict], request_id: int | None = None) -> list[dict]:
-    """Flight-recorder lines from merged traces, optionally by request id."""
+    """Flight-recorder lines of a trace, optionally by request id."""
     out = []
     for record in records:
         if record.get("kind") != "decision":

@@ -1,4 +1,4 @@
-"""Hierarchical timing spans with trace-context propagation.
+"""Hierarchical timing spans, linked into traces by the span stack.
 
 A span measures one timed operation (an LP solve, an allocation request,
 a whole simulation run).  Spans nest: entering a span while another is
@@ -6,15 +6,17 @@ open records the parent, so the exported trace carries the full path
 (``proxysim.run/allocation.request/lp.solve``) and the report can show
 self-time-style breakdowns.
 
-Every live span also carries a :class:`~repro.obs.context.TraceContext`:
-the innermost open span's context is inherited (same trace, new span id),
-an ambient context installed at an async boundary (message delivery, DES
-event firing — see :func:`repro.obs.context.use_context`) is adopted
-when the local stack is empty, and otherwise the span starts a brand-new
-trace whose head-based sampling decision it takes on creation.  The
-exported JSONL line records ``trace``/``span``/``parent`` ids, which is
-what lets ``scripts/obs_trace.py`` reassemble one request's spans into a
-single causal tree across per-node trace files.
+Every span also carries trace ids taken from the tracer's per-thread
+span stack alone.  A span opened with no span open (or through
+:meth:`Tracer.root_span`) is a *root*: it mints a new ``trace_id`` and
+takes the head-based sampling decision (:func:`sampled_in`).  Any other
+span copies the trace id and sampled flag of the span on top of the
+stack and records that span's id as its ``parent_id``.  Every transport
+endpoint is a synchronous handler and DES callbacks fire inside the
+caller's ``Engine.run``, so the stack already links each span to its
+cause.  The exported JSONL line records ``trace``/``span``/``parent``
+ids, which is what lets ``scripts/obs_trace.py`` reassemble one
+request's spans into a single causal tree.
 
 Use as a context manager::
 
@@ -34,20 +36,39 @@ callback the owning :class:`~repro.obs.Observer` installs.
 from __future__ import annotations
 
 import functools
+import itertools
 import threading
 import time
+import uuid
+import zlib
 from collections.abc import Callable
 
-from . import context as obs_context
-from .context import TraceContext
+__all__ = ["Span", "Tracer", "traced", "sampled_in"]
 
-__all__ = ["Span", "Tracer", "traced"]
+_span_ids = itertools.count(1)
+
+
+def sampled_in(trace_id: str, rate: float) -> bool:
+    """Deterministic head-based sampling decision for a trace id.
+
+    ``rate`` is the sampled-in fraction in ``[0, 1]``.  The decision is a
+    pure function of the id (a threshold on its hash), so a trace kept at
+    one rate is kept at every higher rate.
+    """
+    if rate >= 1.0:
+        return True
+    if rate <= 0.0:
+        return False
+    return zlib.crc32(trace_id.encode("ascii", "replace")) / 0x100000000 < rate
 
 
 class Span:
     """One timed operation; created by :meth:`Tracer.span`."""
 
-    __slots__ = ("tracer", "name", "attrs", "path", "start", "duration", "ctx", "root")
+    __slots__ = (
+        "tracer", "name", "attrs", "path", "start", "duration", "root",
+        "trace_id", "span_id", "parent_id", "sampled",
+    )
 
     def __init__(self, tracer: Tracer, name: str, attrs: dict, root: bool = False):
         self.tracer = tracer
@@ -56,13 +77,12 @@ class Span:
         self.path = name  # finalised on __enter__ from the active stack
         self.start = 0.0
         self.duration = 0.0
-        self.ctx: TraceContext | None = None
         self.root = root
-
-    @property
-    def context(self) -> TraceContext | None:
-        """The span's trace context (None before ``__enter__``)."""
-        return self.ctx
+        # trace ids, assigned on __enter__
+        self.trace_id = ""
+        self.span_id = ""
+        self.parent_id: str | None = None
+        self.sampled = True
 
     def set(self, **attrs) -> Span:
         """Attach attributes after creation (e.g. results known at the end)."""
@@ -71,18 +91,19 @@ class Span:
 
     def __enter__(self) -> Span:
         stack = self.tracer._stack()
-        parent_ctx: TraceContext | None = None
+        self.span_id = f"{next(_span_ids):x}"
         if stack:
             self.path = f"{stack[-1].path}/{self.name}"
-            parent_ctx = stack[-1].ctx
+        if stack and not self.root:
+            top = stack[-1]
+            self.trace_id = top.trace_id
+            self.parent_id = top.span_id
+            self.sampled = top.sampled
         else:
-            parent_ctx = obs_context.current()
-        if self.root or parent_ctx is None:
             # A fresh trace: the sampling decision is taken here, at the
             # head, and inherited by everything underneath.
-            self.ctx = obs_context.new_root(self.tracer.sample_rate)
-        else:
-            self.ctx = parent_ctx.child()
+            self.trace_id = uuid.uuid4().hex[:16]
+            self.sampled = sampled_in(self.trace_id, self.tracer.sample_rate)
         stack.append(self)
         self.start = time.perf_counter()
         return self
@@ -102,8 +123,8 @@ class Tracer:
     """Span factory holding the per-thread active-span stack.
 
     ``sample_rate`` is the head-based sampled-in fraction applied when a
-    span starts a new trace (it has no parent span and no ambient
-    context); inherited contexts keep the decision made at their head.
+    span starts a new trace; child spans keep the decision made at their
+    root.
     """
 
     def __init__(self, on_close: Callable[[Span], None], sample_rate: float = 1.0):
@@ -133,13 +154,6 @@ class Tracer:
     def current(self) -> Span | None:
         stack = self._stack()
         return stack[-1] if stack else None
-
-    def current_context(self) -> TraceContext | None:
-        """Innermost open span's context, else the ambient context."""
-        stack = self._stack()
-        if stack:
-            return stack[-1].ctx
-        return obs_context.current()
 
     @property
     def depth(self) -> int:

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.obs as obs
 from repro.des import Engine
 from repro.errors import SimulationError
 
@@ -167,3 +168,32 @@ class TestCancelledEvents:
         eng.run()
         assert eng.pending == 0
         assert eng.events_cancelled == 1
+
+
+class TestTracing:
+    def test_callback_span_nests_under_span_around_run(self):
+        """Callbacks fire inside run(), so a span one opens is a child of
+        the span open around run() -- the proxy simulation's shape."""
+        seen = []
+        try:
+            observer = obs.enable()
+            eng = Engine()
+
+            def fired():
+                with observer.span("work.in_event") as sp:
+                    seen.append(sp)
+                if len(seen) == 1:
+                    eng.schedule(1.0, fired)
+
+            eng.schedule(1.0, fired)  # scheduled with no span open
+            with observer.span("sim.run") as run:
+                eng.run()
+        finally:
+            obs.disable()
+
+        assert len(seen) == 2
+        for sp in seen:
+            assert sp.trace_id == run.trace_id
+            assert sp.parent_id == run.span_id
+            assert sp.path == "sim.run/work.in_event"
+        assert run.parent_id is None

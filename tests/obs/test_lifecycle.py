@@ -7,6 +7,9 @@ observer rather than mutating the old one.
 """
 
 import json
+import math
+
+import pytest
 
 import repro.obs as obs
 from repro.obs.null import NULL_OBSERVER
@@ -68,3 +71,47 @@ def test_disable_is_idempotent_and_restores_null():
     assert obs.get_observer() is NULL_OBSERVER
     assert obs.report() == "(observability disabled)"
     assert obs.explain(12345) is None
+
+
+def test_second_close_is_a_noop(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    try:
+        observer = obs.enable(trace_path=path)
+        observer.counter("x")
+        observer.close()
+        written = path.read_text()
+        observer.close()
+        obs.disable()  # closes the same observer a third time
+    finally:
+        obs.disable()
+    assert path.read_text() == written
+    assert any(r.get("name") == "x" for r in _read_jsonl(path))
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("REPRO_OBS_SAMPLE", "nan"),
+        ("REPRO_OBS_SAMPLE", "1.5"),
+        ("REPRO_OBS_SAMPLE", "-0.2"),
+        ("REPRO_OBS_SAMPLE", "half"),
+        ("REPRO_OBS_DECISIONS", "-1"),
+        ("REPRO_OBS_DECISIONS", "many"),
+        ("sample", math.nan),
+        ("sample", 1.5),
+        ("sample", -0.2),
+        ("decision_capacity", -1),
+    ],
+)
+def test_invalid_settings_rejected(monkeypatch, name, value):
+    """Environment variables and enable() arguments are validated alike."""
+    kwargs = {}
+    if name.startswith("REPRO_OBS_"):
+        monkeypatch.setenv(name, value)
+    else:
+        kwargs[name] = value
+    try:
+        with pytest.raises(ValueError, match=f"{name}=.*{value}"):
+            obs.enable(**kwargs)
+    finally:
+        obs.disable()

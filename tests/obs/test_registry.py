@@ -61,14 +61,6 @@ class TestHistograms:
         assert s["mean"] == 0.0
         assert s["min"] == 0.0 and s["max"] == 0.0
 
-    def test_buckets_cover_extremes(self):
-        h = Histogram()
-        h.observe(1e-9)   # below the base bucket
-        h.observe(1e12)   # far past the last boundary
-        assert sum(h.buckets) == 2
-        assert h.buckets[0] == 1
-        assert h.buckets[-1] == 1
-
     def test_registry_observe(self):
         reg = MetricsRegistry()
         reg.observe("lat", 0.5, endpoint="grm")

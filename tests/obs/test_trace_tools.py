@@ -1,4 +1,4 @@
-"""Offline trace merging, span-tree reconstruction, and the obs_trace CLI."""
+"""Offline span-tree reconstruction and the obs_trace CLI."""
 
 import json
 import subprocess
@@ -7,12 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.obs.events import read_trace
 from repro.obs.trace_tools import (
     breakdown,
     build_trees,
     categorize,
     find_decisions,
-    load_traces,
     render_trees,
     trees_summary,
 )
@@ -33,36 +33,26 @@ def _write_jsonl(path, records):
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
 
 
-def _two_node_trace(tmp_path):
-    """One request spanning two 'nodes', each with its own trace file.
-
-    Node A holds the root (manager.plan) and the transport hop; node B
-    holds the handler's spans (grm.allocate -> lp.solve), linked only by
-    the context ids carried on the message.
-    """
-    node_a = tmp_path / "node-a.jsonl"
-    node_b = tmp_path / "node-b.jsonl"
-    _write_jsonl(node_a, [
-        _span("transport.send", "t1", "a-2", parent="a-1", dur=0.5, ts=1.6),
-        _span("manager.plan", "t1", "a-1", dur=1.0, ts=2.0),
-    ])
-    _write_jsonl(node_b, [
-        _span("lp.solve", "t1", "b-2", parent="b-1", dur=0.2, ts=1.4),
-        _span("grm.allocate", "t1", "b-1", parent="a-2", dur=0.4, ts=1.5),
+def _trace(tmp_path):
+    """One request's trace: manager.plan -> transport.send ->
+    grm.allocate -> lp.solve, written in close order (children first),
+    plus its decision record."""
+    path = tmp_path / "run.jsonl"
+    _write_jsonl(path, [
+        _span("lp.solve", "t1", "4", parent="3", dur=0.2, ts=1.4),
         {"kind": "decision", "request_id": 17, "requestor": "p0",
          "outcome": "granted", "granted": 5.0,
          "takes": [["p3", 2.5], ["p7", 2.5]], "theta": 0.1, "ts": 1.5},
+        _span("grm.allocate", "t1", "3", parent="2", dur=0.4, ts=1.5),
+        _span("transport.send", "t1", "2", parent="1", dur=0.5, ts=1.6),
+        _span("manager.plan", "t1", "1", dur=1.0, ts=2.0),
     ])
-    return [node_a, node_b]
+    return path
 
 
 class TestBuildTrees:
-    def test_merge_across_files_one_tree(self, tmp_path):
-        records = load_traces(_two_node_trace(tmp_path))
-        assert {r["source"] for r in records} == {
-            str(tmp_path / "node-a.jsonl"), str(tmp_path / "node-b.jsonl")
-        }
-        trees = build_trees(records)
+    def test_spans_link_into_one_tree(self, tmp_path):
+        trees = build_trees(read_trace(_trace(tmp_path)))
         assert list(trees) == ["t1"]
         (root,) = trees["t1"]
         assert root.name == "manager.plan"
@@ -76,7 +66,7 @@ class TestBuildTrees:
             _span("grm.allocate", "t2", "x-1", parent="lost-id", dur=0.3),
             _span("lp.solve", "t2", "x-2", parent="x-1", dur=0.1),
         ])
-        trees = build_trees(load_traces([path]))
+        trees = build_trees(read_trace(path))
         (root,) = trees["t2"]
         assert root.name == "grm.allocate"
         assert [c.name for c in root.children] == ["lp.solve"]
@@ -86,13 +76,13 @@ class TestBuildTrees:
         _write_jsonl(path, [
             {"kind": "span", "name": "legacy", "dur": 0.1, "attrs": {}, "ts": 1.0}
         ])
-        trees = build_trees(load_traces([path]))
+        trees = build_trees(read_trace(path))
         assert [r.name for r in trees["(untraced)"]] == ["legacy"]
 
 
 class TestBreakdown:
     def test_exclusive_time_sums_to_root(self, tmp_path):
-        trees = build_trees(load_traces(_two_node_trace(tmp_path)))
+        trees = build_trees(read_trace(_trace(tmp_path)))
         parts = breakdown(trees["t1"])
         # manager.plan 1.0 - transport 0.5 = 0.5 other;
         # transport 0.5 - grm 0.4 = 0.1 transport;
@@ -112,31 +102,31 @@ class TestBreakdown:
 
 class TestFindDecisions:
     def test_by_request_id(self, tmp_path):
-        records = load_traces(_two_node_trace(tmp_path))
+        records = read_trace(_trace(tmp_path))
         assert find_decisions(records, request_id=999) == []
         (dec,) = find_decisions(records, request_id=17)
         assert dec["outcome"] == "granted"
         assert sum(q for _, q in dec["takes"]) == dec["granted"]
 
     def test_all_decisions(self, tmp_path):
-        records = load_traces(_two_node_trace(tmp_path))
+        records = read_trace(_trace(tmp_path))
         assert len(find_decisions(records)) == 1
 
 
 class TestRendering:
     def test_render_trees_text(self, tmp_path):
-        trees = build_trees(load_traces(_two_node_trace(tmp_path)))
+        trees = build_trees(read_trace(_trace(tmp_path)))
         text = render_trees(trees)
         assert "manager.plan" in text
         assert "breakdown:" in text
         assert "1 trace(s)" in text
 
     def test_render_unknown_trace_id(self, tmp_path):
-        trees = build_trees(load_traces(_two_node_trace(tmp_path)))
+        trees = build_trees(read_trace(_trace(tmp_path)))
         assert "no spans found" in render_trees(trees, trace_id="absent")
 
     def test_trees_summary_json_friendly(self, tmp_path):
-        trees = build_trees(load_traces(_two_node_trace(tmp_path)))
+        trees = build_trees(read_trace(_trace(tmp_path)))
         summary = trees_summary(trees)
         json.dumps(summary)  # must serialise
         assert summary["t1"]["span_count"] == 4
@@ -152,37 +142,48 @@ class TestCli:
         )
 
     def test_tree_default_subcommand(self, tmp_path):
-        paths = _two_node_trace(tmp_path)
-        proc = self._run(*paths)
+        path = _trace(tmp_path)
+        proc = self._run(path)
         assert proc.returncode == 0, proc.stderr
         assert "manager.plan" in proc.stdout
         assert "breakdown:" in proc.stdout
 
     def test_tree_json(self, tmp_path):
-        paths = _two_node_trace(tmp_path)
-        proc = self._run("--json", *paths)
+        path = _trace(tmp_path)
+        proc = self._run("--json", path)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["t1"]["span_count"] == 4
 
     def test_explain_found(self, tmp_path):
-        paths = _two_node_trace(tmp_path)
-        proc = self._run("explain", 17, *paths)
+        path = _trace(tmp_path)
+        proc = self._run("explain", 17, path)
         assert proc.returncode == 0, proc.stderr
         assert "granted" in proc.stdout
         assert "p3" in proc.stdout
 
     def test_explain_json(self, tmp_path):
-        paths = _two_node_trace(tmp_path)
-        proc = self._run("explain", 17, "--json", *paths)
+        path = _trace(tmp_path)
+        proc = self._run("explain", 17, "--json", path)
         assert proc.returncode == 0, proc.stderr
         (dec,) = json.loads(proc.stdout)
         assert dec["request_id"] == 17
 
     def test_explain_missing_request_exits_1(self, tmp_path):
-        paths = _two_node_trace(tmp_path)
-        proc = self._run("explain", 999, *paths)
+        path = _trace(tmp_path)
+        proc = self._run("explain", 999, path)
         assert proc.returncode == 1
         assert "no decision record" in proc.stderr
+
+    def test_tree_renders_torn_file(self, tmp_path):
+        """The root's line was cut mid-write: its children still render."""
+        path = _trace(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]) + lines[-1][:20])
+        proc = self._run(path)
+        assert proc.returncode == 0, proc.stderr
+        assert "manager.plan" not in proc.stdout
+        assert "transport.send" in proc.stdout and "lp.solve" in proc.stdout
+        assert "1 trace(s)" in proc.stdout
 
     def test_missing_file_errors(self, tmp_path):
         proc = self._run(tmp_path / "absent.jsonl")

@@ -5,7 +5,8 @@ import pytest
 
 import repro.obs as obs
 from repro.errors import ReproError
-from repro.obs.tracing import traced
+from repro.obs.events import read_trace
+from repro.obs.tracing import sampled_in, traced
 
 
 class TestSpanNesting:
@@ -40,6 +41,105 @@ class TestSpanNesting:
         with observer.span("s", a=1) as sp:
             sp.set(b=2)
         assert sp.attrs == {"a": 1, "b": 2}
+
+
+class TestTraceIds:
+    def test_child_shares_trace_and_links_parent(self, observer):
+        with observer.span("root") as root:
+            with observer.span("child") as child:
+                with observer.span("grandchild") as grandchild:
+                    pass
+        assert root.parent_id is None
+        assert child.trace_id == grandchild.trace_id == root.trace_id
+        assert child.parent_id == root.span_id
+        assert grandchild.parent_id == child.span_id
+        assert len({root.span_id, child.span_id, grandchild.span_id}) == 3
+
+    def test_span_with_no_span_open_starts_a_trace(self, observer):
+        with observer.span("first") as first:
+            pass
+        with observer.span("second") as second:
+            pass
+        assert first.trace_id != second.trace_id
+        assert second.parent_id is None
+
+    def test_root_span_starts_a_trace_while_nested(self, observer):
+        with observer.span("run") as run:
+            with observer.root_span("consult") as consult:
+                with observer.span("inner") as inner:
+                    pass
+        assert consult.trace_id != run.trace_id
+        assert consult.parent_id is None
+        assert consult.path == "run/consult"
+        assert inner.trace_id == consult.trace_id
+        assert inner.parent_id == consult.span_id
+
+
+def _root_trace_ids(observer, n):
+    ids = []
+    for _ in range(n):
+        with observer.root_span("request") as sp:
+            ids.append(sp.trace_id)
+    return ids
+
+
+class TestSampling:
+    def test_extremes(self):
+        assert sampled_in("anything", 1.0) is True
+        assert sampled_in("anything", 0.0) is False
+
+    def test_deterministic_per_trace_id(self, observer):
+        for tid in _root_trace_ids(observer, 50):
+            first = sampled_in(tid, 0.3)
+            assert all(sampled_in(tid, 0.3) == first for _ in range(5))
+
+    def test_rate_monotonic(self, observer):
+        # A trace sampled in at a low rate stays in at any higher rate
+        # (the decision is a threshold on one hash value).
+        for tid in _root_trace_ids(observer, 200):
+            if sampled_in(tid, 0.05):
+                assert sampled_in(tid, 0.5)
+            if not sampled_in(tid, 0.5):
+                assert not sampled_in(tid, 0.05)
+
+    def test_root_span_stamps_decision(self):
+        for rate, expected in ((1.0, True), (0.0, False)):
+            try:
+                observer = obs.enable(sample=rate)
+                with observer.root_span("request") as root:
+                    with observer.span("child") as child:
+                        pass
+            finally:
+                obs.disable()
+            assert root.sampled is expected
+            assert child.sampled is expected
+
+    def test_rough_fraction(self, observer):
+        hits = sum(sampled_in(tid, 0.25) for tid in _root_trace_ids(observer, 2000))
+        assert 0.15 < hits / 2000 < 0.35
+
+    def test_sampled_out_root_writes_nothing_but_records_decision(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        try:
+            observer = obs.enable(trace_path=path, sample=0.0)
+            with observer.root_span("request") as root:
+                with observer.span("child"):
+                    observer.event("child.event", x=1)
+                    with observer.decision(request_id=7, requestor="p0") as dec:
+                        dec.set(outcome="granted", granted=1.0)
+            record = observer.explain(7)
+        finally:
+            obs.disable()
+
+        assert not root.sampled
+        assert {r["kind"] for r in read_trace(path)} == {"metric"}
+        # the flight recorder keeps the decision, tied to the dropped trace
+        assert record is not None and record.outcome == "granted"
+        assert record.trace_id == root.trace_id
+        registry = observer.registry
+        assert registry.counter_value("trace.sampled_out_spans") == 2
+        assert registry.counter_value("trace.sampled_out_events") == 1
+        assert registry.counter_value("decision.recorded", outcome="granted") == 1
 
 
 class TestTracedDecorator:
