@@ -59,27 +59,6 @@ def main() -> None:
         "\nlonger chains of agreements yields small incremental benefit'."
     )
 
-    # ------------------------------------------------------------------
-    # The inverse problem: draft agreements from capacity targets.
-    # ------------------------------------------------------------------
-    from repro.agreements import suggest_shares
-
-    print("\nNegotiation aid: four sites, uneven capacity, equal targets.")
-    V = [16.0, 8.0, 4.0, 0.0]
-    targets = [16.0, 8.0, 6.0, 4.0]
-    drafted = suggest_shares(["hub", "mid", "edge", "new"], V, targets)
-    print(f"  capacities V = {V}, targets = {targets}")
-    for i, p in enumerate(drafted.principals):
-        row = {
-            drafted.principals[j]: round(float(drafted.S[i, j]), 3)
-            for j in range(drafted.n)
-            if drafted.S[i, j] > 1e-9
-        }
-        if row:
-            print(f"  {p} shares {row}")
-    print(f"  resulting level-1 capacities: "
-          f"{[round(float(c), 2) for c in drafted.capacities(1)]}")
-
 
 if __name__ == "__main__":
     main()

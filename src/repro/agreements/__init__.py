@@ -28,7 +28,6 @@ from .analysis import (
     reachable_set,
     summarize,
 )
-from .graph_export import from_networkx, to_networkx
 from .flow import (
     capacities,
     flow_matrix,
@@ -36,7 +35,6 @@ from .flow import (
     transitive_coefficients,
     u_matrix,
 )
-from .negotiate import suggest_shares
 from .topology import AgreementTopology, CapacityView
 from .structures import (
     complete_structure,
@@ -56,9 +54,6 @@ __all__ = [
     "dependency",
     "chain_contributions",
     "summarize",
-    "suggest_shares",
-    "to_networkx",
-    "from_networkx",
     "transitive_coefficients",
     "flow_matrix",
     "overdraft_clamp",

@@ -1,6 +1,6 @@
 """The bank: registry and valuation engine for tickets and currencies.
 
-The bank holds every currency and ticket, computes currency values, and
+The bank holds every currency and live ticket, computes currency values, and
 exports the ``(V, S, A)`` agreement matrices that the enforcement layer
 (:mod:`repro.agreements`) consumes.
 
@@ -26,7 +26,7 @@ cycle makes values undefined and raises
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from typing import Concatenate, ParamSpec, TypeVar
 
 import numpy as np
@@ -90,7 +90,8 @@ class Bank:
 
     def __init__(self) -> None:
         self._currencies: dict[str, Currency] = {}
-        self._tickets: dict[int, Ticket] = {}
+        self._tickets: dict[int, Ticket] = {}  # live tickets only
+        self._revoked: set[int] = set()
         self._version = 0
         # flattened topology per (resource_type, overdraft, flow_method),
         # valid for one bank version: key -> (version, topology, V)
@@ -143,6 +144,7 @@ class Bank:
             raise UnknownCurrencyError(name) from None
 
     def ticket(self, ticket_id: int) -> Ticket:
+        """A live ticket; a revoked id is unknown here."""
         try:
             return self._tickets[ticket_id]
         except KeyError:
@@ -154,6 +156,7 @@ class Bank:
 
     @property
     def tickets(self) -> tuple[Ticket, ...]:
+        """The live (unrevoked) tickets, in issue order."""
         return tuple(self._tickets.values())
 
     def principals(self) -> list[str]:
@@ -164,9 +167,6 @@ class Bank:
 
     def _register(self, ticket: Ticket) -> Ticket:
         self._tickets[ticket.ticket_id] = ticket
-        self.currency(ticket.backing).backing_tickets.append(ticket.ticket_id)
-        if ticket.issuer is not None:
-            self.currency(ticket.issuer).issued_tickets.append(ticket.ticket_id)
         return ticket
 
     @mutates
@@ -242,11 +242,16 @@ class Bank:
 
     @mutates
     def revoke_ticket(self, ticket_id: int) -> None:
-        """End the agreement the ticket expresses (its value drops to zero)."""
-        t = self.ticket(ticket_id)
-        if t.revoked:
+        """End the agreement the ticket expresses (its value drops to zero).
+
+        The bank forgets the ticket and keeps only its id, so every
+        later flatten walks live tickets alone.
+        """
+        if ticket_id in self._revoked:
             raise TicketRevokedError(f"ticket {ticket_id} is already revoked")
-        t.revoked = True
+        self.ticket(ticket_id).revoked = True
+        del self._tickets[ticket_id]
+        self._revoked.add(ticket_id)
 
     @mutates
     def inflate_currency(self, name: str, factor: float) -> None:
@@ -257,12 +262,9 @@ class Bank:
 
     def resource_types(self) -> list[str]:
         """All concrete resource types appearing on absolute tickets."""
-        types = {t.resource_type for t in self._tickets.values() if not t.revoked}
+        types = {t.resource_type for t in self._tickets.values()}
         types.discard("*")
         return sorted(types)
-
-    def _active_tickets(self) -> Iterable[Ticket]:
-        return (t for t in self._tickets.values() if not t.revoked)
 
     def _value_system(self) -> tuple[list[str], np.ndarray, np.ndarray, list[str]]:
         """Build the linear valuation system.
@@ -278,7 +280,7 @@ class Bank:
         n, k = len(names), len(types)
         M = np.zeros((n, n))
         B = np.zeros((n, k))
-        for t in self._active_tickets():
+        for t in self._tickets.values():
             c = index[t.backing]
             if t.kind is TicketKind.ABSOLUTE:
                 B[c, tindex[t.resource_type]] += t.face_value
@@ -326,9 +328,9 @@ class Bank:
         worth ``value(issuer) * face / issuer.face_value`` (Example 1:
         R-Ticket4 = 10 * 500/1000 = 5).
         """
-        t = self.ticket(ticket_id)
-        if t.revoked:
+        if ticket_id in self._revoked:
             return ResourceVector()
+        t = self.ticket(ticket_id)
         if t.kind is TicketKind.ABSOLUTE:
             return ResourceVector({t.resource_type: t.face_value})
         issuer = self.currency(t.issuer)
@@ -342,7 +344,7 @@ class Bank:
         layer will clamp flows (see :mod:`repro.agreements.overdraft`).
         """
         issued: dict[str, float] = {}
-        for t in self._active_tickets():
+        for t in self._tickets.values():
             if t.kind is TicketKind.RELATIVE:
                 issued[t.issuer] = issued.get(t.issuer, 0.0) + t.face_value
         return sorted(
@@ -384,7 +386,7 @@ class Bank:
         # a small linear system over virtual-to-virtual relative tickets.
         Mv = np.zeros((nv, nv))
         Bv = np.zeros((nv, n + 1))  # last column: absolute component
-        for t in self._active_tickets():
+        for t in self._tickets.values():
             if t.backing not in vindex:
                 continue
             r = vindex[t.backing]
@@ -418,7 +420,7 @@ class Bank:
         V = np.zeros(n)
         S = np.zeros((n, n))
         A = np.zeros((n, n))
-        for t in self._active_tickets():
+        for t in self._tickets.values():
             if t.is_base_capacity:
                 if t.backing in pindex and t.resource_type == resource_type:
                     V[pindex[t.backing]] += t.face_value

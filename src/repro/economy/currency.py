@@ -14,7 +14,7 @@ is to decouple one subset of agreements from fluctuations in another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import EconomyError
 
@@ -40,16 +40,12 @@ class Currency:
         creator here.
     virtual:
         True for virtual currencies (Example 2).
-    backing_tickets / issued_tickets:
-        Ticket ids maintained by the bank.
     """
 
     name: str
     face_value: float = DEFAULT_FACE_VALUE
     owner: str | None = None
     virtual: bool = False
-    backing_tickets: list[int] = field(default_factory=list)
-    issued_tickets: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.face_value <= 0:

@@ -59,7 +59,7 @@ class Ticket:
     revoked:
         Revoked tickets contribute nothing and cannot be re-activated
         ("the grantor ... revokes the resource from the grantee (agreement
-        ends)").
+        ends)"); the bank drops them and keeps only their ids.
     """
 
     kind: TicketKind

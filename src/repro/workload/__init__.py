@@ -26,7 +26,6 @@ from .fit import fit_profile, profile_fit_error
 from .generator import Request, RequestStream, Stream, generate_streams
 from .sizes import LogNormalSizes, ParetoSizes, SizeDistribution
 from .trace import read_trace, write_trace
-from .weekly import WeeklyProfile
 
 __all__ = [
     "DiurnalProfile",
@@ -41,5 +40,4 @@ __all__ = [
     "ParetoSizes",
     "read_trace",
     "write_trace",
-    "WeeklyProfile",
 ]

@@ -197,6 +197,23 @@ class TestRevocation:
         bank.revoke_ticket(t1.ticket_id)
         assert bank.currency_value("A")["disk"] == pytest.approx(5.0)
 
+    def test_revoked_tickets_are_forgotten(self, bank):
+        """Reissuing one agreement 1,000 times leaves the bank no bigger."""
+        bank.deposit_capacity("A", 10, "general")
+        t = bank.issue_relative_ticket("A", "B", 300)
+        n_before = len(bank.tickets)
+        before = bank.capacity_view()
+        for _ in range(1000):
+            revoked = t
+            bank.revoke_ticket(revoked.ticket_id)
+            t = bank.issue_relative_ticket("A", "B", 300)
+        assert len(bank.tickets) == n_before
+        assert "REVOKED" in repr(revoked)
+        after = bank.capacity_view()
+        np.testing.assert_array_equal(after.V, before.V)
+        np.testing.assert_array_equal(after.S, before.S)
+        np.testing.assert_array_equal(after.capacities(1), before.capacities(1))
+
 
 class TestOverissue:
     def test_overissued_detection(self, bank):

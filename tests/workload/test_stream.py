@@ -12,10 +12,9 @@ from repro.workload import (
     Request,
     RequestStream,
     Stream,
-    WeeklyProfile,
     generate_streams,
 )
-from repro.workload.weekly import WEEK_SECONDS
+from repro.workload.diurnal import DAY_SECONDS
 
 from .stream_reference import generate_loop, sample_loop
 
@@ -71,10 +70,11 @@ def _assert_columns_equal(stream: Stream, reference) -> None:
 
 
 DAY = DiurnalProfile(requests_per_day=20_000.0)
-WEEK = WeeklyProfile(DiurnalProfile(requests_per_day=2_000.0))
 SAMPLER_CASES = {
     "diurnal-day": RequestStream(DAY),
-    "weekly-week": RequestStream(WEEK, horizon=WEEK_SECONDS),
+    "diurnal-week": RequestStream(
+        DiurnalProfile(requests_per_day=2_000.0), horizon=7 * DAY_SECONDS
+    ),
     "half-day": RequestStream(DAY, horizon=43_200.0),
     # 10_000 / 70 leaves a last slot 60 s wide
     "ragged-slots": RequestStream(DAY, horizon=10_000.0, slot_width=70.0),
