@@ -32,8 +32,13 @@ from repro.workload.diurnal import DAY_SECONDS
 
 
 def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="repro-traces-") as workdir:
+        run(Path(workdir))
+
+
+def run(workdir: Path) -> None:
+    """Write the traces under ``workdir``, fit them, then simulate."""
     n_proxies = 4
-    workdir = Path(tempfile.mkdtemp(prefix="repro-traces-"))
 
     # --- 1. produce per-proxy trace files (stand-in for real logs) --------
     cfg = SimulationConfig.scaled(scale=60, n_proxies=n_proxies, gap=3600.0)

@@ -3,7 +3,7 @@
 - :class:`~repro.agreements.topology.AgreementTopology` /
   :class:`~repro.agreements.topology.CapacityView` — the core split: an
   immutable, hashable structure (principals, relative matrix ``S``,
-  absolute matrix ``A``, overdraft flag, flow method) validated against
+  absolute matrix ``A``, overdraft flag) validated against
   the paper's constraints and owning the per-level coefficient cache,
   and cheap capacity views binding raw capacities ``V`` to it, one per
   scheduling epoch (:meth:`CapacityView.from_matrices` builds both);

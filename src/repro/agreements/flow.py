@@ -13,29 +13,17 @@ transitive agreements, where chains may not revisit nodes::
 per (structure, level) and cached by
 :class:`~repro.agreements.topology.AgreementTopology`.
 
-Three algorithms are provided:
-
-``"dp"`` (default)
-    Held–Karp-style dynamic programming over visited-node subsets,
-    exact, layered by path length.  Per source it works only on the
-    ``r`` nodes within ``m`` hops, holds each layer as numpy arrays of
-    its live subsets and advances it with one matmul against ``S`` and
-    one sort.  The worst case, a complete structure at full closure,
-    moves O(2^r * r^2) states per source in a few numpy calls per
-    layer: on a 2-core Xeon host n = 10 takes ~6 ms, n = 14 ~0.1 s and
-    n = 16 ~0.55 s.  Level-limited runs touch only subsets of size <= m,
-    and sparse ones (loops, hierarchies) only the subsets some path
-    visits, so n = 20 loops run in tens of milliseconds even at full
-    closure.
-
-``"dfs"``
-    Direct enumeration of simple paths.  Exponential; used as the oracle
-    the DP is verified against in tests.
-
-``"walk"``
-    Matrix-power approximation ``sum_{l<=m} S^l`` with the diagonal zeroed.
-    Counts walks that revisit nodes, hence an *upper bound* on ``T``;
-    provided for large sparse systems where exactness is not affordable.
+The coefficients come from Held–Karp-style dynamic programming over
+visited-node subsets, exact and layered by path length.  Per source the
+DP works only on the ``r`` nodes within ``m`` hops, holds each layer as
+numpy arrays of its live subsets and advances it with one matmul against
+``S`` and one sort.  The worst case, a complete structure at full
+closure, moves O(2^r * r^2) states per source in a few numpy calls per
+layer: on a 2-core Xeon host n = 10 takes ~6 ms, n = 14 ~0.1 s and
+n = 16 ~0.55 s.  Level-limited runs touch only subsets of size <= m, and
+sparse ones (loops, hierarchies) only the subsets some path visits, so
+n = 20 loops run in tens of milliseconds even at full closure.  The
+tests check the DP against explicit path enumeration.
 
 The extensions of Section 3.2 are :func:`overdraft_clamp` (``K^(m)``,
 clamping coefficients at 1 when row sums may exceed 1) and
@@ -142,50 +130,7 @@ def _coefficients_dp(S: np.ndarray, max_level: int) -> tuple[np.ndarray, dict[st
     return T, {"reachable": widest, "states": states}
 
 
-def _coefficients_dfs(S: np.ndarray, max_level: int) -> tuple[np.ndarray, dict[str, int]]:
-    """Oracle: explicit simple-path enumeration (exponential)."""
-    n = S.shape[0]
-    T = np.zeros((n, n))
-
-    def dfs(i: int, node: int, product: float, visited: int, depth: int) -> None:
-        if depth > max_level:
-            return
-        if node != i:
-            T[i, node] += product
-        if depth == max_level:
-            return
-        for k in range(n):
-            if k != i and not (visited & (1 << k)) and S[node, k] != 0.0:
-                dfs(i, k, product * S[node, k], visited | (1 << k), depth + 1)
-
-    for i in range(n):
-        dfs(i, i, 1.0, 1 << i, 0)
-    return T, {}
-
-
-def _coefficients_walk(S: np.ndarray, max_level: int) -> tuple[np.ndarray, dict[str, int]]:
-    """Walk approximation: sum of powers of S, diagonal zeroed per step."""
-    n = S.shape[0]
-    T = np.zeros((n, n))
-    P = np.eye(n)
-    for _ in range(max_level):
-        P = P @ S
-        np.fill_diagonal(P, 0.0)
-        T += P
-    np.fill_diagonal(T, 0.0)
-    return T, {}
-
-
-_METHODS = {
-    "dp": _coefficients_dp,
-    "dfs": _coefficients_dfs,
-    "walk": _coefficients_walk,
-}
-
-
-def transitive_coefficients(
-    S: np.ndarray, max_level: int | None = None, method: str = "dp"
-) -> np.ndarray:
+def transitive_coefficients(S: np.ndarray, max_level: int | None = None) -> np.ndarray:
     """Compute ``T^(m)`` for relative agreement matrix ``S``.
 
     Parameters
@@ -197,33 +142,23 @@ def transitive_coefficients(
         Maximum chain length ``m``.  ``None`` (or anything >= n-1) means
         the full transitive closure ``T^(n-1)`` — a simple path visits at
         most n-1 edges, so deeper levels add nothing.
-    method:
-        ``"dp"`` (exact, default), ``"dfs"`` (exact oracle) or ``"walk"``
-        (upper-bound approximation for large n).
     """
     S = _check_square(S)
     n = S.shape[0]
     m = n - 1 if max_level is None else int(max_level)
     if m < 0:
         raise AgreementError(f"max_level must be >= 0, got {max_level}")
-    m = min(m, n - 1) if method != "walk" else m
-    try:
-        fn = _METHODS[method]
-    except KeyError:
-        raise AgreementError(
-            f"unknown flow method {method!r}; choose from {sorted(_METHODS)}"
-        ) from None
+    m = min(m, n - 1)
     if m == 0:
         return np.zeros((n, n))
     obs = get_observer()
-    with obs.span("flow.coefficients", method=method, n=n, hop_depth=m) as span:
-        T, cost = fn(S, m)
+    with obs.span("flow.coefficients", n=n, hop_depth=m) as span:
+        T, cost = _coefficients_dp(S, m)
         span.set(**cost)
     if obs.enabled:
-        obs.counter("flow.builds", method=method)
+        obs.counter("flow.builds")
         obs.histogram("flow.hop_depth", m)
-        if "states" in cost:
-            obs.histogram("flow.dp_states", cost["states"], reachable=cost["reachable"])
+        obs.histogram("flow.dp_states", cost["states"], reachable=cost["reachable"])
     return T
 
 

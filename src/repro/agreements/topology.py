@@ -13,10 +13,9 @@ few dense matrix operations.
 This module gives each rate its own type:
 
 - :class:`AgreementTopology` — immutable and hashable: principals, the
-  relative matrix ``S``, the optional absolute matrix ``A``, the
-  overdraft flag and flow method.  It owns the per-level ``T``/``K``
-  coefficient cache, so any number of views (and any number of epochs)
-  amortise one DP run.
+  relative matrix ``S``, the optional absolute matrix ``A`` and the
+  overdraft flag.  It owns the per-level ``T``/``K`` coefficient cache,
+  so any number of views (and any number of epochs) amortise one DP run.
 - :class:`CapacityView` — a capacity vector ``V`` bound to a topology,
   answering the per-epoch queries (:meth:`~CapacityView.capacities`,
   :meth:`~CapacityView.u`, :meth:`~CapacityView.flows`) with per-level
@@ -75,8 +74,6 @@ class AgreementTopology:
     allow_overdraft:
         Lift the row-sum <= 1 restriction (Section 3.2); coefficients are
         then clamped with ``K``.
-    flow_method:
-        Algorithm for :func:`repro.agreements.flow.transitive_coefficients`.
     groups:
         Optional partition of principal indices into groups, recorded by
         :func:`repro.agreements.structures.hierarchical_structure` for the
@@ -95,7 +92,6 @@ class AgreementTopology:
         "S",
         "A",
         "allow_overdraft",
-        "flow_method",
         "groups",
         "_index",
         "_t_cache",
@@ -109,7 +105,6 @@ class AgreementTopology:
         A: np.ndarray | None = None,
         *,
         allow_overdraft: bool = False,
-        flow_method: str = "dp",
         groups: Sequence[Sequence[int]] | None = None,
     ) -> None:
         self.principals = tuple(principals)
@@ -118,7 +113,6 @@ class AgreementTopology:
             raise InvalidAgreementMatrixError("principal names must be unique")
         self._index = {p: i for i, p in enumerate(self.principals)}
         self.allow_overdraft = bool(allow_overdraft)
-        self.flow_method = str(flow_method)
         self.S = self._clean_relative(np.asarray(S, dtype=float).copy())
         self.A = self._clean_absolute(
             None if A is None else np.asarray(A, dtype=float).copy()
@@ -178,7 +172,6 @@ class AgreementTopology:
             self.S.tobytes(),
             None if self.A is None else self.A.tobytes(),
             self.allow_overdraft,
-            self.flow_method,
         )
 
     def __hash__(self) -> int:
@@ -216,7 +209,7 @@ class AgreementTopology:
         m = self._level(level)
         T = self._t_cache.get(m)
         if T is None:
-            T = _flow.transitive_coefficients(self.S, m, self.flow_method)
+            T = _flow.transitive_coefficients(self.S, m)
             if self.allow_overdraft:
                 T = _flow.overdraft_clamp(T)
             if _sanitize.enabled():
@@ -250,7 +243,7 @@ class AgreementTopology:
         return (
             f"AgreementTopology(n={self.n}, "
             f"edges={int(np.count_nonzero(self.S))}, "
-            f"overdraft={self.allow_overdraft}, method={self.flow_method!r})"
+            f"overdraft={self.allow_overdraft})"
         )
 
 
@@ -284,7 +277,6 @@ class CapacityView:
         A: np.ndarray | None = None,
         *,
         allow_overdraft: bool = False,
-        flow_method: str = "dp",
     ) -> "CapacityView":
         """Validate ``(principals, S, A)`` into a new topology and bind ``V``.
 
@@ -292,10 +284,7 @@ class CapacityView:
         ``j`` and ``A[i, j]`` a constant quantity granted by ``i`` to
         ``j``; see :class:`AgreementTopology` for the constraints.
         """
-        topology = AgreementTopology(
-            principals, S, A, allow_overdraft=allow_overdraft, flow_method=flow_method
-        )
-        return cls(topology, V)
+        return cls(AgreementTopology(principals, S, A, allow_overdraft=allow_overdraft), V)
 
     # -- structure passthrough -------------------------------------------------
 
@@ -318,10 +307,6 @@ class CapacityView:
     @property
     def allow_overdraft(self) -> bool:
         return self.topology.allow_overdraft
-
-    @property
-    def flow_method(self) -> str:
-        return self.topology.flow_method
 
     @property
     def max_level(self) -> int:

@@ -12,8 +12,6 @@ flow bounds, minimising the perturbation metric
 - :mod:`~repro.allocation.endpoint` — the Figure-13 baseline that
   redistributes proportionally to direct agreement quantities without
   global availability information;
-- :mod:`~repro.allocation.greedy` — a most-available-first waterfilling
-  baseline;
 - :mod:`~repro.allocation.multiresource` — vector requests (one LP per
   resource type) and coupled-resource binding;
 - :mod:`~repro.allocation.hierarchical` — the Section-3.2 multigrid
@@ -22,7 +20,6 @@ flow bounds, minimising the perturbation metric
 
 from .costaware import allocate_cost_aware
 from .endpoint import allocate_endpoint
-from .greedy import allocate_greedy
 from .hierarchical import allocate_hierarchical
 from .lp_allocator import allocate_lp
 from .multiresource import MultiResourceRequest, allocate_multi
@@ -34,7 +31,6 @@ __all__ = [
     "allocate_lp",
     "allocate_cost_aware",
     "allocate_endpoint",
-    "allocate_greedy",
     "allocate_hierarchical",
     "allocate_multi",
     "MultiResourceRequest",

@@ -53,10 +53,7 @@ def coarsen(system: CapacityView, groups: Sequence[Sequence[int]]) -> CapacityVi
                 system.S[i, j] * system.V[i] for i in g for j in h
             ) / Vg[gi]
     names = [f"group{gi}" for gi in range(ng)]
-    return CapacityView.from_matrices(
-        names, Vg, Sg, allow_overdraft=system.allow_overdraft,
-        flow_method=system.flow_method,
-    )
+    return CapacityView.from_matrices(names, Vg, Sg, allow_overdraft=system.allow_overdraft)
 
 
 def _subsystem(system: CapacityView, members: Sequence[int]) -> CapacityView:
@@ -69,7 +66,6 @@ def _subsystem(system: CapacityView, members: Sequence[int]) -> CapacityView:
         system.S[np.ix_(idx, idx)],
         None if system.A is None else system.A[np.ix_(idx, idx)],
         allow_overdraft=system.allow_overdraft,
-        flow_method=system.flow_method,
     )
 
 

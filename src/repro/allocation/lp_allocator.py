@@ -22,16 +22,10 @@ the tests:
 donor ``k`` has ``T_kA < 1``, contradicting (3); and applying (6) at
 ``i = A`` under (3) forces ``theta >= x``, which makes every feasible
 point optimal (every other principal's drop is bounded by ``x``), i.e. a
-degenerate objective.  We therefore support both consistent readings:
-
-- ``objective="others"`` (default, keeps (3)): the requester's post-
-  allocation capacity is *defined* as ``C_A - x`` and the metric is
-  ``theta = max_{i != A} (C_i - C'_i)``;
-- ``objective="all"`` (keeps (2) for every row, drops (3)): ``C'_A`` is
-  computed like everyone else's and the metric ranges over all principals.
-
-Both yield valid agreement-respecting allocations; they may differ in
-which donor they prefer in ties.
+degenerate objective.  The LP therefore keeps (3): the requester's
+post-allocation capacity is *defined* as ``C_A - x``, (2) and (6) apply
+to the other principals only, and the metric is
+``theta = max_{i != A} (C_i - C'_i)``.
 
 **Absolute agreements.**  (2) sums relative flows only, but ``C_i`` also
 holds absolute grants (Section 3.2's ``U_ki = min(I_ki + A_ki, V_k)``).
@@ -45,8 +39,9 @@ remainders ``V'``, plus ``theta`` — the ``n^2 + n + 1`` of Section 3.1).
 ``formulation="reduced"`` eliminates ``I'`` and ``C'`` algebraically
 (substituting (1) into (2)) leaving only the takes ``d_i = V_i - V'_i``
 and ``theta``.  The optima are identical (property-tested); reduced is the
-default in the simulator for speed.  Both are built directly as arrays
-and solved by :func:`repro.lp.solve` with either backend.
+default and every caller in the package uses it, while the faithful form
+serves as the tests' oracle.  Both are built directly as arrays and
+solved by :func:`repro.lp.solve` with either backend.
 
 :func:`take_blocks` builds the reduced LP's rows once — the capacity-drop
 rows, the total row and the take bounds — and every allocator that
@@ -79,7 +74,6 @@ def allocate_lp(
     *,
     level: int | None = None,
     formulation: str = "reduced",
-    objective: str = "others",
     backend: str = "scipy",
     partial: bool = False,
 ) -> Allocation:
@@ -96,8 +90,6 @@ def allocate_lp(
         Transitivity level ``m`` (``None`` = full closure).
     formulation:
         ``"reduced"`` (default) or ``"faithful"`` — see module docstring.
-    objective:
-        ``"others"`` (default) or ``"all"`` — see module docstring.
     backend:
         LP backend (``"scipy"`` or ``"simplex"``).
     partial:
@@ -112,8 +104,6 @@ def allocate_lp(
     """
     if formulation not in ("reduced", "faithful"):
         raise LPError(f"unknown formulation {formulation!r}; use 'reduced' or 'faithful'")
-    if objective not in ("others", "all"):
-        raise LPError(f"unknown objective {objective!r}; use 'others' or 'all'")
     if backend not in BACKENDS:
         raise LPError(f"unknown LP backend {backend!r}; choose from {sorted(BACKENDS)}")
     request = AllocationRequest(principal, amount, level)
@@ -145,12 +135,11 @@ def allocate_lp(
             )
 
         with obs.span("lp.build", formulation=formulation, n=n):
-            rows = np.arange(n) if objective == "all" else np.delete(np.arange(n), a)
-            drops, total, ub = take_blocks(a, V, U, T, rows)
+            drops, total, ub = take_blocks(a, V, U, T, np.delete(np.arange(n), a))
             if formulation == "reduced":
                 arrays = min_theta_lp(x, drops, total, ub)
             else:
-                arrays = _faithful_arrays(a, x, V, U, C, T, ub, rows, objective)
+                arrays = _faithful_arrays(a, x, V, U, C, T, ub)
         res = solve(*arrays, backend=backend, model=f"allocate-{formulation}")
         if not res.ok:
             obs.counter("allocation.infeasible")
@@ -208,14 +197,14 @@ def min_theta_lp(x, drops, total, ub):
     return c, A_ub, np.zeros(m), A_eq, np.array([x]), bounds
 
 
-def _faithful_arrays(a, x, V, U, C, T, ub, rows, objective):
+def _faithful_arrays(a, x, V, U, C, T, ub):
     """The paper's full variable set as arrays, over
     ``[V'_0 .. V'_{n-1}, C'_0 .. C'_{n-1}, I'_ij (i != j, row-major), theta]``.
 
     Equality rows: (1) ``I'_ij - T_ij V'_i = 0``; (2) ``C'_i - V'_i -
-    sum_k I'_ki = a_i`` for ``i`` in ``rows``; (3) ``C'_A = C_A - x`` under
-    ``"others"``; (5) ``-sum V' = x - sum V``.  Inequality rows, per ``i``
-    in ``rows``: (6) ``-C'_i - theta <= -C_i`` then ``C'_i <= C_i``.
+    sum_k I'_ki = a_i`` for ``i != A``; (3) ``C'_A = C_A - x``; (5)
+    ``-sum V' = x - sum V``.  Inequality rows, per ``i != A``: (6)
+    ``-C'_i - theta <= -C_i`` then ``C'_i <= C_i``.
 
     ``a_i = sum_k (U_ki - V_k T_ki)`` is the part of ``C_i`` the relative
     flows do not carry — absolute grants and clamps at donor capacity —
@@ -228,10 +217,10 @@ def _faithful_arrays(a, x, V, U, C, T, ub, rows, objective):
     flow = 2 * n + np.arange(nf)  # column of I'_ij
     theta = 2 * n + nf
     nvar = theta + 1
+    rows = np.delete(np.arange(n), a)
     r = len(rows)
-    requester = objective == "others"
 
-    A_eq = np.zeros((nf + r + requester + 1, nvar))
+    A_eq = np.zeros((nf + r + 2, nvar))
     b_eq = np.zeros(len(A_eq))
     f = np.arange(nf)
     A_eq[f, flow] = 1.0
@@ -242,9 +231,8 @@ def _faithful_arrays(a, x, V, U, C, T, ub, rows, objective):
     row, inflow = np.nonzero(rows[:, None] == dst)  # I'_ki enters C'_i
     A_eq[cap[row], flow[inflow]] = -1.0
     b_eq[cap] = (U - V[:, None] * T).sum(axis=0)[rows]
-    if requester:
-        A_eq[nf + r, n + a] = 1.0
-        b_eq[nf + r] = C[a] - x
+    A_eq[nf + r, n + a] = 1.0
+    b_eq[nf + r] = C[a] - x
     A_eq[-1, :n] = -1.0
     # x - sum V, with V summed strictly left to right (np.sum pairs terms).
     b_eq[-1] = x - np.cumsum(V)[-1]

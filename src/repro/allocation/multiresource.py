@@ -42,8 +42,6 @@ def allocate_multi(
     systems: dict[str, CapacityView],
     request: MultiResourceRequest,
     *,
-    formulation: str = "reduced",
-    objective: str = "others",
     backend: str = "scipy",
 ) -> dict[str, Allocation]:
     """Solve one allocation LP per requested resource type.
@@ -96,8 +94,6 @@ def allocate_multi(
             request.principal,
             quantity,
             level=request.level,
-            formulation=formulation,
-            objective=objective,
             backend=backend,
         )
     return plans

@@ -12,16 +12,12 @@ proxies; this package is the substrate it runs on:
 """
 
 from .engine import Engine, Event
-from .process import Process, Waiter, spawn
 from .queues import QueuedItem, WorkQueue
 from .stats import SlotSeries, SummaryStats
 
 __all__ = [
     "Engine",
     "Event",
-    "Process",
-    "Waiter",
-    "spawn",
     "WorkQueue",
     "QueuedItem",
     "SlotSeries",

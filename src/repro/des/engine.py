@@ -81,12 +81,12 @@ class Engine:
             raise SimulationError(f"negative delay {delay:g}")
         return self.schedule_at(self._now + delay, fn)
 
-    def run(self, until: float | None = None, max_events: int | None = None) -> None:
+    def run(self, until: float | None = None) -> None:
         """Process events in time order.
 
-        Stops when the heap is empty, the next event is after ``until``
-        (the clock then advances to ``until``), or ``max_events`` have
-        fired.  Re-entrant calls are rejected.
+        Stops when the heap is empty or the next event is after ``until``
+        (the clock then advances to ``until``).  Re-entrant calls are
+        rejected.
         """
         if self._running:
             raise SimulationError("Engine.run is not re-entrant")
@@ -106,8 +106,6 @@ class Engine:
                 self._now = ev.time
                 ev.fn()
                 fired += 1
-                if max_events is not None and fired >= max_events:
-                    return
             if until is not None and self._now < until:
                 self._now = until
         finally:

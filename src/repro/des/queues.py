@@ -70,21 +70,21 @@ class WorkQueue:
         self._items.append(item)
         self._backlog += item.service
 
-    def pop_tail(self, max_work: float, max_hops: int | None = None) -> list[QueuedItem]:
+    def pop_tail(self, max_work: float) -> list[QueuedItem]:
         """Remove up to ``max_work`` seconds of work from the *tail*.
 
         Redirection takes the most recently queued requests (they would
-        wait longest locally); earlier arrivals keep their position.  With
-        ``max_hops`` set, items already redirected that many times are
-        skipped (left in place, order preserved).  Returns the removed
-        items, oldest first.
+        wait longest locally); earlier arrivals keep their position.  The
+        paper's scheme redirects a queued request once, so items already
+        redirected (``hops > 0``) are skipped (left in place, order
+        preserved).  Returns the removed items, oldest first.
         """
         removed: list[QueuedItem] = []
         kept: list[QueuedItem] = []
         work = 0.0
         while self._items:
             item = self._items[-1]
-            eligible = max_hops is None or item.hops < max_hops
+            eligible = item.hops == 0
             if eligible and work + item.service > max_work + 1e-12:
                 break
             self._items.pop()

@@ -93,7 +93,7 @@ class Bank:
         self._tickets: dict[int, Ticket] = {}  # live tickets only
         self._revoked: set[int] = set()
         self._version = 0
-        # flattened topology per (resource_type, overdraft, flow_method),
+        # flattened topology per (resource_type, overdraft),
         # valid for one bank version: key -> (version, topology, V)
         self._topology_cache: dict[tuple, tuple[int, AgreementTopology, np.ndarray]] = {}
 
@@ -341,7 +341,7 @@ class Bank:
 
         Such currencies promise more than 100% of their value — the
         "overdraft" situation of Section 3.2.  Legal, but the enforcement
-        layer will clamp flows (see :mod:`repro.agreements.overdraft`).
+        layer will clamp flows (see :func:`repro.agreements.flow.overdraft_clamp`).
         """
         issued: dict[str, float] = {}
         for t in self._tickets.values():
@@ -447,7 +447,7 @@ class Bank:
         return principals, V, S, A
 
     def _flattened(
-        self, resource_type: str, allow_overdraft: bool, flow_method: str
+        self, resource_type: str, allow_overdraft: bool
     ) -> tuple[int, AgreementTopology, np.ndarray]:
         """The version-keyed cache entry behind :meth:`topology`.
 
@@ -456,7 +456,7 @@ class Bank:
         entry was made; every other call is a dictionary hit.  Counters:
         ``topology.cache_hit`` / ``topology.cache_miss`` / ``topology.rebuilds``.
         """
-        key = (resource_type, bool(allow_overdraft), flow_method)
+        key = (resource_type, bool(allow_overdraft))
         obs = get_observer()
         entry = self._topology_cache.get(key)
         if entry is not None and entry[0] == self._version:
@@ -473,7 +473,6 @@ class Bank:
                 S,
                 A if np.any(A) else None,
                 allow_overdraft=allow_overdraft,
-                flow_method=flow_method,
             )
         obs.counter("topology.rebuilds", resource_type=resource_type)
         V = np.asarray(V, dtype=float)
@@ -483,11 +482,7 @@ class Bank:
         return entry
 
     def topology(
-        self,
-        resource_type: str = "general",
-        *,
-        allow_overdraft: bool = False,
-        flow_method: str = "dp",
+        self, resource_type: str = "general", *, allow_overdraft: bool = False
     ) -> AgreementTopology:
         """The flattened agreement topology, cached on ``(version, key)``.
 
@@ -499,21 +494,17 @@ class Bank:
         forces a rebuild on next access, which is what makes a ticket
         revocation take effect on the very next scheduling decision.
         """
-        return self._flattened(resource_type, allow_overdraft, flow_method)[1]
+        return self._flattened(resource_type, allow_overdraft)[1]
 
     def base_capacities(self, resource_type: str = "general") -> np.ndarray:
         """Raw owned capacities ``V`` (base deposits), cache-aligned with
         :meth:`topology` and in the same principal order."""
-        return self._flattened(resource_type, False, "dp")[2]
+        return self._flattened(resource_type, False)[2]
 
     def capacity_view(
-        self,
-        resource_type: str = "general",
-        *,
-        allow_overdraft: bool = False,
-        flow_method: str = "dp",
+        self, resource_type: str = "general", *, allow_overdraft: bool = False
     ) -> CapacityView:
         """A :class:`~repro.agreements.topology.CapacityView` of the bank's
         deposited capacities over the cached topology."""
-        _, topology, V = self._flattened(resource_type, allow_overdraft, flow_method)
+        _, topology, V = self._flattened(resource_type, allow_overdraft)
         return topology.view(V)

@@ -27,9 +27,9 @@ Instrumented call sites follow one pattern::
     from ..obs import get_observer
     ...
     obs = get_observer()
-    with obs.span("flow.coefficients", method=method) as sp:
+    with obs.span("flow.coefficients", n=n, hop_depth=m) as sp:
         ...
-    obs.counter("flow.builds", method=method)
+    obs.counter("flow.builds")
 
 Spans automatically feed a duration histogram named ``span.<name>``, so
 enabling metrics alone (no trace file) still yields timing breakdowns.

@@ -20,7 +20,7 @@ request's spans into a single causal tree.
 
 Use as a context manager::
 
-    with tracer.span("flow.coefficients", method="dp") as sp:
+    with tracer.span("flow.coefficients", n=10) as sp:
         ...
         sp.set(states=12)
 

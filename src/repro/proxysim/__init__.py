@@ -13,15 +13,14 @@ by solving the Section-3 LP (or one of the baseline schemes).
 - :class:`~repro.proxysim.metrics.SimulationResult` — per-slot series and
   scalar summaries matching what the figures plot;
 - :mod:`~repro.proxysim.redirect` — redirection policies: none,
-  LP (centralized, transitive), endpoint (proportional, Figure 13's
-  baseline), greedy.
+  LP (centralized, transitive) and endpoint (proportional, Figure 13's
+  baseline).
 """
 
 from .config import ServiceModel, SimulationConfig
 from .metrics import SimulationResult
 from .redirect import (
     EndpointPolicy,
-    GreedyPolicy,
     LPPolicy,
     NoSharingPolicy,
     RedirectPolicy,
@@ -39,6 +38,5 @@ __all__ = [
     "NoSharingPolicy",
     "LPPolicy",
     "EndpointPolicy",
-    "GreedyPolicy",
     "make_policy",
 ]

@@ -74,7 +74,7 @@ class SimulationConfig:
     per-proxy tuple.  1.25 models '25% more resources' (Figure 7)."""
 
     scheme: str = "lp"
-    """Redirection policy: 'none', 'lp', 'endpoint', or 'greedy'."""
+    """Redirection policy: 'none', 'lp' or 'endpoint'."""
 
     level: int | None = None
     """Transitivity level enforced by the scheduler (None = full closure)."""
@@ -87,11 +87,6 @@ class SimulationConfig:
 
     threshold: float = 60.0
     """Queued work (seconds) above which the global scheduler is consulted."""
-
-    max_hops: int | None = 1
-    """Redirect a request at most this many times (None = unlimited).  The
-    paper's scheme redirects a queued request once, to the proxy the
-    scheduler picked."""
 
     lookahead: float = 600.0
     """Window (seconds) over which donor availability is projected."""
@@ -112,14 +107,11 @@ class SimulationConfig:
 
     seed: int = 0
     allocator_backend: str = "scipy"
-    allocator_formulation: str = "reduced"
-    slot_width: float = 600.0
-    """Statistics slot width (the paper's 10-minute slots)."""
 
     def __post_init__(self) -> None:
         if self.n_proxies < 1:
             raise SimulationError("need at least one proxy")
-        if self.scheme not in ("none", "lp", "endpoint", "greedy"):
+        if self.scheme not in ("none", "lp", "endpoint"):
             raise SimulationError(f"unknown scheme {self.scheme!r}")
         if self.epoch <= 0 or self.threshold < 0 or self.lookahead <= 0:
             raise SimulationError("epoch/lookahead must be positive, threshold >= 0")

@@ -17,6 +17,9 @@ from ..workload.diurnal import DAY_SECONDS
 
 __all__ = ["SimulationResult"]
 
+#: Statistics slot width: the paper's figures plot 10-minute slots.
+SLOT_SECONDS = 600.0
+
 
 @dataclass
 class SimulationResult:
@@ -28,7 +31,6 @@ class SimulationResult:
     """
 
     n_proxies: int
-    slot_width: float = 600.0
     waits_by_proxy: list[SlotSeries] = field(default_factory=list)
     waits_all: SlotSeries = None  # type: ignore[assignment]
     redirects: SlotSeries = None  # type: ignore[assignment]
@@ -45,13 +47,12 @@ class SimulationResult:
     def __post_init__(self) -> None:
         if not self.waits_by_proxy:
             self.waits_by_proxy = [
-                SlotSeries(DAY_SECONDS, self.slot_width)
-                for _ in range(self.n_proxies)
+                SlotSeries(DAY_SECONDS, SLOT_SECONDS) for _ in range(self.n_proxies)
             ]
         if self.waits_all is None:
-            self.waits_all = SlotSeries(DAY_SECONDS, self.slot_width)
+            self.waits_all = SlotSeries(DAY_SECONDS, SLOT_SECONDS)
         if self.redirects is None:
-            self.redirects = SlotSeries(DAY_SECONDS, self.slot_width)
+            self.redirects = SlotSeries(DAY_SECONDS, SLOT_SECONDS)
 
     # -- recording (used by the simulator) ---------------------------------
 
@@ -94,7 +95,7 @@ class SimulationResult:
         have a donor ``skip`` hours away, so those figures aggregate over
         the proxies whose donors are genuine.
         """
-        merged = SlotSeries(self.waits_all.horizon, self.slot_width)
+        merged = SlotSeries(self.waits_all.horizon, SLOT_SECONDS)
         for o in origins:
             merged.merge(self.waits_by_proxy[o])
         return merged

@@ -10,8 +10,7 @@ lookahead window, how much work goes to whom?
   agreement system, enforcing (level-limited) transitive flow bounds and
   minimising global perturbation;
 - :class:`EndpointPolicy` — Figure 13's baseline: proportional to direct
-  agreement quantities, blind to remote availability;
-- :class:`GreedyPolicy` — availability-aware but agreement-bound greedy.
+  agreement quantities, blind to remote availability.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import numpy as np
 
 from ..agreements.topology import CapacityView
 from ..allocation.endpoint import allocate_endpoint
-from ..allocation.greedy import allocate_greedy
 from ..allocation.lp_allocator import allocate_lp
 from ..errors import SimulationError
 from ..obs import get_observer
@@ -31,7 +29,6 @@ __all__ = [
     "NoSharingPolicy",
     "LPPolicy",
     "EndpointPolicy",
-    "GreedyPolicy",
     "make_policy",
 ]
 
@@ -94,12 +91,10 @@ class LPPolicy(_SystemPolicy):
         self,
         system: CapacityView,
         level: int | None = None,
-        formulation: str = "reduced",
         backend: str = "scipy",
     ):
         super().__init__(system)
         self.level = level
-        self.formulation = formulation
         self.backend = backend
 
     def plan(self, requester: int, excess: float, avail: np.ndarray) -> np.ndarray:
@@ -120,7 +115,6 @@ class LPPolicy(_SystemPolicy):
                 principal,
                 excess,
                 level=self.level,
-                formulation=self.formulation,
                 backend=self.backend,
                 partial=True,
             )
@@ -157,24 +151,6 @@ class EndpointPolicy(_SystemPolicy):
         return take
 
 
-class GreedyPolicy(_SystemPolicy):
-    """Most-available-donor-first, bounded by direct+transitive agreements."""
-
-    def __init__(self, system: CapacityView, level: int | None = None):
-        super().__init__(system)
-        self.level = level
-
-    def plan(self, requester: int, excess: float, avail: np.ndarray) -> np.ndarray:
-        live = self._live(avail)
-        allocation = allocate_greedy(
-            live, live.principals[requester], excess,
-            level=self.level, partial=True,
-        )
-        take = allocation.take.copy()
-        take[requester] += max(excess - allocation.satisfied, 0.0)
-        return take
-
-
 def make_policy(config, system: CapacityView | None) -> RedirectPolicy:
     """Build the policy named by ``config.scheme``."""
     if config.scheme == "none":
@@ -189,14 +165,7 @@ def make_policy(config, system: CapacityView | None) -> RedirectPolicy:
             f"has {config.n_proxies} proxies"
         )
     if config.scheme == "lp":
-        return LPPolicy(
-            system,
-            level=config.level,
-            formulation=config.allocator_formulation,
-            backend=config.allocator_backend,
-        )
+        return LPPolicy(system, level=config.level, backend=config.allocator_backend)
     if config.scheme == "endpoint":
         return EndpointPolicy(system, config.capacities() * config.lookahead)
-    if config.scheme == "greedy":
-        return GreedyPolicy(system, level=config.level)
     raise SimulationError(f"unknown scheme {config.scheme!r}")  # pragma: no cover

@@ -92,9 +92,7 @@ class ProxySimulation:
             base.with_skew(i * config.gap) for i in range(config.n_proxies)
         ]
         self._mean_service = mean_service
-        self.result = SimulationResult(
-            n_proxies=config.n_proxies, slot_width=config.slot_width
-        )
+        self.result = SimulationResult(n_proxies=config.n_proxies)
 
     # -- internals -----------------------------------------------------------
 
@@ -170,7 +168,7 @@ class ProxySimulation:
             donor = int(donor)
             if donor == proxy or take[donor] <= 1e-9:
                 continue
-            moved = queue.pop_tail(float(take[donor]), cfg.max_hops)
+            moved = queue.pop_tail(float(take[donor]))
             if not moved:
                 continue
             target = self.queues[donor]

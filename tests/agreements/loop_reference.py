@@ -1,9 +1,10 @@
 """Loop reference for the subset DP in :mod:`repro.agreements.flow`.
 
-This is the dict-of-bitmasks dynamic program the vectorised ``"dp"``
-method replaced, kept verbatim as a test oracle: it walks one subset
-and one next node at a time in Python, so it is slow but easy to
-audit, and unlike the DFS oracle it stays affordable up to n = 12.
+This is the dict-of-bitmasks dynamic program the vectorised DP
+replaced, kept verbatim as a test oracle: it walks one subset and one
+next node at a time in Python, so it is slow but easy to audit, and
+unlike the DFS oracle (:mod:`dfs_reference`) it stays affordable up to
+n = 12.
 """
 
 from __future__ import annotations

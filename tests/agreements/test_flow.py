@@ -23,6 +23,7 @@ from repro.agreements.flow import (
 )
 from repro.errors import AgreementError
 
+from .dfs_reference import coefficients_dfs
 from .loop_reference import coefficients_loop
 
 # The vectorised DP sums the same products as the loop reference in a
@@ -102,8 +103,6 @@ class TestCoefficientsBasics:
             transitive_coefficients(np.zeros((2, 3)))
         with pytest.raises(AgreementError):
             transitive_coefficients(np.zeros((3, 3)), -1)
-        with pytest.raises(AgreementError):
-            transitive_coefficients(np.zeros((3, 3)), 2, method="magic")
 
 
 class TestMethodAgreement:
@@ -111,8 +110,8 @@ class TestMethodAgreement:
     @pytest.mark.parametrize("level", [1, 2, None])
     def test_dp_matches_dfs_oracle(self, n, level):
         S = random_S(42 + n, n)
-        T_dp = transitive_coefficients(S, level, "dp")
-        T_dfs = transitive_coefficients(S, level, "dfs")
+        T_dp = transitive_coefficients(S, level)
+        T_dfs = coefficients_dfs(S, n - 1 if level is None else level)
         np.testing.assert_allclose(T_dp, T_dfs, atol=1e-12)
 
     @given(st.integers(0, 10_000), st.integers(2, 7))
@@ -121,9 +120,7 @@ class TestMethodAgreement:
         S = random_S(seed, n, density=0.7)
         for m in (1, 2, n - 1):
             np.testing.assert_allclose(
-                transitive_coefficients(S, m, "dp"),
-                transitive_coefficients(S, m, "dfs"),
-                atol=1e-12,
+                transitive_coefficients(S, m), coefficients_dfs(S, m), atol=1e-12
             )
 
     @given(st.data())
@@ -136,29 +133,8 @@ class TestMethodAgreement:
         n = S.shape[0]
         for m in range(1, n):
             np.testing.assert_allclose(
-                transitive_coefficients(S, m, "dp"),
-                transitive_coefficients(S, m, "dfs"),
-                rtol=1e-12,
-                atol=1e-12,
+                transitive_coefficients(S, m), coefficients_dfs(S, m), rtol=1e-12, atol=1e-12
             )
-
-    @given(st.integers(0, 10_000), st.integers(2, 7))
-    @settings(max_examples=30, deadline=None)
-    def test_walk_upper_bounds_exact(self, seed, n):
-        S = random_S(seed, n)
-        T = transitive_coefficients(S, None, "dp")
-        W = transitive_coefficients(S, n - 1, "walk")
-        assert np.all(W >= T - 1e-12)
-
-    def test_walk_equals_exact_on_dags(self):
-        # Without cycles, walks are simple paths, so the methods coincide.
-        n = 6
-        S = np.triu(random_S(7, n), k=1)
-        np.testing.assert_allclose(
-            transitive_coefficients(S, None, "walk")[np.triu_indices(n, 1)],
-            transitive_coefficients(S, None, "dp")[np.triu_indices(n, 1)],
-            atol=1e-12,
-        )
 
 
 @st.composite
@@ -195,7 +171,7 @@ class TestLoopReference:
     def test_dense_random_full_closure(self, n):
         S = random_S(100 + n, n, scale=0.9 / (n - 1))
         np.testing.assert_allclose(
-            transitive_coefficients(S, None, "dp"),
+            transitive_coefficients(S, None),
             coefficients_loop(S, n - 1),
             rtol=LOOP_RTOL,
             atol=LOOP_ATOL,
@@ -206,7 +182,7 @@ class TestLoopReference:
     def test_partial_density_levels(self, n, level):
         S = random_S(200 + n, n, density=0.5, scale=0.5)
         np.testing.assert_allclose(
-            transitive_coefficients(S, level, "dp"),
+            transitive_coefficients(S, level),
             coefficients_loop(S, level),
             rtol=LOOP_RTOL,
             atol=LOOP_ATOL,
@@ -227,7 +203,7 @@ class TestLoopReference:
         n = S.shape[0]
         for m in range(1, n):
             np.testing.assert_allclose(
-                transitive_coefficients(S, m, "dp"),
+                transitive_coefficients(S, m),
                 coefficients_loop(S, m),
                 rtol=LOOP_RTOL,
                 atol=LOOP_ATOL,
@@ -242,7 +218,7 @@ class TestDPCost:
         tracemalloc.start()
         try:
             start = time.perf_counter()
-            T = transitive_coefficients(S, 3, "dp")
+            T = transitive_coefficients(S, 3)
             elapsed = time.perf_counter() - start
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -257,11 +233,11 @@ class TestDPCost:
         """A complete n = 14 closure builds ~2^13 subsets per source; none
         of that, nor any per-size index table, may outlive the call."""
         S = complete_structure(14, share=1 / 13).S
-        transitive_coefficients(complete_structure(4, share=0.3).S, None, "dp")
+        transitive_coefficients(complete_structure(4, share=0.3).S, None)
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
-            T = transitive_coefficients(S, None, "dp")
+            T = transitive_coefficients(S, None)
             after, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -273,7 +249,7 @@ class TestDPCost:
         fit int64, yet level 2 is cheap and must stay exact."""
         n, share = 66, 0.01
         S = complete_structure(n, share=share).S
-        T = transitive_coefficients(S, 2, "dp")
+        T = transitive_coefficients(S, 2)
         off = T[~np.eye(n, dtype=bool)]
         # direct share plus one two-hop path through each other node
         np.testing.assert_allclose(off, share + (n - 2) * share**2, rtol=1e-12)
@@ -281,7 +257,7 @@ class TestDPCost:
     def test_unreachable_targets_are_zero(self):
         # two disjoint cycles: nothing flows between them at any level
         S = loop_structure(8, share=0.5, skip=2).S
-        T = transitive_coefficients(S, None, "dp")
+        T = transitive_coefficients(S, None)
         assert not np.any(T[0::2, 1::2]) and not np.any(T[1::2, 0::2])
 
 

@@ -140,7 +140,7 @@ class TestIdentity:
         assert topo() != AgreementTopology(P3, other)
 
     def test_flags_part_of_identity(self):
-        assert topo() != topo(flow_method="dfs")
+        assert topo() != topo(allow_overdraft=True)
 
     def test_usable_as_dict_key(self):
         cache = {topo(): "cached"}
@@ -182,8 +182,8 @@ class TestCaching:
 
 class TestFromMatrices:
     def test_builds_a_fresh_topology(self):
-        view = CapacityView.from_matrices(P3, V3, S3, A3, flow_method="dfs")
-        assert view.topology == topo(A=A3, flow_method="dfs")
+        view = CapacityView.from_matrices(P3, V3, S3, A3, allow_overdraft=True)
+        assert view.topology == topo(A=A3, allow_overdraft=True)
         np.testing.assert_allclose(view.capacities(), view.topology.capacities(V3))
 
     def test_groups_live_on_the_topology(self):
@@ -226,7 +226,7 @@ def test_view_matches_direct_flow_computation(structure):
 
     # the flow pipeline applied directly
     m = n - 1 if level is None else min(level, n - 1)
-    T = flow.transitive_coefficients(S, m, "dp")
+    T = flow.transitive_coefficients(S, m)
     I = flow.flow_matrix(V, T)
     U = flow.u_matrix(I, A, V)
     C = flow.capacities(V, U)

@@ -1,10 +1,10 @@
-"""Tests for the endpoint (Figure 13) and greedy baseline allocators."""
+"""Tests for the endpoint (Figure 13) baseline allocator."""
 
 import numpy as np
 import pytest
 
 from repro.agreements import CapacityView, complete_structure, distance_decay_structure
-from repro.allocation import allocate_endpoint, allocate_greedy, allocate_lp
+from repro.allocation import allocate_endpoint, allocate_lp
 from repro.errors import InsufficientResourcesError
 
 
@@ -59,46 +59,3 @@ class TestEndpoint:
         assert al.take[1] <= 0.1 + 1e-9
         assert al.take[2] <= 0.1 + 1e-9
         assert al.satisfied == pytest.approx(1.2)
-
-
-class TestGreedy:
-    def test_local_first(self):
-        sys_ = complete_structure(5, 0.1, capacity=2.0)
-        al = allocate_greedy(sys_, "isp0", 1.0)
-        assert al.local_take == pytest.approx(1.0)
-
-    def test_most_available_donor_first(self):
-        S = np.array(
-            [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.5, 0.0, 0.0]], dtype=float
-        )
-        sys_ = CapacityView.from_matrices(["a", "b", "c"], np.array([0.0, 2.0, 6.0]), S)
-        al = allocate_greedy(sys_, "a", 2.0)
-        # c offers 3.0, b offers 1.0; greedy takes all from c first.
-        assert al.take[2] == pytest.approx(2.0)
-        assert al.take[1] == pytest.approx(0.0)
-
-    def test_spills_to_next_donor(self):
-        S = np.array(
-            [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.5, 0.0, 0.0]], dtype=float
-        )
-        sys_ = CapacityView.from_matrices(["a", "b", "c"], np.array([0.0, 2.0, 6.0]), S)
-        al = allocate_greedy(sys_, "a", 3.5)
-        assert al.take[2] == pytest.approx(3.0)
-        assert al.take[1] == pytest.approx(0.5)
-
-    def test_insufficient_raises(self):
-        sys_ = complete_structure(3, 0.1, capacity=1.0)
-        with pytest.raises(InsufficientResourcesError):
-            allocate_greedy(sys_, "isp0", 5.0)
-
-    def test_partial(self):
-        sys_ = complete_structure(3, 0.1, capacity=1.0)
-        al = allocate_greedy(sys_, "isp0", 5.0, partial=True)
-        # 1 own + 2 donors at (0.1 direct + 0.1*0.1 transitive) each.
-        assert al.satisfied == pytest.approx(1.22)
-
-    def test_respects_level(self):
-        S = np.array([[0, 0.5, 0], [0, 0, 0.5], [0, 0, 0]], dtype=float)
-        sys_ = CapacityView.from_matrices(["a", "b", "c"], np.array([8.0, 4.0, 0.0]), S)
-        al = allocate_greedy(sys_, "c", 4.0, level=1, partial=True)
-        assert al.satisfied == pytest.approx(2.0)  # only b reachable

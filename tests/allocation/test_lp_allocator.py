@@ -110,24 +110,20 @@ class TestConstraints:
 
 
 class TestFormulationsAgree:
-    @pytest.mark.parametrize("objective", ["others", "all"])
-    def test_reduced_equals_faithful(self, objective):
+    def test_reduced_equals_faithful(self):
         sys_ = complete_structure(6, 0.15, capacity=1.5)
         for amount in (0.5, 2.0, 3.0):
-            r = allocate_lp(sys_, "isp2", amount, formulation="reduced",
-                            objective=objective)
-            f = allocate_lp(sys_, "isp2", amount, formulation="faithful",
-                            objective=objective)
+            r = allocate_lp(sys_, "isp2", amount, formulation="reduced")
+            f = allocate_lp(sys_, "isp2", amount, formulation="faithful")
             assert r.theta == pytest.approx(f.theta, abs=1e-6)
 
     @given(
         st.integers(0, 5_000),
         st.booleans(),
-        st.sampled_from(["others", "all"]),
         st.sampled_from(["scipy", "simplex"]),
     )
     @settings(max_examples=25, deadline=None)
-    def test_formulations_agree_property(self, seed, absolute, objective, backend):
+    def test_formulations_agree_property(self, seed, absolute, backend):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 7))
         S = rng.random((n, n)) * (0.9 / n)
@@ -141,9 +137,8 @@ class TestFormulationsAgree:
         a = int(rng.integers(0, n))
         cap = sys_.capacity_of(f"p{a}")
         x = float(rng.random() * cap)
-        kw = dict(objective=objective, backend=backend)
-        r = allocate_lp(sys_, f"p{a}", x, formulation="reduced", **kw)
-        f = allocate_lp(sys_, f"p{a}", x, formulation="faithful", **kw)
+        r = allocate_lp(sys_, f"p{a}", x, formulation="reduced", backend=backend)
+        f = allocate_lp(sys_, f"p{a}", x, formulation="faithful", backend=backend)
         assert r.theta == pytest.approx(f.theta, abs=1e-6)
         assert r.satisfied == pytest.approx(f.satisfied)
 
@@ -161,7 +156,7 @@ class TestFormulationsAgree:
         "principal, amount, kwargs",
         [
             ("a", 1.0, {}),
-            ("isp0", 0.0, {"objective": "bogus", "backend": "gurobi"}),
+            ("isp0", 0.0, {"backend": "gurobi"}),
             ("a", 1e6, {}),
         ],
         ids=["plain", "zero-amount", "over-capacity"],
@@ -171,13 +166,6 @@ class TestFormulationsAgree:
         with pytest.raises(LPError, match="formulation"):
             allocate_lp(system, principal, amount, formulation="quantum", **kwargs)
 
-    @pytest.mark.parametrize(
-        "amount", [1.0, 0.0, 1e6], ids=["plain", "zero-amount", "over-capacity"]
-    )
-    def test_unknown_objective(self, amount):
-        with pytest.raises(LPError, match="objective"):
-            allocate_lp(two_node(), "a", amount, objective="everything")
-
     @pytest.mark.parametrize("amount", [1.0, 0.0], ids=["plain", "zero-amount"])
     def test_unknown_backend(self, amount):
         with pytest.raises(LPError, match="backend"):
@@ -185,18 +173,11 @@ class TestFormulationsAgree:
 
 
 class TestObjectiveVariants:
-    def test_all_objective_spreads_load(self):
-        """Under 'all', the requester's own drop also counts, so remote
-        borrowing (which drops C_A by less than x) becomes attractive and
-        the take is spread."""
-        sys_ = complete_structure(10, 0.1, capacity=1.0)
-        al = allocate_lp(sys_, "isp0", 1.5, objective="all")
-        # all donors participate roughly equally (0.15 each)
-        assert np.all(al.take > 0.1)
-
     def test_others_objective_prefers_local(self):
+        """theta ranges over the other principals only, so the requester
+        drains its own capacity before perturbing anyone else's."""
         sys_ = complete_structure(10, 0.1, capacity=1.0)
-        al = allocate_lp(sys_, "isp0", 1.5, objective="others")
+        al = allocate_lp(sys_, "isp0", 1.5)
         assert al.local_take == pytest.approx(1.0)
 
     def test_theta_nonnegative_and_bounded(self):
@@ -204,22 +185,3 @@ class TestObjectiveVariants:
         for x in (0.5, 1.5, 3.0):
             al = allocate_lp(sys_, "isp4", x, partial=True)
             assert 0.0 <= al.theta <= al.satisfied + 1e-6
-
-
-class TestMinimalPerturbation:
-    def test_lp_beats_greedy_on_theta(self):
-        """The LP optimises theta; greedy must never beat it."""
-        from repro.allocation import allocate_greedy
-
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            n = 6
-            S = rng.random((n, n)) * 0.12
-            np.fill_diagonal(S, 0.0)
-            V = rng.random(n) * 4
-            sys_ = CapacityView.from_matrices([f"p{i}" for i in range(n)], V, S)
-            a = int(rng.integers(0, n))
-            x = 0.8 * sys_.capacity_of(f"p{a}")
-            lp = allocate_lp(sys_, f"p{a}", x)
-            gr = allocate_greedy(sys_, f"p{a}", x)
-            assert lp.theta <= gr.theta + 1e-6

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.agreements import CapacityView
-from repro.allocation import allocate_endpoint, allocate_greedy, allocate_lp
+from repro.allocation import allocate_endpoint, allocate_lp
 
 
 @st.composite
@@ -85,21 +85,11 @@ class TestSchemeDominance:
         assert lp.satisfied >= ep.satisfied - 1e-6
 
     @given(systems_and_requests())
-    @settings(max_examples=40, deadline=None)
-    def test_lp_theta_no_worse_than_greedy(self, sr):
-        system, principal, x = sr
-        lp = allocate_lp(system, principal, x)
-        gr = allocate_greedy(system, principal, x)
-        assert gr.satisfied == pytest.approx(lp.satisfied, abs=1e-6)
-        assert lp.theta <= gr.theta + 1e-6
-
-    @given(systems_and_requests())
     @settings(max_examples=30, deadline=None)
     def test_all_schemes_respect_donor_capacity(self, sr):
         system, principal, x = sr
         for plan in (
             allocate_lp(system, principal, x, partial=True),
-            allocate_greedy(system, principal, x, partial=True),
             allocate_endpoint(system, principal, x, partial=True),
         ):
             assert np.all(plan.take <= system.V + 1e-6), plan.scheme

@@ -73,14 +73,6 @@ class TestRunControl:
         eng.run()
         assert fired == [1, 5]
 
-    def test_max_events(self):
-        eng = Engine()
-        fired = []
-        for i in range(5):
-            eng.schedule_at(float(i), lambda i=i: fired.append(i))
-        eng.run(max_events=2)
-        assert fired == [0, 1]
-
     def test_cancelled_events_skipped(self):
         eng = Engine()
         fired = []

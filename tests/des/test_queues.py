@@ -103,8 +103,9 @@ class TestPopTail:
         hot = QueuedItem(arrival=1.0, service=1.0, hops=1)
         q.push(hot)
         q.push(QueuedItem(arrival=2.0, service=1.0))
-        moved = q.pop_tail(10.0, max_hops=1)
-        # the already-redirected item stays; the others move
+        moved = q.pop_tail(10.0)
+        # the already-redirected item stays (a request moves once); the
+        # others move
         assert [m.arrival for m in moved] == [0.0, 2.0]
         assert q.queue_length() == 1
         assert q.backlog == pytest.approx(1.0)
@@ -116,11 +117,6 @@ class TestPopTail:
         q.push(a)
         q.push(b)
         q.push(QueuedItem(arrival=2.0, service=1.0))
-        q.pop_tail(10.0, max_hops=1)
+        q.pop_tail(10.0)
         served = served_list(q)
         assert [s[0] for s in served] == [a, b]
-
-    def test_unlimited_hops(self):
-        q = WorkQueue()
-        q.push(QueuedItem(arrival=0.0, service=1.0, hops=5))
-        assert len(q.pop_tail(10.0, max_hops=None)) == 1

@@ -8,7 +8,6 @@ from repro.errors import SimulationError
 from repro.proxysim import SimulationConfig, make_policy
 from repro.proxysim.redirect import (
     EndpointPolicy,
-    GreedyPolicy,
     LPPolicy,
     NoSharingPolicy,
 )
@@ -87,13 +86,6 @@ class TestEndpointPolicy:
             EndpointPolicy(system, np.ones(3))
 
 
-class TestGreedyPolicy:
-    def test_drains_biggest_donor_first(self, system):
-        policy = GreedyPolicy(system)
-        take = policy.plan(0, 2.0, avail(0, 100, 5, 5))
-        assert take[1] >= take[2] and take[1] >= take[3]
-
-
 class TestMakePolicy:
     def test_scheme_dispatch(self, system):
         cfg = SimulationConfig(n_proxies=4)
@@ -101,9 +93,6 @@ class TestMakePolicy:
         assert isinstance(make_policy(cfg.with_(scheme="lp"), system), LPPolicy)
         assert isinstance(
             make_policy(cfg.with_(scheme="endpoint"), system), EndpointPolicy
-        )
-        assert isinstance(
-            make_policy(cfg.with_(scheme="greedy"), system), GreedyPolicy
         )
 
     def test_lp_policy_inherits_config(self, system):

@@ -13,11 +13,13 @@ import pytest
 
 from repro.agreements import CapacityView
 from repro.manager import (
+    AllocationDenied,
     AllocationGrant,
     AllocationRequestMsg,
     GlobalResourceManager,
     InProcessTransport,
     LocalResourceManager,
+    ReleaseMsg,
 )
 from repro.proxysim.manager_bridge import bank_for_structure
 from repro.units import ResourceVector
@@ -55,35 +57,16 @@ class TestNegotiateExpressEnforce:
         np.testing.assert_allclose(system.V, V)
 
     def test_managers_deliver_targets(self, negotiated):
-        bank = bank_for_structure(negotiated)
-        transport = InProcessTransport()
-        grm = GlobalResourceManager("grm", bank)
-        grm.attach(transport)
-        lrms = {}
-        for site, cap in zip(SITES, V):
-            if float(cap) > 0:
-                bank.deposit_capacity(site, float(cap), "general")
-            lrm = LocalResourceManager(site, ResourceVector(general=float(cap)))
-            lrm.attach(transport)
-            lrms[site] = lrm
-            lrm.report()
+        transport, grm, lrms = stand_up(negotiated)
 
         # Every site can obtain its full target through the GRM.
         for site, target in zip(SITES, TARGETS):
             if target <= 0:
                 continue
-            grant = transport.send(
-                "grm",
-                AllocationRequestMsg(sender=site, principal=site,
-                                     amount=float(target)),
-            )
+            grant = claim(transport, lrms, site, float(target))
             assert isinstance(grant, AllocationGrant), site
             assert grant.total == pytest.approx(float(target))
-            # Fulfil and then release so the next site starts clean.
-            for donor, amount in grant.takes:
-                lrms[donor].reserve(grant.msg_id, ResourceVector(general=amount))
-            from repro.manager import ReleaseMsg
-
+            # Release so the next site starts clean.
             transport.send("grm", ReleaseMsg(sender=site, grant_id=grant.msg_id))
             for donor, _ in grant.takes:
                 lrms[donor].release(grant.msg_id)
@@ -94,9 +77,46 @@ class TestNegotiateExpressEnforce:
         """The targets are per-principal guarantees, not a simultaneous
         allocation: the hub's capacity backs several agreements at once
         (the paper's sharing semantics), so claiming everything at the
-        same time can exhaust raw capacity."""
-        total_targets = float(TARGETS.sum())
-        # Here the guarantees genuinely oversubscribe the raw capacity —
-        # 34 promised against 28 owned — which sharing semantics permit
-        # (each guarantee holds in isolation; the hub backs several).
-        assert total_targets > float(V.sum())
+        same time exhausts raw capacity — 34 promised against 28 owned."""
+        transport, grm, lrms = stand_up(negotiated)
+        replies = {
+            site: claim(transport, lrms, site, float(target))
+            for site, target in zip(SITES, TARGETS)
+        }
+        # The hub and mid claim their own capacity first; the hub's grant
+        # leaves nothing behind its shares with edge and new.
+        assert isinstance(replies["hub"], AllocationGrant)
+        assert isinstance(replies["mid"], AllocationGrant)
+        assert isinstance(replies["edge"], AllocationDenied)
+        assert replies["edge"].available == pytest.approx(4.0)
+        assert isinstance(replies["new"], AllocationDenied)
+        assert replies["new"].available == pytest.approx(0.0)
+        assert grm.requests_denied == 2
+
+
+def stand_up(negotiated):
+    """A GRM over the negotiated bank and one LRM per site, all reported."""
+    bank = bank_for_structure(negotiated)
+    transport = InProcessTransport()
+    grm = GlobalResourceManager("grm", bank)
+    grm.attach(transport)
+    lrms = {}
+    for site, cap in zip(SITES, V):
+        if float(cap) > 0:
+            bank.deposit_capacity(site, float(cap), "general")
+        lrm = LocalResourceManager(site, ResourceVector(general=float(cap)))
+        lrm.attach(transport)
+        lrms[site] = lrm
+        lrm.report()
+    return transport, grm, lrms
+
+
+def claim(transport, lrms, site, amount):
+    """Request ``amount`` for ``site`` and, if granted, reserve the takes."""
+    reply = transport.send(
+        "grm", AllocationRequestMsg(sender=site, principal=site, amount=amount)
+    )
+    if isinstance(reply, AllocationGrant):
+        for donor, taken in reply.takes:
+            lrms[donor].reserve(reply.msg_id, ResourceVector(general=taken))
+    return reply
