@@ -18,7 +18,6 @@ flow bounds, minimising the perturbation metric
   refinement for hierarchical structures.
 """
 
-from .costaware import allocate_cost_aware
 from .endpoint import allocate_endpoint
 from .hierarchical import allocate_hierarchical
 from .lp_allocator import allocate_lp
@@ -29,7 +28,6 @@ __all__ = [
     "Allocation",
     "AllocationRequest",
     "allocate_lp",
-    "allocate_cost_aware",
     "allocate_endpoint",
     "allocate_hierarchical",
     "allocate_multi",

@@ -43,10 +43,9 @@ default and every caller in the package uses it, while the faithful form
 serves as the tests' oracle.  Both are built directly as arrays and
 solved by :func:`repro.lp.solve` with either backend.
 
-:func:`take_blocks` builds the reduced LP's rows once — the capacity-drop
-rows, the total row and the take bounds — and every allocator that
-optimises over takes (this one, the cost-aware, views and multigrid
-allocators) assembles its LP from them.
+:func:`take_blocks` builds the reduced LP's capacity-drop rows and take
+bounds once, and :func:`min_theta_lp` assembles the min-theta LP from
+them — for this allocator and for the multigrid refine's in-group spread.
 """
 
 from __future__ import annotations
@@ -135,9 +134,9 @@ def allocate_lp(
             )
 
         with obs.span("lp.build", formulation=formulation, n=n):
-            drops, total, ub = take_blocks(a, V, U, T, np.delete(np.arange(n), a))
+            drops, ub = take_blocks(a, V, U, T, np.delete(np.arange(n), a))
             if formulation == "reduced":
-                arrays = min_theta_lp(x, drops, total, ub)
+                arrays = min_theta_lp(x, drops, ub)
             else:
                 arrays = _faithful_arrays(a, x, V, U, C, T, ub)
         res = solve(*arrays, backend=backend, model=f"allocate-{formulation}")
@@ -167,10 +166,9 @@ def allocate_lp(
 def take_blocks(a, V, U, T, rows):
     """The reduced LP's blocks over the takes ``d_0 .. d_{n-1}``.
 
-    Returns ``(drops, total, ub)``: ``drops`` holds rows ``rows`` of
-    ``I + T.T`` (row ``i`` is principal ``i``'s capacity drop
-    ``d_i + sum_k d_k T_ki``), ``total`` is the ``1 x n`` row of
-    ``sum d = x``, and ``ub`` bounds each take by constraint (4):
+    Returns ``(drops, ub)``: ``drops`` holds rows ``rows`` of ``I + T.T``
+    (row ``i`` is principal ``i``'s capacity drop ``d_i + sum_k d_k
+    T_ki``), and ``ub`` bounds each take by constraint (4):
     ``min(U_kA, V_k)`` for a donor ``k`` and ``V_A`` for the requester.
     ``U=None`` bounds every take by ``V`` alone.
     """
@@ -178,11 +176,11 @@ def take_blocks(a, V, U, T, rows):
     drops = (T.T + np.eye(n))[rows]
     ub = np.array(V, dtype=float) if U is None else np.minimum(U[:, a], V)
     ub[a] = V[a]
-    return drops, np.ones((1, n)), ub
+    return drops, ub
 
 
-def min_theta_lp(x, drops, total, ub):
-    """``min theta`` s.t. ``drops @ d <= theta``, ``total @ d = x`` and
+def min_theta_lp(x, drops, ub):
+    """``min theta`` s.t. ``drops @ d <= theta``, ``sum d = x`` and
     ``0 <= d <= ub``, as ``(c, A_ub, b_ub, A_eq, b_eq, bounds)`` over
     ``[d_0 .. d_{n-1}, theta]``."""
     m, n = drops.shape
@@ -192,7 +190,7 @@ def min_theta_lp(x, drops, total, ub):
     A_ub[:, :n] = drops
     A_ub[:, n] = -1.0
     A_eq = np.zeros((1, n + 1))
-    A_eq[:, :n] = total
+    A_eq[:, :n] = 1.0
     bounds = [(0.0, u) for u in ub.tolist()] + [(0.0, None)]
     return c, A_ub, np.zeros(m), A_eq, np.array([x]), bounds
 

@@ -66,8 +66,6 @@ class Allocation:
         Which allocator produced this (``"lp"``, ``"endpoint"``, ...).
     principals:
         Names matching the vector indices.
-    cost:
-        Total borrowing cost at the optimum (cost-aware allocator only).
     """
 
     request: AllocationRequest
@@ -78,7 +76,6 @@ class Allocation:
     new_C: np.ndarray
     scheme: str
     principals: list[str] = field(default_factory=list)
-    cost: float | None = None
 
     @classmethod
     def finalize(
@@ -90,7 +87,6 @@ class Allocation:
         *,
         satisfied: float | None = None,
         theta: float | None = None,
-        cost: float | None = None,
     ) -> Allocation:
         """Build the result of drawing ``take`` from ``view``'s capacities.
 
@@ -119,7 +115,6 @@ class Allocation:
             new_C=new_C,
             scheme=scheme,
             principals=principals,
-            cost=cost,
         )
         if _sanitize.enabled():
             _sanitize.check_allocation(view.capacities(level), allocation)

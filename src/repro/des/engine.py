@@ -30,11 +30,6 @@ class Event:
     time: float
     seq: int
     fn: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-    def cancel(self) -> None:
-        """Prevent the event from firing (it stays on the heap)."""
-        self.cancelled = True
 
 
 class Engine:
@@ -53,17 +48,11 @@ class Engine:
         self._seq = itertools.count()
         self._running = False
         self.events_processed = 0
-        self.events_cancelled = 0
 
     @property
     def now(self) -> float:
         """Current simulation time (seconds)."""
         return self._now
-
-    @property
-    def pending(self) -> int:
-        """Number of events still on the heap (including cancelled ones)."""
-        return len(self._heap)
 
     def schedule_at(self, time: float, fn: Callable[[], None]) -> Event:
         """Schedule ``fn`` at absolute time ``time`` (>= now)."""
@@ -92,7 +81,6 @@ class Engine:
             raise SimulationError("Engine.run is not re-entrant")
         self._running = True
         fired = 0
-        skipped = 0
         sim_start = self._now
         wall_start = time.perf_counter()
         try:
@@ -100,9 +88,6 @@ class Engine:
                 if until is not None and self._heap[0].time > until:
                     break
                 ev = heapq.heappop(self._heap)
-                if ev.cancelled:
-                    skipped += 1
-                    continue
                 self._now = ev.time
                 ev.fn()
                 fired += 1
@@ -111,16 +96,13 @@ class Engine:
         finally:
             self._running = False
             self.events_processed += fired
-            self.events_cancelled += skipped
             obs = get_observer()
             if obs.enabled:
                 wall = time.perf_counter() - wall_start
                 obs.counter("des.events_fired", fired)
-                obs.counter("des.events_cancelled", skipped)
                 obs.event(
                     "des.run",
                     fired=fired,
-                    cancelled=skipped,
                     sim_time=self._now - sim_start,
                     wall_seconds=round(wall, 6),
                 )
@@ -128,4 +110,4 @@ class Engine:
                     obs.gauge("des.sim_wall_ratio", (self._now - sim_start) / wall)
 
     def __repr__(self) -> str:
-        return f"Engine(now={self._now:g}, pending={self.pending})"
+        return f"Engine(now={self._now:g}, pending={len(self._heap)})"

@@ -63,9 +63,6 @@ class WorkQueue:
         """Seconds of work currently queued (excluding the in-service item)."""
         return self._backlog
 
-    def queue_length(self) -> int:
-        return len(self._items)
-
     def push(self, item: QueuedItem) -> None:
         self._items.append(item)
         self._backlog += item.service

@@ -10,7 +10,7 @@ The paper reports per-10-minute-slot series over a 24-hour period
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ class SlotSeries:
         self.slots = int(math.ceil(horizon / width))
         self._sum = np.zeros(self.slots)
         self._count = np.zeros(self.slots, dtype=np.int64)
-        self._max = np.zeros(self.slots)
 
     def slot_of(self, t: float) -> int:
         """Slot index for time ``t``; times wrap modulo the horizon."""
@@ -46,8 +45,6 @@ class SlotSeries:
         s = self.slot_of(t)
         self._sum[s] += value
         self._count[s] += 1
-        if value > self._max[s]:
-            self._max[s] = value
 
     def counts(self) -> np.ndarray:
         """Observations per slot."""
@@ -59,10 +56,6 @@ class SlotSeries:
         mask = self._count > 0
         out[mask] = self._sum[mask] / self._count[mask]
         return out
-
-    def maxima(self) -> np.ndarray:
-        """Per-slot maximum (0 for empty slots)."""
-        return self._max.copy()
 
     def slot_times(self) -> np.ndarray:
         """Slot start times (seconds), for plotting."""
@@ -83,36 +76,19 @@ class SlotSeries:
             raise ValueError("cannot merge SlotSeries with different geometry")
         self._sum += other._sum
         self._count += other._count
-        np.maximum(self._max, other._max, out=self._max)
 
 
 @dataclass
 class SummaryStats:
-    """Streaming scalar aggregates of a value stream."""
+    """Streaming count and mean of a value stream."""
 
     count: int = 0
     total: float = 0.0
-    maximum: float = 0.0
-    _sq: float = field(default=0.0, repr=False)
 
     def record(self, value: float) -> None:
         self.count += 1
         self.total += value
-        self._sq += value * value
-        if value > self.maximum:
-            self.maximum = value
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    @property
-    def variance(self) -> float:
-        if self.count < 2:
-            return 0.0
-        m = self.mean
-        return max(self._sq / self.count - m * m, 0.0)
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)

@@ -32,7 +32,6 @@ from .messages import (
     AllocationGrant,
     AllocationRequestMsg,
     AvailabilityBatch,
-    AvailabilityReport,
     Message,
     ReleaseMsg,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "LocalResourceManager",
     "InProcessTransport",
     "Message",
-    "AvailabilityReport",
     "AvailabilityBatch",
     "AllocationRequestMsg",
     "AllocationGrant",

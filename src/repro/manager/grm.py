@@ -39,7 +39,6 @@ from .messages import (
     AllocationGrant,
     AllocationRequestMsg,
     AvailabilityBatch,
-    AvailabilityReport,
     Message,
     ReleaseMsg,
 )
@@ -149,9 +148,6 @@ class GlobalResourceManager:
             raise ManagerError(f"GRM {self.name!r} cannot handle {type(message).__name__}")
         return handler(self, message)
 
-    def _on_report(self, msg: AvailabilityReport) -> None:
-        self._record(msg.resource_type, ((msg.sender, msg.available),))
-
     def _on_batch(self, msg: AvailabilityBatch) -> None:
         self._record(msg.resource_type, msg.reports)
 
@@ -255,7 +251,6 @@ class GlobalResourceManager:
     #: exact type.  Its replies are :class:`AllocationGrant` and
     #: :class:`AllocationDenied`; anything else is rejected by :meth:`handle`.
     HANDLERS: dict[type[Message], Callable[..., Message | None]] = {
-        AvailabilityReport: _on_report,
         AvailabilityBatch: _on_batch,
         AllocationRequestMsg: _allocate,
         ReleaseMsg: _release,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from ..errors import ManagerError
 from ..obs import get_observer
 from ..units import ResourceVector
-from .messages import AvailabilityReport, Message
+from .messages import AvailabilityBatch, Message
 
 __all__ = ["LocalResourceManager"]
 
@@ -23,7 +23,7 @@ class LocalResourceManager:
 
         lrm = LocalResourceManager("isp0", ResourceVector(general=10.0))
         lrm.attach(transport)
-        lrm.report("general")            # -> AvailabilityReport to the GRM
+        lrm.report("general")            # -> AvailabilityBatch to the GRM
     """
 
     def __init__(self, principal: str, capacity: ResourceVector, grm: str = "grm"):
@@ -77,7 +77,8 @@ class LocalResourceManager:
     # -- protocol ---------------------------------------------------------------------
 
     def report(self, resource_type: str = "general"):
-        """Push an availability report to the GRM.
+        """Push this principal's availability to the GRM as a one-entry
+        :class:`AvailabilityBatch`.
 
         Runs inside an ``lrm.report`` span, so when tracing is on the
         transport hop and the GRM's handling join the report's trace.
@@ -89,10 +90,10 @@ class LocalResourceManager:
         with obs.span("lrm.report", principal=self.principal):
             return self.transport.send(
                 self.grm,
-                AvailabilityReport(
+                AvailabilityBatch(
                     sender=self.principal,
                     resource_type=resource_type,
-                    available=self.available(resource_type),
+                    reports=((self.principal, self.available(resource_type)),),
                 ),
             )
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "Message",
-    "AvailabilityReport",
     "AvailabilityBatch",
     "AllocationRequestMsg",
     "AllocationGrant",
@@ -32,26 +31,13 @@ class Message:
 
 
 @dataclass(frozen=True)
-class AvailabilityReport(Message):
-    """LRM -> GRM: current available quantity of one resource type.
+class AvailabilityBatch(Message):
+    """LRM -> GRM: available quantities of one resource type.
 
     "LRMs are responsible for providing resource availability information
-    to the GRM dynamically."
-    """
-
-    resource_type: str = "general"
-    available: float = 0.0
-
-
-@dataclass(frozen=True)
-class AvailabilityBatch(Message):
-    """Aggregator -> GRM: availability for many principals in one send.
-
-    Semantically identical to one :class:`AvailabilityReport` per entry,
-    but a consultation that refreshes every proxy's availability costs a
-    single message instead of n.  ``reports`` holds ``(principal,
-    available)`` pairs for one resource type.  The per-principal report
-    path remains for individual LRMs.
+    to the GRM dynamically."  ``reports`` holds ``(principal, available)``
+    pairs: an LRM reports its own principal in a one-entry batch, and an
+    aggregator refreshes every proxy's availability in a single message.
     """
 
     resource_type: str = "general"

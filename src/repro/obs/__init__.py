@@ -55,7 +55,7 @@ from .events import EventLog
 from .null import NULL_OBSERVER, NullObserver
 from .registry import MetricsRegistry
 from .report import render_snapshot, render_trace
-from .tracing import Span, Tracer, traced
+from .tracing import Span, Tracer
 
 __all__ = [
     "Observer",
@@ -65,7 +65,6 @@ __all__ = [
     "Span",
     "DecisionRecord",
     "FlightRecorder",
-    "traced",
     "get_observer",
     "enable",
     "disable",

@@ -24,18 +24,12 @@ Use as a context manager::
         ...
         sp.set(states=12)
 
-or as a decorator::
-
-    @traced("flow.coefficients")
-    def transitive_coefficients(...): ...
-
 The module only measures; recording is delegated to the ``on_close``
 callback the owning :class:`~repro.obs.Observer` installs.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import threading
 import time
@@ -43,7 +37,7 @@ import uuid
 import zlib
 from collections.abc import Callable
 
-__all__ = ["Span", "Tracer", "traced", "sampled_in"]
+__all__ = ["Span", "Tracer", "sampled_in"]
 
 _span_ids = itertools.count(1)
 
@@ -158,25 +152,3 @@ class Tracer:
     @property
     def depth(self) -> int:
         return len(self._stack())
-
-
-def traced(name: str | None = None, **attrs):
-    """Decorator: run the wrapped function inside an observer span.
-
-    The observer is looked up per call, so enabling/disabling
-    observability at runtime affects already-decorated functions.
-    """
-
-    def decorate(fn):
-        span_name = name or fn.__qualname__
-
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            from . import get_observer
-
-            with get_observer().span(span_name, **attrs):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return decorate

@@ -14,13 +14,12 @@ topology, so the very next consultation is scheduled against the changed
 agreements.
 
 Message traffic per consultation is one :class:`AvailabilityBatch`
-(carrying all n proxy reports) plus the allocation request, instead of n
-individual :class:`AvailabilityReport` sends; the single-report path
-remains in the GRM for plain LRMs.  From the second consultation on, a
-:class:`ReleaseMsg` first returns the previous consultation's grant: the
-simulator books redirected work itself and reports fresh availability
-every time, so a grant is dead once its plan is made, and releasing it
-keeps the GRM's open-grant table at one entry for the whole run.
+(carrying all n proxy reports) plus the allocation request.  From the
+second consultation on, a :class:`ReleaseMsg` first returns the previous
+consultation's grant: the simulator books redirected work itself and
+reports fresh availability every time, so a grant is dead once its plan
+is made, and releasing it keeps the GRM's open-grant table at one entry
+for the whole run.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ class ManagerPolicy(RedirectPolicy):
     """
 
     def __init__(self, system, level: int | None = None):
-        self.systemish = system
         self.level = level
         self.n = system.n
         self.principals = list(system.principals)

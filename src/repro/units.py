@@ -20,6 +20,8 @@ from .errors import ReproError
 __all__ = ["ResourceVector", "CoupledResource", "ZERO", "approx_eq"]
 
 _QUANTITY_TOL = 1e-12
+#: decimals ``==`` and ``hash`` round quantities to (the tolerance's grid)
+_QUANTITY_DIGITS = 12
 
 #: default tolerances for :func:`approx_eq` — loose enough for LP solver
 #: output, tight enough to distinguish any two meaningfully distinct
@@ -118,14 +120,20 @@ class ResourceVector(Mapping[str, float]):
         """True if this vector is componentwise >= ``other`` (within ``tol``)."""
         return all(self[n] + tol >= q for n, q in other.items())
 
+    def _quantised(self) -> frozenset[tuple[str, float]]:
+        """The entries rounded to ``_QUANTITY_DIGITS``, zeros dropped: the
+        one key both ``==`` and ``hash`` compare, so equal vectors hash
+        equally."""
+        rounded = ((k, round(v, _QUANTITY_DIGITS)) for k, v in self._data.items())
+        return frozenset((k, q) for k, q in rounded if q > 0.0)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ResourceVector):
             return NotImplemented
-        names = set(self._data) | set(other._data)
-        return all(abs(self[n] - other[n]) <= _QUANTITY_TOL for n in names)
+        return self._quantised() == other._quantised()
 
     def __hash__(self) -> int:
-        return hash(frozenset((k, round(v, 9)) for k, v in self._data.items()))
+        return hash(self._quantised())
 
     # -- utilities -----------------------------------------------------------
 

@@ -73,15 +73,6 @@ class TestRunControl:
         eng.run()
         assert fired == [1, 5]
 
-    def test_cancelled_events_skipped(self):
-        eng = Engine()
-        fired = []
-        ev = eng.schedule_at(1.0, lambda: fired.append("x"))
-        eng.schedule_at(2.0, lambda: fired.append("y"))
-        ev.cancel()
-        eng.run()
-        assert fired == ["y"]
-
     def test_not_reentrant(self):
         eng = Engine()
 
@@ -98,68 +89,6 @@ class TestRunControl:
             eng.schedule_at(float(i), lambda: None)
         eng.run()
         assert eng.events_processed == 4
-
-
-class TestCancelledEvents:
-    """A cancelled Event stays on the heap but must not fire, and is
-    counted distinctly from fired events."""
-
-    def test_cancelled_event_stays_on_heap(self):
-        eng = Engine()
-        ev = eng.schedule_at(1.0, lambda: None)
-        ev.cancel()
-        assert eng.pending == 1  # still heap-resident until popped
-
-    def test_cancelled_event_does_not_fire_or_advance_clock(self):
-        eng = Engine()
-        fired = []
-        ev = eng.schedule_at(5.0, lambda: fired.append("cancelled"))
-        eng.schedule_at(2.0, lambda: fired.append("kept"))
-        ev.cancel()
-        eng.run()
-        assert fired == ["kept"]
-        assert eng.now == 2.0  # the clock never advanced to the cancelled time
-
-    def test_cancelled_counted_distinctly_from_fired(self):
-        eng = Engine()
-        events = [eng.schedule_at(float(i), lambda: None) for i in range(6)]
-        for ev in events[::2]:
-            ev.cancel()
-        eng.run()
-        assert eng.events_processed == 3
-        assert eng.events_cancelled == 3
-
-    def test_cancel_after_partial_run(self):
-        eng = Engine()
-        fired = []
-        eng.schedule_at(1.0, lambda: fired.append(1))
-        later = eng.schedule_at(5.0, lambda: fired.append(5))
-        eng.run(until=3.0)
-        later.cancel()
-        eng.run()
-        assert fired == [1]
-        assert eng.events_processed == 1
-        assert eng.events_cancelled == 1
-
-    def test_cancel_is_idempotent(self):
-        eng = Engine()
-        ev = eng.schedule_at(1.0, lambda: None)
-        ev.cancel()
-        ev.cancel()
-        eng.run()
-        assert eng.events_cancelled == 1
-
-    def test_cancelled_beyond_until_not_counted_yet(self):
-        eng = Engine()
-        ev = eng.schedule_at(10.0, lambda: None)
-        ev.cancel()
-        eng.run(until=5.0)
-        # Still on the heap: never popped, so counted in neither bucket.
-        assert eng.pending == 1
-        assert eng.events_cancelled == 0
-        eng.run()
-        assert eng.pending == 0
-        assert eng.events_cancelled == 1
 
 
 class TestTracing:

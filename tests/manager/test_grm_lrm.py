@@ -8,7 +8,7 @@ from repro.manager import (
     AllocationDenied,
     AllocationGrant,
     AllocationRequestMsg,
-    AvailabilityReport,
+    AvailabilityBatch,
     GlobalResourceManager,
     InProcessTransport,
     LocalResourceManager,
@@ -43,26 +43,14 @@ def build_cluster(n=4, capacity=10.0, share=0.2):
 class TestTransport:
     def test_duplicate_endpoint(self):
         t = InProcessTransport()
-        t.register("a")
+        t.register("a", lambda m: None)
         with pytest.raises(ManagerError):
-            t.register("a")
+            t.register("a", lambda m: None)
 
     def test_unknown_endpoint(self):
         t = InProcessTransport()
         with pytest.raises(ManagerError):
-            t.send("ghost", AvailabilityReport(sender="x"))
-
-    def test_mailbox_fifo(self):
-        t = InProcessTransport()
-        t.register("box")
-        m1 = AvailabilityReport(sender="a", available=1.0)
-        m2 = AvailabilityReport(sender="b", available=2.0)
-        t.send("box", m1)
-        t.send("box", m2)
-        assert t.pending("box") == 2
-        assert t.receive("box") is m1
-        assert t.receive("box") is m2
-        assert t.receive("box") is None
+            t.send("ghost", AvailabilityBatch(sender="x"))
 
 
 class TestAvailabilityReports:

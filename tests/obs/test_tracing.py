@@ -6,7 +6,7 @@ import pytest
 import repro.obs as obs
 from repro.errors import ReproError
 from repro.obs.events import read_trace
-from repro.obs.tracing import sampled_in, traced
+from repro.obs.tracing import sampled_in
 
 
 class TestSpanNesting:
@@ -142,24 +142,6 @@ class TestSampling:
         assert registry.counter_value("decision.recorded", outcome="granted") == 1
 
 
-class TestTracedDecorator:
-    def test_decorator_records_span(self, observer):
-        @traced("decorated.fn")
-        def work(x):
-            return x * 2
-
-        assert work(21) == 42
-        h = observer.registry.get_histogram("span.decorated.fn")
-        assert h is not None and h.count == 1
-
-    def test_decorator_is_noop_when_disabled(self):
-        @traced("decorated.off")
-        def work():
-            return "ok"
-
-        assert work() == "ok"  # null observer: no error, nothing recorded
-
-
 class TestGlobalLifecycle:
     def test_enable_disable_swaps_observer(self):
         assert not obs.get_observer().enabled
@@ -236,22 +218,19 @@ class TestInstrumentedStack:
         from repro.manager.transport import InProcessTransport
 
         t = InProcessTransport()
-        t.register("a")
+        t.register("a", lambda m: None)
         t.send("a", Message(sender="x"))
         t.send("a", Message(sender="x"))
-        assert t.receive("a") is not None
         assert observer.registry.counter_value(
             "transport.sent", endpoint="a", type="Message") == 2
-        assert observer.registry.counter_value(
-            "transport.received", endpoint="a") == 1
 
     def test_unknown_endpoint_lists_known(self):
         from repro.manager.messages import Message
         from repro.manager.transport import InProcessTransport
 
         t = InProcessTransport()
-        t.register("grm")
-        t.register("isp0")
+        t.register("grm", lambda m: None)
+        t.register("isp0", lambda m: None)
         with pytest.raises(ReproError, match=r"grm.*isp0|known endpoints"):
             t.send("ghost", Message(sender="x"))
         with pytest.raises(ReproError, match="<none registered>"):
@@ -261,10 +240,7 @@ class TestInstrumentedStack:
         from repro.des import Engine
 
         eng = Engine()
-        keep = eng.schedule_at(1.0, lambda: None)
-        drop = eng.schedule_at(2.0, lambda: None)
-        drop.cancel()
+        eng.schedule_at(1.0, lambda: None)
+        eng.schedule_at(2.0, lambda: None)
         eng.run()
-        assert keep.time == 1.0
-        assert observer.registry.counter_value("des.events_fired") == 1
-        assert observer.registry.counter_value("des.events_cancelled") == 1
+        assert observer.registry.counter_value("des.events_fired") == 2

@@ -68,25 +68,6 @@ class TestManagerPolicyPlans:
         # one batched availability report + one request, regardless of n
         assert mp.messages == 2
 
-    def test_batch_matches_individual_reports(self, system):
-        from repro.manager.messages import AvailabilityBatch, AvailabilityReport
-
-        mp = ManagerPolicy(system)
-        mp.transport.send(
-            "grm",
-            AvailabilityBatch(
-                sender="isp0",
-                reports=(("isp0", 1.0), ("isp1", 2.0), ("isp2", 3.0)),
-            ),
-        )
-        batched = mp.grm.availability_vector()
-        for k, p in enumerate(mp.principals):
-            mp.transport.send(
-                "grm",
-                AvailabilityReport(sender=p, available=float(k + 1)),
-            )
-        np.testing.assert_allclose(mp.grm.availability_vector(), batched)
-
     def test_level_respected(self):
         from repro.agreements import loop_structure
 

@@ -135,5 +135,3 @@ class TestEndToEndInvariants:
         sim_system = complete_structure(3, 0.3)
         result = run_simulation(cfg, sim_system, streams=streams)
         assert result.total_requests == 600
-        # every queue fully drained
-        assert all(q.queue_length() == 0 for q in [])  # drained inside run()

@@ -72,6 +72,19 @@ class TestComparison:
     def test_hashable(self):
         assert hash(ResourceVector(cpu=1.0)) == hash(ResourceVector(cpu=1.0))
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (ResourceVector(cpu=1e-13), ResourceVector()),
+            (ResourceVector(cpu=1.0000000005 - 1e-13), ResourceVector(cpu=1.0000000005 + 1e-13)),
+        ],
+        ids=["near-zero", "rounding-boundary"],
+    )
+    def test_equal_vectors_hash_equally(self, a, b):
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
     def test_scaled_to_fit(self):
         need = ResourceVector(cpu=4.0, mem=8.0)
         budget = ResourceVector(cpu=2.0, mem=100.0)
