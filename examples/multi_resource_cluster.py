@@ -69,9 +69,7 @@ def coupled_resources() -> None:
 def overdraft() -> None:
     print("\n=== 3. Overdraft semantics (Section 3.2's example) ===")
     S = np.array([[0.0, 0.6, 0.6], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
-    system = CapacityView.from_matrices(
-        ["A", "B", "C"], np.array([10.0, 0.0, 0.0]), S, allow_overdraft=True
-    )
+    system = CapacityView.from_matrices(["A", "B", "C"], np.array([10.0, 0.0, 0.0]), S)
     print(f"  unclamped share reaching C: {0.6 + 0.6:.1f} of A's 10")
     print(f"  C's capacity with the K clamp: {system.capacity_of('C'):g} "
           "(the paper's '10 instead of 12')")

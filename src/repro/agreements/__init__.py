@@ -3,8 +3,8 @@
 - :class:`~repro.agreements.topology.AgreementTopology` /
   :class:`~repro.agreements.topology.CapacityView` — the core split: an
   immutable, hashable structure (principals, relative matrix ``S``,
-  absolute matrix ``A``, overdraft flag) validated against
-  the paper's constraints and owning the per-level coefficient cache,
+  absolute matrix ``A``) validated against the paper's constraints and
+  owning the per-level clamped coefficient cache,
   and cheap capacity views binding raw capacities ``V`` to it, one per
   scheduling epoch (:meth:`CapacityView.from_matrices` builds both);
 - :mod:`~repro.agreements.flow` — the flow coefficients ``T^(m)``

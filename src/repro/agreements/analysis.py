@@ -70,7 +70,7 @@ def exposure(system: CapacityView, principal: str, level: int | None = None) -> 
     """Fraction of ``principal``'s raw capacity promised to others.
 
     1.0 means every unit it owns is (transitively) claimable by someone;
-    above 1.0 can only occur in overdraft systems before clamping.
+    ``U`` is clamped at ``V``, so it never exceeds 1.0.
     """
     a = system.index(principal)
     if system.V[a] <= _TOL:

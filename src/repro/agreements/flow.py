@@ -176,10 +176,11 @@ def flow_matrix(V: np.ndarray, T: np.ndarray) -> np.ndarray:
 def overdraft_clamp(T: np.ndarray) -> np.ndarray:
     """Section 3.2's ``K^(m)``: clamp coefficients at 1.
 
-    When the row-sum restriction ``sum_k S_ik <= 1`` is lifted, chained
-    shares can promise node ``j`` more than all of ``i``'s resources; the
-    clamp caps the transfer at 100% of ``V_i`` ("the quantity of resources
-    C can obtain is limited to 10 instead of 12").
+    When a row of ``S`` sums past 1 (an overdraft), chained shares can
+    promise node ``j`` more than all of ``i``'s resources; the clamp caps
+    the transfer at 100% of ``V_i`` ("the quantity of resources C can
+    obtain is limited to 10 instead of 12").  Every topology applies it;
+    while row sums stay at most 1, ``T <= 1`` already and it is a no-op.
     """
     return np.minimum(_check_square(T), 1.0)
 

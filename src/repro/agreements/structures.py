@@ -47,18 +47,18 @@ def complete_structure(
     share: float = 0.1,
     capacity: float | Sequence[float] = 1.0,
     names: Sequence[str] | None = None,
-    **kwargs,
 ) -> CapacityView:
     """Complete graph: every participant shares ``share`` with every other.
 
     This is the structure of Figures 6–8 and 12: "a complete graph between
     10 servers: each server shares 10% of its resources with every other
-    server".  Requires ``share * (n-1) <= 1`` unless overdraft is allowed.
+    server".  ``share * (n-1) > 1`` is a Section-3.2 overdraft, clamped
+    by the coefficients.
     """
     S = np.full((n, n), float(share))
     np.fill_diagonal(S, 0.0)
     return CapacityView.from_matrices(
-        names or default_names(n), _uniform_capacity(n, capacity), S, **kwargs
+        names or default_names(n), _uniform_capacity(n, capacity), S
     )
 
 
@@ -68,7 +68,6 @@ def loop_structure(
     skip: int = 1,
     capacity: float | Sequence[float] = 1.0,
     names: Sequence[str] | None = None,
-    **kwargs,
 ) -> CapacityView:
     """Cycle: each participant shares only with the ``skip``-th next one.
 
@@ -84,7 +83,7 @@ def loop_structure(
     for i in range(n):
         S[i, (i + skip) % n] = float(share)
     return CapacityView.from_matrices(
-        names or default_names(n), _uniform_capacity(n, capacity), S, **kwargs
+        names or default_names(n), _uniform_capacity(n, capacity), S
     )
 
 
@@ -95,7 +94,6 @@ def sparse_structure(
     capacity: float | Sequence[float] = 1.0,
     names: Sequence[str] | None = None,
     seed: int = 0,
-    **kwargs,
 ) -> CapacityView:
     """Random sparse graph: each participant shares with ``degree`` others.
 
@@ -113,7 +111,7 @@ def sparse_structure(
         for j in partners:
             S[i, j] = share_total / degree if degree else 0.0
     return CapacityView.from_matrices(
-        names or default_names(n), _uniform_capacity(n, capacity), S, **kwargs
+        names or default_names(n), _uniform_capacity(n, capacity), S
     )
 
 
@@ -124,7 +122,6 @@ def hierarchical_structure(
     inter_share: float = 0.05,
     capacity: float | Sequence[float] = 1.0,
     names: Sequence[str] | None = None,
-    **kwargs,
 ) -> CapacityView:
     """Groups with complete intra-group sharing and sparse inter-group links.
 
@@ -156,7 +153,6 @@ def hierarchical_structure(
         names or default_names(n, prefix="node"),
         S,
         groups=[range(g * group_size, (g + 1) * group_size) for g in range(groups)],
-        **kwargs,
     )
     return topology.view(_uniform_capacity(n, capacity))
 
@@ -166,7 +162,6 @@ def distance_decay_structure(
     shares: Sequence[float] = (0.20, 0.10, 0.05, 0.03),
     capacity: float | Sequence[float] = 1.0,
     names: Sequence[str] | None = None,
-    **kwargs,
 ) -> CapacityView:
     """Figure 13's structure: shares decay with circular (time-zone) distance.
 
@@ -183,5 +178,5 @@ def distance_decay_structure(
             d = min(abs(i - j), n - abs(i - j))
             S[i, j] = shares[min(d, len(shares)) - 1]
     return CapacityView.from_matrices(
-        names or default_names(n), _uniform_capacity(n, capacity), S, **kwargs
+        names or default_names(n), _uniform_capacity(n, capacity), S
     )

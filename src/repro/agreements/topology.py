@@ -13,9 +13,9 @@ few dense matrix operations.
 This module gives each rate its own type:
 
 - :class:`AgreementTopology` — immutable and hashable: principals, the
-  relative matrix ``S``, the optional absolute matrix ``A`` and the
-  overdraft flag.  It owns the per-level ``T``/``K`` coefficient cache,
-  so any number of views (and any number of epochs) amortise one DP run.
+  relative matrix ``S`` and the optional absolute matrix ``A``.  It owns
+  the per-level ``K`` coefficient cache, so any number of views (and any
+  number of epochs) amortise one DP run.
 - :class:`CapacityView` — a capacity vector ``V`` bound to a topology,
   answering the per-epoch queries (:meth:`~CapacityView.capacities`,
   :meth:`~CapacityView.u`, :meth:`~CapacityView.flows`) with per-level
@@ -36,7 +36,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .. import sanitize as _sanitize
-from ..errors import InvalidAgreementMatrixError, OversharingError
+from ..errors import InvalidAgreementMatrixError
 from . import flow as _flow
 
 __all__ = ["AgreementTopology", "CapacityView"]
@@ -49,6 +49,8 @@ def _clean_capacities(V: np.ndarray | Sequence[float], n: int) -> np.ndarray:
     V = np.asarray(V, dtype=float).copy()
     if V.shape != (n,):
         raise InvalidAgreementMatrixError(f"V must have shape ({n},), got {V.shape}")
+    if not np.all(np.isfinite(V)):
+        raise InvalidAgreementMatrixError("capacities V must be finite")
     if np.any(V < -_TOL):
         raise InvalidAgreementMatrixError("capacities V must be non-negative")
     np.maximum(V, 0.0, out=V)
@@ -65,15 +67,13 @@ class AgreementTopology:
         Names, defining index order in all matrices.
     S:
         Relative agreement matrix; ``S[i, j]`` is the fraction of ``i``'s
-        resources shared with ``j``.  Validated against the Section-3.1
-        constraints (zero diagonal, non-negative, row sums <= 1 unless
-        overdraft is allowed).
+        resources shared with ``j``.  Validated to be finite, non-negative
+        and zero on the diagonal.  A row may sum past 1 (Section 3.2's
+        overdraft): :meth:`coefficients` clamps with ``K`` so no chain
+        moves more than 100% of a donor's resources.
     A:
         Optional absolute agreement matrix; ``A[i, j]`` is a constant
         quantity granted by ``i`` to ``j``.
-    allow_overdraft:
-        Lift the row-sum <= 1 restriction (Section 3.2); coefficients are
-        then clamped with ``K``.
     groups:
         Optional partition of principal indices into groups, recorded by
         :func:`repro.agreements.structures.hierarchical_structure` for the
@@ -91,7 +91,6 @@ class AgreementTopology:
         "n",
         "S",
         "A",
-        "allow_overdraft",
         "groups",
         "_index",
         "_t_cache",
@@ -104,7 +103,6 @@ class AgreementTopology:
         S: np.ndarray,
         A: np.ndarray | None = None,
         *,
-        allow_overdraft: bool = False,
         groups: Sequence[Sequence[int]] | None = None,
     ) -> None:
         self.principals = tuple(principals)
@@ -112,7 +110,6 @@ class AgreementTopology:
         if len(set(self.principals)) != self.n:
             raise InvalidAgreementMatrixError("principal names must be unique")
         self._index = {p: i for i, p in enumerate(self.principals)}
-        self.allow_overdraft = bool(allow_overdraft)
         self.S = self._clean_relative(np.asarray(S, dtype=float).copy())
         self.A = self._clean_absolute(
             None if A is None else np.asarray(A, dtype=float).copy()
@@ -131,19 +128,14 @@ class AgreementTopology:
             raise InvalidAgreementMatrixError(
                 f"S must have shape ({n}, {n}), got {S.shape}"
             )
+        if not np.all(np.isfinite(S)):
+            raise InvalidAgreementMatrixError("S entries must be finite")
         if np.any(np.abs(np.diag(S)) > _TOL):
             raise InvalidAgreementMatrixError("S must have a zero diagonal (S_ii = 0)")
         if np.any(S < -_TOL):
             raise InvalidAgreementMatrixError("S entries must be non-negative")
         np.maximum(S, 0.0, out=S)
         np.fill_diagonal(S, 0.0)
-        row_sums = S.sum(axis=1)
-        if not self.allow_overdraft and np.any(row_sums > 1.0 + _TOL):
-            bad = [self.principals[i] for i in np.nonzero(row_sums > 1.0 + _TOL)[0]]
-            raise OversharingError(
-                f"principals {bad} share more than 100% of their resources; "
-                "pass allow_overdraft=True for Section-3.2 overdraft semantics"
-            )
         S.flags.writeable = False
         return S
 
@@ -155,6 +147,8 @@ class AgreementTopology:
             raise InvalidAgreementMatrixError(
                 f"A must have shape ({n}, {n}), got {A.shape}"
             )
+        if not np.all(np.isfinite(A)):
+            raise InvalidAgreementMatrixError("A entries must be finite")
         if np.any(A < -_TOL):
             raise InvalidAgreementMatrixError("A entries must be non-negative")
         if np.any(np.abs(np.diag(A)) > _TOL):
@@ -171,7 +165,6 @@ class AgreementTopology:
             self.principals,
             self.S.tobytes(),
             None if self.A is None else self.A.tobytes(),
-            self.allow_overdraft,
         )
 
     def __hash__(self) -> int:
@@ -205,15 +198,17 @@ class AgreementTopology:
         return self.max_level if level is None else min(int(level), self.max_level)
 
     def coefficients(self, level: int | None = None) -> np.ndarray:
-        """``T^(m)`` (or ``K^(m)`` under overdraft), cached per level."""
+        """Section 3.2's clamped coefficients ``K^(m)``, cached per level.
+
+        While every row of ``S`` sums to at most 1, ``T^(m) <= 1`` already
+        and the clamp changes nothing.
+        """
         m = self._level(level)
         T = self._t_cache.get(m)
         if T is None:
-            T = _flow.transitive_coefficients(self.S, m)
-            if self.allow_overdraft:
-                T = _flow.overdraft_clamp(T)
+            T = _flow.overdraft_clamp(_flow.transitive_coefficients(self.S, m))
             if _sanitize.enabled():
-                _sanitize.check_coefficients(T, self.allow_overdraft)
+                _sanitize.check_coefficients(T)
             T.flags.writeable = False
             self._t_cache[m] = T
         return T
@@ -242,8 +237,7 @@ class AgreementTopology:
     def __repr__(self) -> str:
         return (
             f"AgreementTopology(n={self.n}, "
-            f"edges={int(np.count_nonzero(self.S))}, "
-            f"overdraft={self.allow_overdraft})"
+            f"edges={int(np.count_nonzero(self.S))})"
         )
 
 
@@ -275,8 +269,6 @@ class CapacityView:
         V: np.ndarray | Sequence[float],
         S: np.ndarray,
         A: np.ndarray | None = None,
-        *,
-        allow_overdraft: bool = False,
     ) -> "CapacityView":
         """Validate ``(principals, S, A)`` into a new topology and bind ``V``.
 
@@ -284,7 +276,7 @@ class CapacityView:
         ``j`` and ``A[i, j]`` a constant quantity granted by ``i`` to
         ``j``; see :class:`AgreementTopology` for the constraints.
         """
-        return cls(AgreementTopology(principals, S, A, allow_overdraft=allow_overdraft), V)
+        return cls(AgreementTopology(principals, S, A), V)
 
     # -- structure passthrough -------------------------------------------------
 
@@ -303,10 +295,6 @@ class CapacityView:
     @property
     def A(self) -> np.ndarray | None:
         return self.topology.A
-
-    @property
-    def allow_overdraft(self) -> bool:
-        return self.topology.allow_overdraft
 
     @property
     def max_level(self) -> int:
@@ -353,6 +341,5 @@ class CapacityView:
     def __repr__(self) -> str:
         return (
             f"CapacityView(n={self.n}, total_capacity={self.V.sum():g}, "
-            f"edges={int(np.count_nonzero(self.S))}, "
-            f"overdraft={self.allow_overdraft})"
+            f"edges={int(np.count_nonzero(self.S))})"
         )

@@ -53,7 +53,7 @@ def coarsen(system: CapacityView, groups: Sequence[Sequence[int]]) -> CapacityVi
                 system.S[i, j] * system.V[i] for i in g for j in h
             ) / Vg[gi]
     names = [f"group{gi}" for gi in range(ng)]
-    return CapacityView.from_matrices(names, Vg, Sg, allow_overdraft=system.allow_overdraft)
+    return CapacityView.from_matrices(names, Vg, Sg)
 
 
 def _subsystem(system: CapacityView, members: Sequence[int]) -> CapacityView:
@@ -65,7 +65,6 @@ def _subsystem(system: CapacityView, members: Sequence[int]) -> CapacityView:
         system.V[idx],
         system.S[np.ix_(idx, idx)],
         None if system.A is None else system.A[np.ix_(idx, idx)],
-        allow_overdraft=system.allow_overdraft,
     )
 
 

@@ -34,9 +34,6 @@ class MultiResourceRequest:
     level: int | None = None
     coupled: tuple[CoupledResource, ...] = field(default=())
 
-    def coupled_names(self) -> frozenset[str]:
-        return frozenset(c.name for c in self.coupled)
-
 
 def allocate_multi(
     systems: dict[str, CapacityView],

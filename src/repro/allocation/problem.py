@@ -134,11 +134,6 @@ class Allocation:
         """Amount drawn from the requester's own resources."""
         return float(self.take[self.principals.index(self.request.principal)])
 
-    @property
-    def remote_take(self) -> float:
-        """Amount drawn from other principals' resources (redirected work)."""
-        return float(self.satisfied - self.local_take)
-
     def takes_by_name(self) -> dict[str, float]:
         """Non-zero takes keyed by principal name."""
         return {

@@ -93,9 +93,9 @@ class Bank:
         self._tickets: dict[int, Ticket] = {}  # live tickets only
         self._revoked: set[int] = set()
         self._version = 0
-        # flattened topology per (resource_type, overdraft),
-        # valid for one bank version: key -> (version, topology, V)
-        self._topology_cache: dict[tuple, tuple[int, AgreementTopology, np.ndarray]] = {}
+        # flattened topology per resource type, valid for one bank
+        # version: resource_type -> (version, topology, V)
+        self._topology_cache: dict[str, tuple[int, AgreementTopology, np.ndarray]] = {}
 
     # -- versioning ----------------------------------------------------------
 
@@ -340,8 +340,9 @@ class Bank:
         """Currencies whose issued relative faces exceed their face value.
 
         Such currencies promise more than 100% of their value — the
-        "overdraft" situation of Section 3.2.  Legal, but the enforcement
-        layer will clamp flows (see :func:`repro.agreements.flow.overdraft_clamp`).
+        "overdraft" situation of Section 3.2.  Legal: every topology clamps
+        its coefficients (:func:`repro.agreements.flow.overdraft_clamp`), so
+        no chain moves more than 100% of the issuer's resources.
         """
         issued: dict[str, float] = {}
         for t in self._tickets.values():
@@ -446,9 +447,7 @@ class Bank:
                         A[pindex[owner], j] += c[n]
         return principals, V, S, A
 
-    def _flattened(
-        self, resource_type: str, allow_overdraft: bool
-    ) -> tuple[int, AgreementTopology, np.ndarray]:
+    def _flattened(self, resource_type: str) -> tuple[int, AgreementTopology, np.ndarray]:
         """The version-keyed cache entry behind :meth:`topology`.
 
         Rebuilds (re-flattening the funding graph and discarding the old
@@ -456,9 +455,8 @@ class Bank:
         entry was made; every other call is a dictionary hit.  Counters:
         ``topology.cache_hit`` / ``topology.cache_miss`` / ``topology.rebuilds``.
         """
-        key = (resource_type, bool(allow_overdraft))
         obs = get_observer()
-        entry = self._topology_cache.get(key)
+        entry = self._topology_cache.get(resource_type)
         if entry is not None and entry[0] == self._version:
             if obs.enabled:
                 obs.counter("topology.cache_hit", resource_type=resource_type)
@@ -468,23 +466,16 @@ class Bank:
             "topology.rebuild", resource_type=resource_type, version=self._version
         ):
             principals, V, S, A = self.to_agreement_system(resource_type)
-            topology = AgreementTopology(
-                principals,
-                S,
-                A if np.any(A) else None,
-                allow_overdraft=allow_overdraft,
-            )
+            topology = AgreementTopology(principals, S, A if np.any(A) else None)
         obs.counter("topology.rebuilds", resource_type=resource_type)
         V = np.asarray(V, dtype=float)
         V.flags.writeable = False
         entry = (self._version, topology, V)
-        self._topology_cache[key] = entry
+        self._topology_cache[resource_type] = entry
         return entry
 
-    def topology(
-        self, resource_type: str = "general", *, allow_overdraft: bool = False
-    ) -> AgreementTopology:
-        """The flattened agreement topology, cached on ``(version, key)``.
+    def topology(self, resource_type: str = "general") -> AgreementTopology:
+        """The flattened agreement topology, cached on ``(version, resource_type)``.
 
         The returned :class:`~repro.agreements.topology.AgreementTopology`
         is shared between callers until the next bank mutation, so its
@@ -494,17 +485,15 @@ class Bank:
         forces a rebuild on next access, which is what makes a ticket
         revocation take effect on the very next scheduling decision.
         """
-        return self._flattened(resource_type, allow_overdraft)[1]
+        return self._flattened(resource_type)[1]
 
     def base_capacities(self, resource_type: str = "general") -> np.ndarray:
         """Raw owned capacities ``V`` (base deposits), cache-aligned with
         :meth:`topology` and in the same principal order."""
-        return self._flattened(resource_type, False)[2]
+        return self._flattened(resource_type)[2]
 
-    def capacity_view(
-        self, resource_type: str = "general", *, allow_overdraft: bool = False
-    ) -> CapacityView:
+    def capacity_view(self, resource_type: str = "general") -> CapacityView:
         """A :class:`~repro.agreements.topology.CapacityView` of the bank's
         deposited capacities over the cached topology."""
-        _, topology, V = self._flattened(resource_type, allow_overdraft)
+        _, topology, V = self._flattened(resource_type)
         return topology.view(V)

@@ -18,7 +18,6 @@ __all__ = [
     "TicketRevokedError",
     "AgreementError",
     "InvalidAgreementMatrixError",
-    "OversharingError",
     "AllocationError",
     "InsufficientResourcesError",
     "InfeasibleAllocationError",
@@ -79,16 +78,10 @@ class AgreementError(ReproError):
 class InvalidAgreementMatrixError(AgreementError, ValueError):
     """An agreement matrix violates a structural constraint.
 
-    The paper's constraints on the relative matrix ``S`` are ``S_ii = 0``,
-    ``S_ij >= 0`` and (unless overdraft is permitted) ``sum_k S_ik <= 1``.
-    """
-
-
-class OversharingError(InvalidAgreementMatrixError):
-    """A row of the relative agreement matrix shares more than 100%.
-
-    Raised only when overdraft semantics are disabled (Section 3.2 of the
-    paper lifts this restriction by clamping ``T`` at 1).
+    The paper's constraints on the relative matrix ``S`` are ``S_ii = 0``
+    and ``S_ij >= 0``; every entry of ``S``, ``A`` and ``V`` must also be
+    finite.  A row sum past 1 is Section 3.2's overdraft, which is legal
+    and clamped rather than rejected.
     """
 
 

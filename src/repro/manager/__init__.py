@@ -5,9 +5,7 @@ resource manager (GRM) and multiple local resource managers (LRM).  The
 GRM provides services to manage sharing agreements and to schedule
 resources among local resource managers.  LRMs are responsible for
 providing resource availability information to the GRM dynamically, and
-fulfilling resource allocation according to the GRM's decisions.  The
-architecture also permits splitting of the GRMs into multiple levels, each
-responsible for a subset of the LRMs."
+fulfilling resource allocation according to the GRM's decisions."
 
 This package implements that architecture over an in-process
 message-passing transport (:mod:`~repro.manager.transport`), so the
@@ -19,13 +17,15 @@ distributed deployment would use:
 - :class:`~repro.manager.grm.GlobalResourceManager` — owns the agreement
   registry (a ticket/currency :class:`~repro.economy.Bank`), tracks
   availability reports, and answers allocation requests with the LP
-  allocator;
-- multi-level GRMs: a GRM can delegate a subset of principals to a child
-  GRM, mirroring the paper's hierarchical split.
+  allocator.
+
+The paper also remarks that the GRM could be split into multiple levels.
+That split is not built: children scheduling over one bank must still
+draw on one availability table, or two of them hand out the same donor
+capacity twice, and a shared table makes them one GRM behind a router.
 """
 
 from .grm import GlobalResourceManager
-from .hierarchy import HierarchicalGRM, build_hierarchical_grm
 from .lrm import LocalResourceManager
 from .messages import (
     AllocationDenied,
@@ -39,8 +39,6 @@ from .transport import InProcessTransport
 
 __all__ = [
     "GlobalResourceManager",
-    "HierarchicalGRM",
-    "build_hierarchical_grm",
     "LocalResourceManager",
     "InProcessTransport",
     "Message",

@@ -3,9 +3,8 @@
 The GRM owns the agreement registry (a ticket/currency
 :class:`~repro.economy.Bank`), keeps the latest availability report from
 every LRM, and answers allocation requests by solving the Section-3 LP
-over the agreement system evaluated at current availability.  It can
-delegate a subset of principals to a child GRM ("the architecture also
-permits splitting of the GRMs into multiple levels").
+over the agreement system evaluated at current availability.  One GRM
+keeps one availability table, so no donor's capacity is promised twice.
 
 Hot path: allocation reuses the bank's version-keyed topology cache
 (:meth:`repro.economy.Bank.topology`), so the coefficient DP (exponential
@@ -20,7 +19,8 @@ name -> index map, so reports, grants and releases are O(1) updates and
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -69,8 +69,6 @@ class GlobalResourceManager:
         self._pindex_version = -1  # bank version the index was built at
         # open grants: grant msg_id -> (resource_type, takes)
         self._grants: dict[int, tuple[str, tuple[tuple[str, float], ...]]] = {}
-        # child GRMs: principal -> child endpoint name
-        self._delegates: dict[str, str] = {}
         self.requests_served = 0
         self.requests_denied = 0
 
@@ -79,11 +77,6 @@ class GlobalResourceManager:
     def attach(self, transport) -> None:
         self.transport = transport
         transport.register(self.name, self.handle)
-
-    def delegate(self, child_grm_name: str, principals: list[str]) -> None:
-        """Route requests from these principals to a child GRM."""
-        for p in principals:
-            self._delegates[p] = child_grm_name
 
     # -- availability ---------------------------------------------------------------
 
@@ -117,20 +110,29 @@ class GlobalResourceManager:
             vec = self._avail[resource_type] = np.zeros(len(self._principals))
         return vec
 
-    def set_availability(
-        self, principal: str, available: float, resource_type: str = "general"
-    ) -> None:
-        """Record the latest availability report for one principal."""
-        self._record(resource_type, ((principal, available),))
+    def _on_batch(self, msg: AvailabilityBatch) -> None:
+        """Store the batch's ``(principal, available)`` reports.
 
-    def _record(self, resource_type: str, reports: Iterable[tuple[str, float]]) -> None:
-        """Store ``(principal, available)`` reports for one resource type."""
-        vec = self._avail_vector(resource_type)
-        for principal, available in reports:
-            try:
-                vec[self._pindex[principal]] = available
-            except KeyError:
-                raise UnknownPrincipalError(principal) from None
+        The batch is checked whole before anything is stored, so a bad
+        entry leaves the table as it was: an unknown name raises
+        :class:`UnknownPrincipalError`, a negative or non-finite value
+        :class:`ManagerError`.
+        """
+        vec = self._avail_vector(msg.resource_type)
+        staged: dict[int, float] = {}
+        for principal, available in msg.reports:
+            i = self._pindex.get(principal)
+            if i is None:
+                raise UnknownPrincipalError(principal)
+            value = float(available)
+            if not 0.0 <= value < math.inf:
+                raise ManagerError(
+                    f"GRM {self.name!r}: availability of {principal!r} must be "
+                    f"finite and non-negative, got {value!r}"
+                )
+            staged[i] = value
+        for i, value in staged.items():
+            vec[i] = value
 
     def availability(self, principal: str, resource_type: str = "general") -> float:
         vec = self._avail_vector(resource_type)
@@ -148,16 +150,10 @@ class GlobalResourceManager:
             raise ManagerError(f"GRM {self.name!r} cannot handle {type(message).__name__}")
         return handler(self, message)
 
-    def _on_batch(self, msg: AvailabilityBatch) -> None:
-        self._record(msg.resource_type, msg.reports)
-
     def _allocate(self, msg: AllocationRequestMsg) -> Message:
         self._sync_principals()
         if msg.principal not in self._pindex:
             raise UnknownPrincipalError(msg.principal)
-        if msg.principal in self._delegates and self.transport is not None:
-            get_observer().counter("grm.delegated", grm=self.name)
-            return self.transport.send(self._delegates[msg.principal], msg)
 
         obs = get_observer()
         with obs.span("grm.allocate", grm=self.name, principal=msg.principal):

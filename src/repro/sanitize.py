@@ -224,12 +224,12 @@ def check_allocation(C_before, allocation) -> None:
 # -- topology -----------------------------------------------------------------
 
 
-def check_coefficients(T, allow_overdraft: bool) -> None:
-    """Transitive coefficients are well-formed; the overdraft clamp held.
+def check_coefficients(T) -> None:
+    """Clamped coefficients are well-formed.
 
-    ``T^(m)`` entries are fractions of a donor's resources, so they are
-    non-negative with a zero diagonal; under Section-3.2 overdraft
-    semantics the clamp ``K = min(T, 1)`` additionally bounds them by 1.
+    ``K^(m)`` entries are fractions of a donor's resources, so they are
+    non-negative with a zero diagonal, and Section 3.2's clamp
+    ``K = min(T, 1)`` bounds them by 1.
     """
     T = np.asarray(T, dtype=float)
     if T.size == 0:
@@ -247,7 +247,7 @@ def check_coefficients(T, allow_overdraft: bool) -> None:
             "transitive coefficient matrix has a nonzero diagonal",
             diag_max=diag_max,
         )
-    if allow_overdraft and float(T.max()) > 1.0 + _TOL:
+    if float(T.max()) > 1.0 + _TOL:
         violation(
             "overdraft-clamp-bounds",
             "overdraft clamp K exceeded 1 (K must lie in [0, 1])",

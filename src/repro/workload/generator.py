@@ -139,9 +139,6 @@ class RequestStream:
         lengths = self.sizes.sample(rng, total)
         return Stream(arrivals, lengths, self.origin)
 
-    def expected_requests(self) -> float:
-        return self.profile.expected_count(0.0, self.horizon)
-
 
 def generate_streams(
     n_proxies: int,

@@ -195,7 +195,7 @@ class TestLoopReference:
             loop_structure(12, share=0.8, skip=5).S,
             sparse_structure(12, degree=3, seed=4).S,
             hierarchical_structure(3, 4).S,
-            complete_structure(10, share=0.5, allow_overdraft=True).S,
+            complete_structure(10, share=0.5).S,
         ],
         ids=["loop-skip1", "loop-skip5", "sparse", "hierarchical", "overdraft"],
     )

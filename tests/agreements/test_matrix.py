@@ -5,13 +5,13 @@ import pytest
 
 from repro.agreements import CapacityView
 from repro.economy import build_example_1
-from repro.errors import InvalidAgreementMatrixError, OversharingError
+from repro.errors import InvalidAgreementMatrixError
 
 
-def make(n=3, V=None, S=None, **kw):
+def make(n=3, V=None, S=None):
     V = np.ones(n) if V is None else np.asarray(V, float)
     S = np.zeros((n, n)) if S is None else np.asarray(S, float)
-    return CapacityView.from_matrices([f"p{i}" for i in range(n)], V, S, **kw)
+    return CapacityView.from_matrices([f"p{i}" for i in range(n)], V, S)
 
 
 class TestValidation:
@@ -43,15 +43,19 @@ class TestValidation:
         with pytest.raises(InvalidAgreementMatrixError, match="non-negative"):
             make(2, S=[[0, -0.5], [0, 0]])
 
-    def test_oversharing_rejected_by_default(self):
-        with pytest.raises(OversharingError):
-            make(3, S=[[0, 0.6, 0.6], [0, 0, 0], [0, 0, 0]])
-
     def test_oversharing_allowed_with_overdraft(self):
-        sys_ = make(
-            3, S=[[0, 0.6, 0.6], [0, 0, 0], [0, 0, 0]], allow_overdraft=True
-        )
-        assert sys_.allow_overdraft
+        sys_ = make(3, S=[[0, 0.6, 0.6], [0, 0, 0], [0, 0, 0]])
+        assert sys_.S.sum(axis=1)[0] == pytest.approx(1.2)
+        assert sys_.coefficients().max() <= 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("matrix", ["S", "A", "V"])
+    def test_non_finite_entry_rejected(self, matrix, bad):
+        V, S, A = np.ones(2), np.zeros((2, 2)), np.zeros((2, 2))
+        target = {"S": S, "A": A, "V": V}[matrix]
+        target.flat[1] = bad  # an off-diagonal entry of S and A
+        with pytest.raises(InvalidAgreementMatrixError, match="finite"):
+            CapacityView.from_matrices(["a", "b"], V, S, A)
 
     def test_exactly_100_percent_ok(self):
         make(2, S=[[0, 1.0], [0, 0]])
@@ -100,14 +104,9 @@ class TestQueries:
         assert sys_.V.tolist() == [1.0, 1.0, 1.0]
 
     def test_overdraft_capacities_clamped(self):
-        sys_ = make(
-            3,
-            V=[10, 0, 0],
-            S=[[0, 0.6, 0.6], [0, 0, 1.0], [0, 0, 0]],
-            allow_overdraft=True,
-        )
-        C = sys_.capacities()
-        assert C[2] == pytest.approx(10.0)  # the paper's "10 instead of 12"
+        sys_ = make(3, V=[10, 0, 0], S=[[0, 0.6, 0.6], [0, 0, 1.0], [0, 0, 0]])
+        # the paper's "10 instead of 12"
+        np.testing.assert_allclose(sys_.capacities(), [10.0, 6.0, 10.0])
 
     def test_absolute_agreements_counted(self):
         sys_ = CapacityView.from_matrices(

@@ -23,9 +23,10 @@ class TestComplete:
         np.testing.assert_allclose(off_diag, 0.1)
         np.testing.assert_allclose(sys_.S.sum(axis=1), 0.9)
 
-    def test_oversharing_complete_rejected(self):
-        with pytest.raises(InvalidAgreementMatrixError):
-            complete_structure(10, share=0.2)  # 9 * 0.2 = 1.8 > 1
+    def test_oversharing_complete_clamped(self):
+        sys_ = complete_structure(10, share=0.2)  # 9 * 0.2 = 1.8 > 1
+        assert sys_.coefficients().max() == 1.0
+        np.testing.assert_allclose(sys_.capacities(), 10.0)
 
     def test_custom_capacity_vector(self):
         sys_ = complete_structure(3, 0.1, capacity=[1.0, 2.0, 3.0])

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.agreements import AgreementTopology, CapacityView
 from repro.agreements import flow
 from repro.economy import Bank
-from repro.errors import InvalidAgreementMatrixError, OversharingError
+from repro.errors import InvalidAgreementMatrixError
 
 S3 = np.array([[0.0, 0.3, 0.2], [0.1, 0.0, 0.0], [0.0, 0.4, 0.0]])
 A3 = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
@@ -23,8 +23,8 @@ V3 = np.array([10.0, 20.0, 30.0])
 P3 = ["a", "b", "c"]
 
 
-def topo(**kw):
-    return AgreementTopology(P3, S3, kw.pop("A", None), **kw)
+def topo(A=None):
+    return AgreementTopology(P3, S3, A)
 
 
 class TestImmutability:
@@ -139,20 +139,19 @@ class TestIdentity:
         other[0, 1] = 0.5
         assert topo() != AgreementTopology(P3, other)
 
-    def test_flags_part_of_identity(self):
-        assert topo() != topo(allow_overdraft=True)
-
     def test_usable_as_dict_key(self):
         cache = {topo(): "cached"}
         assert cache[topo()] == "cached"
 
 
 class TestValidation:
-    def test_oversharing_rejected(self):
-        S = np.array([[0.0, 0.7, 0.7], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        with pytest.raises(OversharingError):
-            AgreementTopology(P3, S)
-        AgreementTopology(P3, S, allow_overdraft=True)  # lifted restriction
+    def test_oversharing_clamped(self):
+        """A row sum past 1 is Section 3.2's overdraft: legal, clamped."""
+        S = np.array([[0.0, 0.7, 0.7], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        t = AgreementTopology(P3, S)
+        assert flow.transitive_coefficients(S, 2)[0, 2] == pytest.approx(1.4)
+        assert t.coefficients()[0, 2] == 1.0
+        np.testing.assert_allclose(t.capacities(V3), [10.0, 27.0, 60.0])
 
     def test_bad_capacity_vector(self):
         t = topo()
@@ -182,8 +181,8 @@ class TestCaching:
 
 class TestFromMatrices:
     def test_builds_a_fresh_topology(self):
-        view = CapacityView.from_matrices(P3, V3, S3, A3, allow_overdraft=True)
-        assert view.topology == topo(A=A3, allow_overdraft=True)
+        view = CapacityView.from_matrices(P3, V3, S3, A3)
+        assert view.topology == topo(A=A3)
         np.testing.assert_allclose(view.capacities(), view.topology.capacities(V3))
 
     def test_groups_live_on_the_topology(self):
@@ -203,9 +202,7 @@ def random_structures(draw):
     fl = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
     S = np.array([[draw(fl) for _ in range(n)] for _ in range(n)], dtype=float)
     np.fill_diagonal(S, 0.0)
-    # normalise rows so the no-overdraft constraint holds
-    sums = S.sum(axis=1, keepdims=True)
-    S = np.where(sums > 1.0, S / np.maximum(sums, 1e-12), S)
+    # rows past 1 are overdrafts, which the view must clamp
     V = np.array([draw(st.floats(0.0, 100.0, allow_nan=False)) for _ in range(n)])
     if draw(st.booleans()):
         grant = st.floats(0.0, 10.0, allow_nan=False)
@@ -226,7 +223,7 @@ def test_view_matches_direct_flow_computation(structure):
 
     # the flow pipeline applied directly
     m = n - 1 if level is None else min(level, n - 1)
-    T = flow.transitive_coefficients(S, m)
+    T = flow.overdraft_clamp(flow.transitive_coefficients(S, m))
     I = flow.flow_matrix(V, T)
     U = flow.u_matrix(I, A, V)
     C = flow.capacities(V, U)

@@ -104,7 +104,7 @@ class TestFlatteningConsistency:
         """The enforcement capacity C_i never exceeds the currency value:
         currency values propagate *all* inflow (value semantics), while U
         clamps each donor at its raw capacity."""
-        system = bank.capacity_view("general", allow_overdraft=True)
+        system = bank.capacity_view("general")
         values = bank.currency_values()
         C = system.capacities()
         for p, c in zip(system.principals, C):
@@ -114,7 +114,7 @@ class TestFlatteningConsistency:
     @settings(max_examples=30, deadline=None)
     def test_direct_agreements_match(self, bank):
         """S entries equal face/issuer-face for direct principal tickets."""
-        system = bank.capacity_view("general", allow_overdraft=True)
+        system = bank.capacity_view("general")
         expected = np.zeros((system.n, system.n))
         for t in bank.tickets:
             if t.is_agreement and not t.revoked and t.kind is TicketKind.RELATIVE:

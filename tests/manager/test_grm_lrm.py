@@ -1,6 +1,8 @@
 """Tests for the GRM/LRM architecture and its message protocol."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.economy import Bank
 from repro.errors import ManagerError, UnknownPrincipalError
@@ -68,6 +70,43 @@ class TestAvailabilityReports:
         lrm = LocalResourceManager("x", ResourceVector(general=1.0))
         with pytest.raises(ManagerError, match="not attached"):
             lrm.report()
+
+
+def report(transport, *reports):
+    return transport.send("grm", AvailabilityBatch(sender="test", reports=reports))
+
+
+def request(transport, principal, amount):
+    return transport.send(
+        "grm",
+        AllocationRequestMsg(sender=principal, principal=principal, amount=amount),
+    )
+
+
+class TestAvailabilityValidation:
+    """A batch is checked whole before the GRM stores any of it."""
+
+    def test_negative_report_rejected(self):
+        transport, grm, _ = build_cluster(n=2)
+        with pytest.raises(ManagerError, match=r"'isp1'.*-5\.0"):
+            report(transport, ("isp1", -5.0))
+        assert grm.availability("isp1") == pytest.approx(10.0)
+        # the table is still usable: every principal's requests go on
+        assert isinstance(request(transport, "isp0", 1.0), AllocationGrant)
+        assert isinstance(request(transport, "isp1", 1.0), AllocationGrant)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_report_rejected(self, bad):
+        transport, grm, _ = build_cluster(n=2, share=0.5)
+        with pytest.raises(ManagerError, match=f"'isp1'.*{bad}"):
+            report(transport, ("isp1", bad))
+        assert grm.availability("isp1") == pytest.approx(10.0)
+
+    def test_unknown_name_stores_nothing(self):
+        transport, grm, _ = build_cluster(n=2)
+        with pytest.raises(UnknownPrincipalError):
+            report(transport, ("isp0", 3.0), ("ghost", 1.0))
+        assert grm.availability("isp0") == pytest.approx(10.0)
 
 
 class TestAllocation:
@@ -144,8 +183,12 @@ class TestAllocation:
         grm.register_principal("c", ResourceVector(general=0.0))
         bank.issue_relative_ticket("a", "b", 50)
         bank.issue_relative_ticket("b", "c", 50)
-        for p, avail in (("a", 8.0), ("b", 0.0), ("c", 0.0)):
-            grm.set_availability(p, avail)
+        transport.send(
+            "grm",
+            AvailabilityBatch(
+                sender="a", reports=(("a", 8.0), ("b", 0.0), ("c", 0.0))
+            ),
+        )
         denied = transport.send(
             "grm",
             AllocationRequestMsg(sender="c", principal="c", amount=1.0, level=1),
@@ -187,24 +230,6 @@ class TestProtocolClosure:
             transport.send("grm", Message(sender="isp0"))
 
 
-class TestMultiLevelGRM:
-    def test_delegated_requests_forwarded(self):
-        transport, grm, _ = build_cluster(n=4)
-        # Child GRM manages isp2/isp3 over the same bank.
-        child = GlobalResourceManager("grm-child", grm.bank)
-        child.attach(transport)
-        for p in grm.bank.principals():
-            child.set_availability(p, grm.availability(p))
-        grm.delegate("grm-child", ["isp2", "isp3"])
-        reply = transport.send(
-            "grm",
-            AllocationRequestMsg(sender="isp2", principal="isp2", amount=3.0),
-        )
-        assert isinstance(reply, AllocationGrant)
-        assert child.requests_served == 1
-        assert grm.requests_served == 0
-
-
 class TestLRMReservations:
     def test_over_reservation_rejected(self):
         lrm = LocalResourceManager("x", ResourceVector(general=5.0))
@@ -228,3 +253,87 @@ class TestLRMReservations:
         lrm.reserve(1, ResourceVector(general=2.0))
         lrm.reserve(1, ResourceVector(general=1.0))
         assert lrm.available() == pytest.approx(2.0)
+
+
+class TestPaperOverdraft:
+    """Section 3.2's overdraft example held as tickets: A shares 60% with
+    B and 60% with C, and B passes all of its value on to C.  C's chained
+    share of A's 10 units is 12, which the clamp limits to 10."""
+
+    @pytest.fixture
+    def transport(self):
+        transport = InProcessTransport()
+        bank = Bank()
+        GlobalResourceManager("grm", bank).attach(transport)
+        for p, capacity in (("A", 10.0), ("B", 0.0), ("C", 0.0)):
+            bank.create_currency(p)
+            bank.deposit_capacity(p, capacity)
+        bank.issue_relative_ticket("A", "B", 60)
+        bank.issue_relative_ticket("A", "C", 60)
+        bank.issue_relative_ticket("B", "C", 100)
+        assert bank.overissued_currencies() == ["A"]
+        report(transport, ("A", 10.0), ("B", 0.0), ("C", 0.0))
+        return transport
+
+    def test_request_within_clamp_granted(self, transport):
+        reply = request(transport, "C", 5.0)
+        assert isinstance(reply, AllocationGrant)
+        assert sum(t for _, t in reply.takes) == pytest.approx(5.0, abs=1e-9)
+
+    def test_request_past_clamp_denied_at_ten(self, transport):
+        reply = request(transport, "C", 12.0)
+        assert isinstance(reply, AllocationDenied)
+        assert reply.available == pytest.approx(10.0, abs=1e-9)
+
+
+def _ring_bank():
+    """Six nodes of 10 units, each sharing 30% with the next."""
+    bank = Bank()
+    for i in range(6):
+        bank.create_currency(f"n{i}")
+        bank.deposit_capacity(f"n{i}", 10.0)
+    for i in range(6):
+        bank.issue_relative_ticket(f"n{i}", f"n{(i + 1) % 6}", 30)
+    return bank
+
+
+def _complete_bank():
+    """Ten nodes of 10 units, each sharing 10% with every other."""
+    bank = Bank()
+    names = [f"n{i}" for i in range(10)]
+    for p in names:
+        bank.create_currency(p)
+        bank.deposit_capacity(p, 10.0)
+    for i in names:
+        for j in names:
+            if i != j:
+                bank.issue_relative_ticket(i, j, 10)
+    return bank
+
+
+class TestNoOverCommit:
+    """One GRM keeps one availability table, so however requests arrive,
+    no donor lends more than it reported."""
+
+    @given(data=st.data(), make_bank=st.sampled_from([_ring_bank, _complete_bank]))
+    @settings(max_examples=25, deadline=None)
+    def test_takes_never_exceed_reported_availability(self, data, make_bank):
+        bank = make_bank()
+        transport = InProcessTransport()
+        GlobalResourceManager("grm", bank).attach(transport)
+        names = bank.principals()
+        avail = st.floats(0.0, 20.0, allow_nan=False)
+        reported = {p: data.draw(avail) for p in names}
+        report(transport, *reported.items())
+        taken = dict.fromkeys(names, 0.0)
+        for _ in range(data.draw(st.integers(1, 12))):
+            reply = request(
+                transport,
+                data.draw(st.sampled_from(names)),
+                data.draw(st.floats(0.1, 15.0)),
+            )
+            if isinstance(reply, AllocationGrant):
+                for donor, take in reply.takes:
+                    taken[donor] += take
+        for p in names:
+            assert taken[p] <= reported[p] + 1e-9, p

@@ -18,6 +18,7 @@ from repro.manager import (
     AllocationDenied,
     AllocationGrant,
     AllocationRequestMsg,
+    AvailabilityBatch,
     GlobalResourceManager,
     InProcessTransport,
 )
@@ -41,9 +42,15 @@ def two_node_cluster(share=0.5):
     grm.register_principal("a", ResourceVector(general=10.0))
     grm.register_principal("b", ResourceVector(general=0.0))
     ticket = bank.issue_relative_ticket("a", "b", share * 100)
-    grm.set_availability("a", 10.0)
-    grm.set_availability("b", 0.0)
+    report_a_only(transport)
     return transport, bank, grm, ticket
+
+
+def report_a_only(transport):
+    """a has 10 free, b nothing."""
+    transport.send(
+        "grm", AvailabilityBatch(sender="a", reports=(("a", 10.0), ("b", 0.0)))
+    )
 
 
 def request_for_b(transport, amount=2.0):
@@ -192,8 +199,7 @@ class TestRevocationChangesGrants:
         grm.attach(transport)
         grm.register_principal("a", ResourceVector(general=10.0))
         grm.register_principal("b", ResourceVector(general=0.0))
-        grm.set_availability("a", 10.0)
-        grm.set_availability("b", 0.0)
+        report_a_only(transport)
         assert isinstance(request_for_b(transport), AllocationDenied)
         bank.issue_relative_ticket("a", "b", 50)
         assert isinstance(request_for_b(transport), AllocationGrant)

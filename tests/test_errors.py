@@ -10,7 +10,7 @@ class TestHierarchy:
         leaf_classes = [
             errors.UnknownCurrencyError,
             errors.CurrencyCycleError,
-            errors.OversharingError,
+            errors.InvalidAgreementMatrixError,
             errors.InsufficientResourcesError,
             errors.LPInfeasibleError,
             errors.UnknownPrincipalError,
@@ -29,9 +29,6 @@ class TestHierarchy:
     def test_valueerror_compat(self):
         assert issubclass(errors.InvalidAgreementMatrixError, ValueError)
         assert issubclass(errors.DuplicateNameError, ValueError)
-
-    def test_oversharing_is_invalid_matrix(self):
-        assert issubclass(errors.OversharingError, errors.InvalidAgreementMatrixError)
 
     def test_insufficient_resources_payload(self):
         exc = errors.InsufficientResourcesError("p", 5.0, 2.0)

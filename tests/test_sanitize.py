@@ -205,21 +205,19 @@ class TestCoefficientInvariants:
     def test_overdraft_clamp_bounds(self, sanitized):
         T = np.array([[0.0, 1.5], [0.2, 0.0]])
         with pytest.raises(InvariantViolation, match="K"):
-            sanitize.check_coefficients(T, allow_overdraft=True)
-        # Without overdraft semantics no [0, 1] bound applies.
-        sanitize.check_coefficients(T, allow_overdraft=False)
+            sanitize.check_coefficients(T)
+        sanitize.check_coefficients(np.array([[0.0, 1.0], [0.2, 0.0]]))
 
     def test_negative_coefficient(self, sanitized):
         T = np.array([[0.0, -0.3], [0.2, 0.0]])
         with pytest.raises(InvariantViolation, match="negative"):
-            sanitize.check_coefficients(T, allow_overdraft=False)
+            sanitize.check_coefficients(T)
 
     def test_real_overdraft_topology_passes(self, sanitized):
         system = CapacityView.from_matrices(
             ["a", "b", "c"],
             np.array([10.0, 10.0, 10.0]),
             np.array([[0.0, 0.9, 0.9], [0.3, 0.0, 0.0], [0.0, 0.0, 0.0]]),
-            allow_overdraft=True,
         )
         K = system.coefficients()
         assert float(K.max()) <= 1.0 + 1e-9
