@@ -3,8 +3,8 @@
 
 The trace/span/parent ids on each span line stitch one allocation's
 journey back together.  The default ``tree`` command rebuilds the
-per-request trees and attributes each request's latency to queueing vs
-transport vs topology work vs the LP solve.  Every command reads one
+per-request trees and attributes each request's latency to transport vs
+topology work vs the LP solve vs everything else.  Every command reads one
 trace.
 
 Usage::

@@ -1,25 +1,15 @@
-"""A small discrete-event simulation kernel.
+"""The case study's simulation clock and proxy front-end queue.
 
 The paper's case study is a trace-driven simulation of cooperating web
 proxies; this package is the substrate it runs on:
 
-- :class:`~repro.des.engine.Engine` — event heap + clock with
-  deterministic FIFO tie-breaking;
+- :class:`~repro.des.engine.Engine` — a fixed-step clock that calls the
+  simulation's tick every ``epoch`` seconds;
 - :class:`~repro.des.queues.WorkQueue` — a single-server FIFO work queue
-  with queueing-delay accounting (the proxy front-end);
-- :mod:`~repro.des.stats` — time-sliced statistics accumulators used to
-  produce the per-10-minute-slot series the paper's figures plot.
+  with queueing-delay accounting (the proxy front-end).
 """
 
-from .engine import Engine, Event
+from .engine import Engine
 from .queues import QueuedItem, WorkQueue
-from .stats import SlotSeries, SummaryStats
 
-__all__ = [
-    "Engine",
-    "Event",
-    "WorkQueue",
-    "QueuedItem",
-    "SlotSeries",
-    "SummaryStats",
-]
+__all__ = ["Engine", "WorkQueue", "QueuedItem"]

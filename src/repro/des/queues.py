@@ -63,6 +63,11 @@ class WorkQueue:
         """Seconds of work currently queued (excluding the in-service item)."""
         return self._backlog
 
+    def committed(self, now: float) -> float:
+        """Seconds of work owed at ``now``: the queued backlog plus the
+        in-service item's remainder (its time left times ``rate``)."""
+        return self._backlog + max(self._server_free_at - now, 0.0) * self.rate
+
     def push(self, item: QueuedItem) -> None:
         self._items.append(item)
         self._backlog += item.service

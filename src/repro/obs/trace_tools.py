@@ -11,7 +11,7 @@ returns:
 - :func:`breakdown` — per-request critical-path latency attribution:
   because delivery is synchronous, a request's end-to-end latency is its
   root span's duration, and the interesting question is where it went —
-  queueing (DES), transport hops, topology cache work, or the LP solve.
+  transport hops, topology cache work, the LP solve, or other work.
   Attribution uses *exclusive* time (a span's duration minus its
   children's), so nothing is double-counted;
 - :func:`find_decisions` — query ``{"kind": "decision"}`` flight-recorder
@@ -37,8 +37,6 @@ __all__ = [
 CATEGORY_PREFIXES: tuple[tuple[str, str], ...] = (
     ("transport.", "transport"),
     ("lp.", "lp"),
-    ("des.", "queue"),
-    ("queue.", "queue"),
     ("topology.", "topology"),
 )
 

@@ -12,7 +12,7 @@ span stack alone.  A span opened with no span open (or through
 takes the head-based sampling decision (:func:`sampled_in`).  Any other
 span copies the trace id and sampled flag of the span on top of the
 stack and records that span's id as its ``parent_id``.  Every transport
-endpoint is a synchronous handler and DES callbacks fire inside the
+endpoint is a synchronous handler and simulation ticks fire inside the
 caller's ``Engine.run``, so the stack already links each span to its
 cause.  The exported JSONL line records ``trace``/``span``/``parent``
 ids, which is what lets ``scripts/obs_trace.py`` reassemble one

@@ -9,7 +9,7 @@ by solving the Section-3 LP (or one of the baseline schemes).
 
 - :class:`~repro.proxysim.config.SimulationConfig` — all knobs, with
   paper-parameter and scaled-benchmark presets;
-- :class:`~repro.proxysim.simulator.ProxySimulation` — the event loop;
+- :class:`~repro.proxysim.simulator.ProxySimulation` — the fixed-step simulation loop;
 - :class:`~repro.proxysim.metrics.SimulationResult` — per-slot series and
   scalar summaries matching what the figures plot;
 - :mod:`~repro.proxysim.redirect` — redirection policies: none,

@@ -22,6 +22,7 @@ import numpy as np
 from ..errors import SimulationError
 from ..workload.diurnal import DAY_SECONDS, DiurnalProfile
 from ..workload.sizes import LogNormalSizes, SizeDistribution
+from .metrics import LOOKAHEAD_SECONDS
 
 __all__ = ["ServiceModel", "SimulationConfig"]
 
@@ -88,9 +89,6 @@ class SimulationConfig:
     threshold: float = 60.0
     """Queued work (seconds) above which the global scheduler is consulted."""
 
-    lookahead: float = 600.0
-    """Window (seconds) over which donor availability is projected."""
-
     project_arrivals: float | bool = 0.0
     """Weight of each donor's own expected arrivals in its availability
     report (0 = backlog only, 1 = fully reserve the projected future;
@@ -113,8 +111,8 @@ class SimulationConfig:
             raise SimulationError("need at least one proxy")
         if self.scheme not in ("none", "lp", "endpoint"):
             raise SimulationError(f"unknown scheme {self.scheme!r}")
-        if self.epoch <= 0 or self.threshold < 0 or self.lookahead <= 0:
-            raise SimulationError("epoch/lookahead must be positive, threshold >= 0")
+        if self.epoch <= 0 or self.threshold < 0:
+            raise SimulationError("epoch must be positive, threshold >= 0")
         if self.warmup_days < 0 or self.measure_days < 1:
             raise SimulationError("warmup_days >= 0 and measure_days >= 1 required")
 
@@ -127,6 +125,11 @@ class SimulationConfig:
     @property
     def measure_start(self) -> float:
         return self.warmup_days * DAY_SECONDS
+
+    @property
+    def lookahead(self) -> float:
+        """Window (seconds) over which donor availability is projected."""
+        return LOOKAHEAD_SECONDS
 
     def base_profile(self) -> DiurnalProfile:
         if self.profile is not None:
@@ -186,8 +189,8 @@ class SimulationConfig:
         changes = {
             # 0.95 x the paper's nominal volume puts the diurnal peak at the
             # overload depth the paper reports (no-sharing peak waits of a
-            # few hundred seconds; ~1.5-6% of requests redirected under
-            # sharing) -- see DESIGN.md section 6.
+            # few hundred seconds; ~2% of requests redirected under
+            # sharing, ~8% in the peak slot) -- see DESIGN.md section 6.
             "requests_per_day": base.requests_per_day / scale * 0.95,
             "service": ServiceModel(
                 a=base.service.a * scale,
@@ -199,7 +202,6 @@ class SimulationConfig:
             # stay equivalent to the paper preset.
             "threshold": 0.25 * scale,
             "epoch": 60.0,
-            "lookahead": 600.0,
         }
         changes.update(overrides)
         return base.with_(**changes)

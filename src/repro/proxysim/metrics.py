@@ -3,22 +3,104 @@
 Everything the paper's figures plot comes out of one
 :class:`SimulationResult`: per-10-minute-slot request counts and mean
 waiting times (per origin proxy and aggregated), worst-case (peak-slot)
-waits, and redirection statistics.
+waits, and redirection statistics.  :class:`SlotSeries` accumulates
+values into fixed-width time slots; :class:`SummaryStats` keeps a
+streaming count and mean.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..des.stats import SlotSeries, SummaryStats
 from ..workload.diurnal import DAY_SECONDS
 
-__all__ = ["SimulationResult"]
+__all__ = ["SimulationResult", "SlotSeries", "SummaryStats"]
 
 #: Statistics slot width: the paper's figures plot 10-minute slots.
 SLOT_SECONDS = 600.0
+
+#: Window (seconds) over which the scheduler projects donor availability.
+LOOKAHEAD_SECONDS = 600.0
+
+
+class SlotSeries:
+    """Accumulates (time, value) observations into fixed-width slots.
+
+    ::
+
+        waits = SlotSeries(horizon=86_400.0, width=600.0)  # 144 slots
+        waits.record(t, wait)
+        waits.means()      # average waiting time per 10-minute slot
+        waits.counts()     # requests per slot
+    """
+
+    def __init__(self, horizon: float = 86_400.0, width: float = 600.0):
+        if width <= 0 or horizon <= 0:
+            raise ValueError("horizon and width must be positive")
+        self.horizon = float(horizon)
+        self.width = float(width)
+        self.slots = int(math.ceil(horizon / width))
+        self._sum = np.zeros(self.slots)
+        self._count = np.zeros(self.slots, dtype=np.int64)
+
+    def slot_of(self, t: float) -> int:
+        """Slot index for time ``t``; times wrap modulo the horizon."""
+        return int((t % self.horizon) // self.width) % self.slots
+
+    def record(self, t: float, value: float) -> None:
+        s = self.slot_of(t)
+        self._sum[s] += value
+        self._count[s] += 1
+
+    def counts(self) -> np.ndarray:
+        """Observations per slot."""
+        return self._count.copy()
+
+    def means(self) -> np.ndarray:
+        """Per-slot mean (0 for empty slots)."""
+        out = np.zeros(self.slots)
+        mask = self._count > 0
+        out[mask] = self._sum[mask] / self._count[mask]
+        return out
+
+    def slot_times(self) -> np.ndarray:
+        """Slot start times (seconds), for plotting."""
+        return np.arange(self.slots) * self.width
+
+    def peak_mean(self) -> float:
+        """The worst per-slot mean — the paper's 'worst-case waiting time'."""
+        means = self.means()
+        return float(means.max()) if means.size else 0.0
+
+    def overall_mean(self) -> float:
+        total = int(self._count.sum())
+        return float(self._sum.sum() / total) if total else 0.0
+
+    def merge(self, other: "SlotSeries") -> None:
+        """Accumulate another series (same geometry) into this one."""
+        if (self.slots, self.width) != (other.slots, other.width):
+            raise ValueError("cannot merge SlotSeries with different geometry")
+        self._sum += other._sum
+        self._count += other._count
+
+
+@dataclass
+class SummaryStats:
+    """Streaming count and mean of a value stream."""
+
+    count: int = 0
+    total: float = 0.0
+
+    def record(self, value: float) -> None:
+        self.count += 1
+        self.total += value
+
+    @property
+    def mean(self) -> float:
+        return self.total / self.count if self.count else 0.0
 
 
 @dataclass
@@ -35,7 +117,6 @@ class SimulationResult:
     waits_all: SlotSeries = None  # type: ignore[assignment]
     redirects: SlotSeries = None  # type: ignore[assignment]
     total_requests: int = 0
-    total_redirected: int = 0
     scheduler_consults: int = 0
     lp_solves: int = 0
     local_wait_stats: SummaryStats = field(default_factory=SummaryStats)
@@ -63,16 +144,17 @@ class SimulationResult:
         self.waits_all.record(arrival, wait)
         self.total_requests += 1
         if redirected:
+            self.redirects.record(arrival, 1.0)
             self.redirected_wait_stats.record(wait)
         else:
             self.local_wait_stats.record(wait)
 
-    def record_redirect(self, time: float, count: int = 1) -> None:
-        for _ in range(count):
-            self.redirects.record(time, 1.0)
-        self.total_redirected += count
-
     # -- queries (what the figures plot) --------------------------------------
+
+    @property
+    def total_redirected(self) -> int:
+        """Measured requests that were redirected, counted once each."""
+        return self.redirected_wait_stats.count
 
     def mean_wait_series(self, proxy: int | None = 0) -> np.ndarray:
         """Per-slot mean waiting time; ``proxy=None`` aggregates all ISPs."""

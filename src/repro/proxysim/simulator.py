@@ -134,7 +134,7 @@ class ProxySimulation:
         W = cfg.lookahead
         avail = np.empty(cfg.n_proxies)
         for k, q in enumerate(self.queues):
-            committed = q.backlog + max(q._server_free_at - now, 0.0) * q.rate
+            committed = q.committed(now)
             weight = float(cfg.project_arrivals)
             if weight > 0.0:
                 committed += weight * (
@@ -176,7 +176,6 @@ class ProxySimulation:
                 item.ready = now + cfg.redirect_cost
                 item.hops += 1
                 target.push(item)
-            self.result.record_redirect(now, len(moved))
 
     def _apply_system_updates(self, now: float) -> None:
         while (
@@ -193,8 +192,7 @@ class ProxySimulation:
             self.policy = make_policy(self.config, new_system)
             self._next_update += 1
 
-    def _epoch_tick(self, engine: Engine) -> None:
-        now = engine.now
+    def _epoch_tick(self, now: float) -> None:
         cfg = self.config
         if self._system_updates:
             self._apply_system_updates(now)
@@ -209,8 +207,6 @@ class ProxySimulation:
             for p in order:
                 if self.queues[p].backlog > cfg.threshold:
                     self._consult(p, now)
-        if now + cfg.epoch <= cfg.horizon + 1e-9:
-            engine.schedule(cfg.epoch, lambda: self._epoch_tick(engine))
 
     # -- API --------------------------------------------------------------------
 
@@ -221,10 +217,10 @@ class ProxySimulation:
         with obs.span(
             "proxysim.run", scheme=cfg.scheme, n_proxies=cfg.n_proxies,
             horizon=cfg.horizon,
-        ):
-            engine = Engine()
-            engine.schedule(cfg.epoch, lambda: self._epoch_tick(engine))
-            engine.run(until=cfg.horizon)
+        ) as span:
+            engine = Engine(cfg.epoch)
+            engine.run(cfg.horizon, self._epoch_tick)
+            span.set(ticks=engine.events_processed)
             # Flush: push any remaining arrivals, then serve everything.
             for p in range(cfg.n_proxies):
                 self._push_arrivals(p, float("inf"))

@@ -1,114 +1,74 @@
-"""Tests for the discrete-event engine."""
+"""Tests for the fixed-step simulation clock."""
 
 import pytest
 
 import repro.obs as obs
+from repro.agreements import complete_structure
 from repro.des import Engine
 from repro.errors import SimulationError
+from repro.obs.events import read_trace
+from repro.proxysim import ProxySimulation, SimulationConfig
 
 
-class TestScheduling:
-    def test_events_fire_in_time_order(self):
-        eng = Engine()
-        fired = []
-        eng.schedule_at(5.0, lambda: fired.append("b"))
-        eng.schedule_at(1.0, lambda: fired.append("a"))
-        eng.schedule_at(9.0, lambda: fired.append("c"))
-        eng.run()
-        assert fired == ["a", "b", "c"]
-
-    def test_simultaneous_events_fifo(self):
-        eng = Engine()
-        fired = []
-        for tag in "abc":
-            eng.schedule_at(3.0, lambda t=tag: fired.append(t))
-        eng.run()
-        assert fired == ["a", "b", "c"]
-
-    def test_clock_advances_to_event_time(self):
-        eng = Engine()
+class TestTicks:
+    def test_epoch_dividing_until(self):
         seen = []
-        eng.schedule_at(4.5, lambda: seen.append(eng.now))
-        eng.run()
-        assert seen == [4.5]
-        assert eng.now == 4.5
+        eng = Engine(2.0)
+        eng.run(10.0, seen.append)
+        assert seen == [2.0, 4.0, 6.0, 8.0, 10.0]
+        assert eng.events_processed == 5
 
-    def test_relative_delay(self):
-        eng = Engine(start=10.0)
+    def test_epoch_not_dividing_until(self):
         seen = []
-        eng.schedule(2.5, lambda: seen.append(eng.now))
-        eng.run()
-        assert seen == [12.5]
+        Engine(3.0).run(10.0, seen.append)
+        assert seen == [3.0, 6.0, 9.0]
 
-    def test_past_scheduling_rejected(self):
-        eng = Engine(start=10.0)
+    def test_times_are_repeated_sums(self):
+        """Ten additions of 0.1 give 0.9999999999999999, which fires."""
+        seen = []
+        eng = Engine(0.1)
+        eng.run(1.0, seen.append)
+        expected, now = [], 0.0
+        for _ in range(10):
+            now += 0.1
+            expected.append(now)
+        assert seen == expected
+        assert seen[-1] == 0.9999999999999999
+        assert eng.events_processed == 10
+
+    @pytest.mark.parametrize("epoch", [0.0, -1.0, float("nan")])
+    def test_non_positive_epoch_rejected(self, epoch):
         with pytest.raises(SimulationError):
-            eng.schedule_at(5.0, lambda: None)
-        with pytest.raises(SimulationError):
-            eng.schedule(-1.0, lambda: None)
-
-    def test_events_can_schedule_events(self):
-        eng = Engine()
-        fired = []
-
-        def chain(k):
-            fired.append(eng.now)
-            if k > 0:
-                eng.schedule(1.0, lambda: chain(k - 1))
-
-        eng.schedule_at(0.0, lambda: chain(3))
-        eng.run()
-        assert fired == [0.0, 1.0, 2.0, 3.0]
+            Engine(epoch)
 
 
 class TestRunControl:
     def test_until_stops_before_later_events(self):
-        eng = Engine()
-        fired = []
-        eng.schedule_at(1.0, lambda: fired.append(1))
-        eng.schedule_at(5.0, lambda: fired.append(5))
-        eng.run(until=3.0)
-        assert fired == [1]
-        assert eng.now == 3.0  # clock advanced to the horizon
-        eng.run()
-        assert fired == [1, 5]
-
-    def test_not_reentrant(self):
-        eng = Engine()
-
-        def reenter():
-            eng.run()
-
-        eng.schedule_at(1.0, reenter)
-        with pytest.raises(SimulationError, match="re-entrant"):
-            eng.run()
+        seen = []
+        Engine(1.0).run(2.5, seen.append)
+        assert seen == [1.0, 2.0]
 
     def test_events_processed_counter(self):
-        eng = Engine()
-        for i in range(4):
-            eng.schedule_at(float(i), lambda: None)
-        eng.run()
-        assert eng.events_processed == 4
+        eng = Engine(1.0)
+        eng.run(4.0, lambda now: None)
+        eng.run(2.0, lambda now: None)
+        assert eng.events_processed == 6
 
 
 class TestTracing:
     def test_callback_span_nests_under_span_around_run(self):
-        """Callbacks fire inside run(), so a span one opens is a child of
-        the span open around run() -- the proxy simulation's shape."""
+        """Ticks fire inside run(), so a span one opens is a child of the
+        span open around run() -- the proxy simulation's shape."""
         seen = []
         try:
             observer = obs.enable()
-            eng = Engine()
 
-            def fired():
-                with observer.span("work.in_event") as sp:
+            def tick(now):
+                with observer.span("work.in_tick") as sp:
                     seen.append(sp)
-                if len(seen) == 1:
-                    eng.schedule(1.0, fired)
 
-            eng.schedule(1.0, fired)  # scheduled with no span open
             with observer.span("sim.run") as run:
-                eng.run()
+                Engine(1.0).run(2.0, tick)
         finally:
             obs.disable()
 
@@ -116,5 +76,24 @@ class TestTracing:
         for sp in seen:
             assert sp.trace_id == run.trace_id
             assert sp.parent_id == run.span_id
-            assert sp.path == "sim.run/work.in_event"
+            assert sp.path == "sim.run/work.in_tick"
         assert run.parent_id is None
+
+    def test_one_day_simulation_fires_1440_ticks(self, tmp_path):
+        cfg = SimulationConfig.scaled(
+            400, gap=3600.0, scheme="endpoint", warmup_days=0, seed=0
+        )
+        assert cfg.epoch == 60.0
+        path = tmp_path / "trace.jsonl"
+        try:
+            observer = obs.enable(trace_path=path)
+            ProxySimulation(cfg, complete_structure(10, share=0.1)).run()
+            fired = observer.registry.counter_value("des.events_fired")
+        finally:
+            obs.disable()
+        assert fired == 1440
+        (run,) = [
+            r for r in read_trace(path)
+            if r.get("kind") == "span" and r["name"] == "proxysim.run"
+        ]
+        assert run["attrs"]["ticks"] == 1440

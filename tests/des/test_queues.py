@@ -54,6 +54,14 @@ class TestFifoService:
 
 
 class TestBacklog:
+    def test_committed_counts_in_service_remainder(self):
+        q = WorkQueue(rate=2.0)
+        q.push(QueuedItem(arrival=0.0, service=4.0))
+        q.push(QueuedItem(arrival=0.0, service=1.0))
+        served_list(q, now=0.0)  # the 4 s item runs until t = 2
+        assert q.committed(0.5) == pytest.approx(1.0 + 1.5 * 2.0)
+        assert q.committed(3.0) == pytest.approx(1.0)  # server idle again
+
     def test_backlog_tracks_queued_work(self):
         q = WorkQueue()
         q.push(QueuedItem(arrival=0.0, service=2.0))

@@ -72,8 +72,6 @@ class TestNoAttributeLeakage:
         assert t.send("h", Message(sender="x")) is reply
 
     def test_engine_counts_without_observer(self):
-        eng = Engine()
-        eng.schedule_at(1.0, lambda: None)
-        eng.schedule_at(2.0, lambda: None)
-        eng.run()
+        eng = Engine(1.0)
+        eng.run(2.0, lambda now: None)
         assert eng.events_processed == 2

@@ -95,7 +95,6 @@ class TestBreakdown:
     def test_categorize_prefixes(self):
         assert categorize("transport.send") == "transport"
         assert categorize("lp.solve") == "lp"
-        assert categorize("des.run") == "queue"
         assert categorize("topology.rebuild") == "topology"
         assert categorize("manager.plan") == "other"
 

@@ -239,8 +239,5 @@ class TestInstrumentedStack:
     def test_engine_counters_reach_registry(self, observer):
         from repro.des import Engine
 
-        eng = Engine()
-        eng.schedule_at(1.0, lambda: None)
-        eng.schedule_at(2.0, lambda: None)
-        eng.run()
+        Engine(1.0).run(2.0, lambda now: None)
         assert observer.registry.counter_value("des.events_fired") == 2

@@ -9,12 +9,11 @@ from repro.proxysim import SimulationResult
 @pytest.fixture
 def result():
     r = SimulationResult(n_proxies=3)
-    # proxy 0: two requests at hour 1 with waits 2 and 4
+    # proxy 0: two requests at hour 1 with waits 2 and 4, the second redirected
     r.record_wait(0, 3_600.0, 2.0)
-    r.record_wait(0, 3_700.0, 4.0)
+    r.record_wait(0, 3_700.0, 4.0, redirected=True)
     # proxy 1: one request at hour 2 with wait 10
     r.record_wait(1, 7_200.0, 10.0)
-    r.record_redirect(3_650.0, 1)
     return r
 
 

@@ -170,6 +170,17 @@ class TestRedirection:
         # proxy 1 only generated one request of its own
         assert int(result.waits_by_proxy[1].counts().sum()) == 1
 
+    def test_warmup_redirects_not_counted(self):
+        """Redirects are tallied with the waits they are divided by: the
+        measured day's requests, keyed by arrival, warm-up day excluded."""
+        cfg = SimulationConfig.scaled(
+            400, gap=3600.0, scheme="endpoint", warmup_days=1, seed=0
+        )
+        result = run_simulation(cfg, complete_structure(10, share=0.1))
+        assert result.redirected_wait_stats.count > 0
+        assert result.total_redirected == result.redirected_wait_stats.count
+        assert int(result.redirects.counts().sum()) == result.total_redirected
+
 
 class TestPolicyWiring:
     def test_lp_scheme_requires_system(self):
