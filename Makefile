@@ -20,8 +20,10 @@ bench:
 experiments:
 	$(PY) -m repro.experiments.runner all
 
+# Per-figure tables only; EXPERIMENTS.md's headline table and notes are kept by hand.
 experiments-md:
-	$(PY) scripts/generate_experiments_md.py
+	mkdir -p build
+	$(PY) scripts/generate_experiments_md.py --out build/experiments-tables.md
 
 examples:
 	for f in examples/*.py; do echo "== $$f =="; $(PY) $$f || exit 1; done

@@ -4,7 +4,10 @@
 Principal A routes its agreements through two virtual currencies, A1 and
 A2.  Repricing one subset (inflating A1, or issuing new tickets from it)
 leaves every agreement routed through A2 untouched — the decoupling that
-motivates virtual currencies in Section 2.2.
+motivates virtual currencies in Section 2.2.  It also prints what the
+enforcement layer sees: the shares and capacities after the bank
+eliminates the virtual currencies (A -> A2 -> B becomes one share of
+0.5 * 0.6 = 0.3 from A to B).
 
 Run:  python examples/virtual_currencies.py
 """
@@ -20,8 +23,23 @@ def show(bank, label: str) -> None:
     print(f"{label:40s} {row}")
 
 
+def show_flattened(bank) -> None:
+    view = bank.capacity_view("disk")
+    print("flattened shares S[i, j] (fraction of i's disk shared with j):")
+    for i, p in enumerate(view.principals):
+        shares = "  ".join(
+            f"{q}={view.S[i, j]:g}" for j, q in enumerate(view.principals) if view.S[i, j]
+        )
+        print(f"  {p}: {shares or '-'}")
+    capacities = "  ".join(
+        f"{p}={c:g}" for p, c in zip(view.principals, view.capacities())
+    )
+    print(f"capacities (TB): {capacities}\n")
+
+
 def main() -> None:
     bank, tickets = build_example_2()
+    show_flattened(bank)
     print("disk values (TB) after each action:\n")
     show(bank, "initial (A1=3, A2=5 per the paper)")
 

@@ -18,9 +18,23 @@ These equations are linear: with ``M[c, q]`` the summed fractions of
 relative tickets issued by ``q`` backing ``c`` and ``b[c]`` the absolute
 backing, values satisfy ``v = b + M v``.  The bank solves ``(I - M) v = b``
 directly.  Cyclic funding graphs are fine as long as the cycle's product of
-fractions is below 1 (the Neumann series converges); a non-contractive
-cycle makes values undefined and raises
-:class:`~repro.errors.CurrencyCycleError`.
+fractions is below 1 (the Neumann series converges); a singular system or
+an expansive cycle (one that drives a value negative) makes values
+undefined and raises :class:`~repro.errors.CurrencyCycleError`.
+
+Flattening
+----------
+The enforcement layer sees principals only, so the flatten eliminates the
+virtual block ``W`` of the same system and keeps the default block ``D``.
+With ``b_W`` the virtual currencies' absolute backing of one resource
+type, ``X = (I - M_WW)^-1 [M_WD | b_W]`` is what each virtual currency
+holds per unit of each principal's resources, plus an absolute part.
+Then ``S = (M_DD + M_DW X_D)^T`` with a zero diagonal, and each virtual
+currency's absolute part, passed on through ``M_DW``, is granted by its
+owner in ``A``.  In Example 2, A funds A2 with ``500/1000`` of itself and
+A2 issues ``60/100`` of itself to B, so ``X[A2, A] = 0.5`` and
+``S[A, B] = 0.6 * 0.5 = 0.3``: B holds 15 + 0.3 * 10 = 18 TB.  Both solves
+go through one function, so valuation and flattening share one cycle rule.
 """
 
 from __future__ import annotations
@@ -71,6 +85,33 @@ def mutates(method: Callable[Concatenate[Bank, _P], _R]) -> Callable[Concatenate
 
     wrapper.__mutates__ = True  # type: ignore[attr-defined]
     return wrapper
+
+
+def _solve_funding(M: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solve ``(I - M) X = B``, clamped at zero: the bank's one cycle rule.
+
+    Raises :class:`~repro.errors.CurrencyCycleError` when ``I - M`` is
+    singular (a cycle shares 100% around) or the solution is negative (an
+    expansive cycle, whose Neumann series diverges).
+    """
+    n = M.shape[0]
+    if n == 0:
+        return np.zeros(B.shape)
+    I_M = np.eye(n) - M
+    if np.linalg.cond(I_M) > 1 / _SINGULAR_TOL:
+        raise CurrencyCycleError(
+            "currency funding graph has a non-contractive cycle; "
+            "values are undefined (total shared fractions around a "
+            "cycle must stay below 100%)"
+        )
+    X: np.ndarray = np.linalg.solve(I_M, B)
+    if np.any(X < -1e-9):
+        raise CurrencyCycleError(
+            "currency valuation produced negative values, indicating an "
+            "expansive funding cycle"
+        )
+    np.maximum(X, 0.0, out=X)
+    return X
 
 
 class Bank:
@@ -266,55 +307,37 @@ class Bank:
         types.discard("*")
         return sorted(types)
 
-    def _value_system(self) -> tuple[list[str], np.ndarray, np.ndarray, list[str]]:
-        """Build the linear valuation system.
+    def _funding(self) -> tuple[list[str], np.ndarray, np.ndarray, list[str]]:
+        """The funding graph as one linear system, built in one ticket walk.
 
-        Returns ``(names, M, B, types)`` where values per resource type
-        solve ``(I - M) V = B`` columnwise (column k is resource type
-        ``types[k]``).
+        Returns ``(names, M, B, types)`` over every currency in creation
+        order: ``M[c, q]`` sums ``face / face(q)`` over the relative
+        tickets ``q`` issues to ``c``, and ``B[c, k]`` sums the absolute
+        tickets (deposits included) of resource type ``types[k]`` backing
+        ``c``.  Values solve ``v = B + M v`` columnwise.
         """
         names = list(self._currencies)
         index = {n: i for i, n in enumerate(names)}
         types = self.resource_types()
         tindex = {t: k for k, t in enumerate(types)}
-        n, k = len(names), len(types)
-        M = np.zeros((n, n))
-        B = np.zeros((n, k))
+        M = np.zeros((len(names), len(names)))
+        B = np.zeros((len(names), len(types)))
         for t in self._tickets.values():
             c = index[t.backing]
             if t.kind is TicketKind.ABSOLUTE:
                 B[c, tindex[t.resource_type]] += t.face_value
             else:
-                q = index[t.issuer]
-                M[c, q] += t.face_value / self._currencies[t.issuer].face_value
+                M[c, index[t.issuer]] += t.face_value / self._currencies[t.issuer].face_value
         return names, M, B, types
 
     def currency_values(self) -> dict[str, ResourceVector]:
         """Value of every currency as a :class:`~repro.units.ResourceVector`."""
-        names, M, B, types = self._value_system()
-        if not names:
-            return {}
-        n = len(names)
-        A = np.eye(n) - M
-        # A singular or a non-contractive cycle leaves values undefined.
-        if n and np.linalg.cond(A) > 1 / _SINGULAR_TOL:
-            raise CurrencyCycleError(
-                "currency funding graph has a non-contractive cycle; "
-                "values are undefined (total shared fractions around a "
-                "cycle must stay below 100%)"
-            )
-        V = np.linalg.solve(A, B) if B.size else np.zeros((n, 0))
-        if np.any(V < -1e-9):
-            raise CurrencyCycleError(
-                "currency valuation produced negative values, indicating an "
-                "expansive funding cycle"
-            )
-        out: dict[str, ResourceVector] = {}
-        for i, name in enumerate(names):
-            out[name] = ResourceVector(
-                {t: max(float(V[i, j]), 0.0) for j, t in enumerate(types)}
-            )
-        return out
+        names, M, B, types = self._funding()
+        values = _solve_funding(M, B)
+        return {
+            name: ResourceVector({t: float(values[i, k]) for k, t in enumerate(types)})
+            for i, name in enumerate(names)
+        }
 
     def currency_value(self, name: str) -> ResourceVector:
         """Value of one currency (computes the full system)."""
@@ -340,19 +363,14 @@ class Bank:
         """Currencies whose issued relative faces exceed their face value.
 
         Such currencies promise more than 100% of their value — the
-        "overdraft" situation of Section 3.2.  Legal: every topology clamps
-        its coefficients (:func:`repro.agreements.flow.overdraft_clamp`), so
+        "overdraft" situation of Section 3.2: a column of the funding
+        matrix sums above 1.  Legal: every topology clamps its
+        coefficients (:func:`repro.agreements.flow.overdraft_clamp`), so
         no chain moves more than 100% of the issuer's resources.
         """
-        issued: dict[str, float] = {}
-        for t in self._tickets.values():
-            if t.kind is TicketKind.RELATIVE:
-                issued[t.issuer] = issued.get(t.issuer, 0.0) + t.face_value
-        return sorted(
-            name
-            for name, total in issued.items()
-            if total > self._currencies[name].face_value * (1 + 1e-12)
-        )
+        names, M, _, _ = self._funding()
+        issued = M.sum(axis=0)
+        return sorted(name for name, f in zip(names, issued) if f > 1 + 1e-12)
 
     # -- export to the enforcement layer ------------------------------------------
 
@@ -372,79 +390,41 @@ class Bank:
         currency's owner) and the absolute component of relative tickets
         issued by virtual currencies funded with absolute tickets.
 
-        The matrices feed the cached topology behind :meth:`topology` and
-        :meth:`capacity_view`.
+        The virtual block of the funding system is eliminated (see the
+        module's "Flattening"); the matrices feed the cached topology
+        behind :meth:`topology` and :meth:`capacity_view`.
         """
-        principals = self.principals()
+        names, M, B, types = self._funding()
+        virtual = np.array([c.virtual for c in self._currencies.values()], dtype=bool)
+        d, w = np.flatnonzero(~virtual), np.flatnonzero(virtual)
+        principals = [names[i] for i in d]
         pindex = {p: i for i, p in enumerate(principals)}
-        virtuals = [c.name for c in self._currencies.values() if c.virtual]
-        vindex = {v: i for i, v in enumerate(virtuals)}
-        n, nv = len(principals), len(virtuals)
-
-        # contrib(c) for a currency c = (alpha over principals, beta) where
-        # value-flow into c = sum_p alpha_p * flow(default_p) + beta.
-        # Defaults contribute a unit of themselves; virtual currencies solve
-        # a small linear system over virtual-to-virtual relative tickets.
-        Mv = np.zeros((nv, nv))
-        Bv = np.zeros((nv, n + 1))  # last column: absolute component
-        for t in self._tickets.values():
-            if t.backing not in vindex:
-                continue
-            r = vindex[t.backing]
-            if t.kind is TicketKind.ABSOLUTE:
-                if t.resource_type == resource_type:
-                    Bv[r, n] += t.face_value
-            else:
-                frac = t.face_value / self._currencies[t.issuer].face_value
-                if t.issuer in pindex:
-                    Bv[r, pindex[t.issuer]] += frac
-                else:
-                    Mv[r, vindex[t.issuer]] += frac
-        if nv:
-            Av = np.eye(nv) - Mv
-            if np.linalg.cond(Av) > 1 / _SINGULAR_TOL:
-                raise CurrencyCycleError(
-                    "virtual currencies form a non-contractive funding cycle"
-                )
-            contrib_v = np.linalg.solve(Av, Bv)
-        else:
-            contrib_v = np.zeros((0, n + 1))
-
-        def contribution(currency: str) -> np.ndarray:
-            out = np.zeros(n + 1)
-            if currency in pindex:
-                out[pindex[currency]] = 1.0
-            else:
-                out[:] = contrib_v[vindex[currency]]
-            return out
+        n = len(principals)
+        b_W = B[w, types.index(resource_type)] if resource_type in types else np.zeros(len(w))
+        # X = (I - M_WW)^-1 [M_WD | b_W]: what each virtual currency holds,
+        # per unit of each principal's resources plus an absolute column.
+        X = _solve_funding(M[np.ix_(w, w)], np.column_stack([M[np.ix_(w, d)], b_W]))
+        M_DW = M[np.ix_(d, w)]
+        S = M[np.ix_(d, d)].T + (M_DW @ X[:, :n]).T
+        np.fill_diagonal(S, 0.0)
 
         V = np.zeros(n)
-        S = np.zeros((n, n))
         A = np.zeros((n, n))
         for t in self._tickets.values():
-            if t.is_base_capacity:
-                if t.backing in pindex and t.resource_type == resource_type:
-                    V[pindex[t.backing]] += t.face_value
+            if t.kind is TicketKind.RELATIVE or t.resource_type != resource_type:
                 continue
-            if t.backing not in pindex:
-                continue  # funds a virtual currency; handled via contrib
-            j = pindex[t.backing]
-            if t.kind is TicketKind.ABSOLUTE:
-                if t.resource_type != resource_type:
-                    continue
-                owner = self._currencies[t.issuer].owner
-                if owner in pindex and owner != t.backing:
-                    A[pindex[owner], j] += t.face_value
-            else:
-                frac = t.face_value / self._currencies[t.issuer].face_value
-                c = contribution(t.issuer) * frac
-                for i in range(n):
-                    if i != j and c[i] > 0:
-                        S[i, j] += c[i]
-                if c[n] > 0:
-                    owner = self._currencies[t.issuer].owner
-                    if owner in pindex and owner != t.backing:
-                        A[pindex[owner], j] += c[n]
+            j = pindex.get(t.backing)
+            if j is None:
+                continue  # funds a virtual currency: in b_W
+            if t.issuer is None:
+                V[j] += t.face_value
+            elif (owner := self._currencies[t.issuer].owner) in pindex:
+                A[pindex[owner], j] += t.face_value
+        for k, i in enumerate(w):
+            owner = self._currencies[names[i]].owner
+            if owner in pindex:
+                A[pindex[owner]] += M_DW[:, k] * X[k, n]
+        np.fill_diagonal(A, 0.0)
         return principals, V, S, A
 
     def _flattened(self, resource_type: str) -> tuple[int, AgreementTopology, np.ndarray]:

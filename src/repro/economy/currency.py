@@ -14,6 +14,7 @@ is to decouple one subset of agreements from fluctuations in another.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..errors import EconomyError
@@ -48,9 +49,9 @@ class Currency:
     virtual: bool = False
 
     def __post_init__(self) -> None:
-        if self.face_value <= 0:
+        if not (math.isfinite(self.face_value) and self.face_value > 0):
             raise EconomyError(
-                f"currency {self.name!r} must have positive face value, "
+                f"currency {self.name!r} must have a positive finite face value, "
                 f"got {self.face_value!r}"
             )
         if self.owner is None:
@@ -61,10 +62,15 @@ class Currency:
 
         Inflating (factor > 1) reduces the real value of every relative
         ticket already issued by this currency; deflating (< 1) raises it.
+        A factor that is not finite, or that would leave the face value
+        zero or infinite, is rejected and leaves the currency unchanged.
         """
-        if factor <= 0:
-            raise EconomyError(f"inflation factor must be positive, got {factor!r}")
-        self.face_value *= factor
+        face = self.face_value * factor
+        if not (math.isfinite(face) and face > 0):
+            raise EconomyError(
+                f"inflation factor must be positive and finite, got {factor!r}"
+            )
+        self.face_value = face
 
     def __repr__(self) -> str:
         tag = " virtual" if self.virtual else ""

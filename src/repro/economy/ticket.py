@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from ..errors import EconomyError
@@ -72,6 +73,11 @@ class Ticket:
     revoked: bool = False
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.face_value):
+            raise EconomyError(
+                f"ticket {self.name or self.ticket_id} has non-finite face value "
+                f"{self.face_value!r}"
+            )
         if self.face_value < 0:
             raise EconomyError(
                 f"ticket {self.name or self.ticket_id} has negative face value "

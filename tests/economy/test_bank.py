@@ -1,5 +1,7 @@
 """Tests for the ticket/currency bank: registry, valuation, revocation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -151,12 +153,63 @@ class TestValuation:
         assert vA == pytest.approx(10 / 0.6)
         assert vB == pytest.approx(10 / 0.6)
 
+    def test_expansive_virtual_cycle_raises_in_valuation_and_flatten(self):
+        """v0 <-> v1 multiplies by 1.5 per lap: both solves must refuse it
+        rather than the flatten dropping B's agreement."""
+        bank = Bank()
+        bank.create_currency("A")
+        bank.create_currency("B")
+        bank.create_currency("v0", owner="A", virtual=True)
+        bank.create_currency("v1", owner="A", virtual=True)
+        bank.deposit_capacity("A", 10, "general")
+        bank.issue_relative_ticket("A", "v0", 50)
+        bank.issue_relative_ticket("v0", "v1", 150)
+        bank.issue_relative_ticket("v1", "v0", 100)
+        bank.issue_relative_ticket("v1", "B", 50)
+        with pytest.raises(CurrencyCycleError):
+            bank.currency_values()
+        with pytest.raises(CurrencyCycleError):
+            bank.to_agreement_system("general")
+
     def test_non_contractive_cycle_raises(self, bank):
         bank.deposit_capacity("A", 10, "disk")
         bank.issue_relative_ticket("A", "B", 1000)  # 100%
         bank.issue_relative_ticket("B", "A", 100)  # 100%
         with pytest.raises(CurrencyCycleError):
             bank.currency_values()
+
+
+class TestNonFiniteInputs:
+    """A NaN or infinity is rejected where it enters the economy, so it
+    never reaches the funding matrix."""
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda b: b.issue_relative_ticket("A", "B", math.nan),
+            lambda b: b.issue_relative_ticket("A", "B", math.inf),
+            lambda b: b.issue_absolute_ticket("A", "B", math.nan, "disk"),
+            lambda b: b.inflate_currency("A", math.inf),
+            lambda b: b.inflate_currency("A", math.nan),
+            lambda b: b.deposit_capacity("A", math.nan, "disk"),
+            lambda b: b.deposit_capacity("A", math.inf, "disk"),
+            lambda b: b.create_currency("C", face_value=math.nan),
+            lambda b: b.create_currency("C", face_value=math.inf),
+        ],
+        ids=[
+            "relative-nan", "relative-inf", "absolute-nan", "inflate-inf",
+            "inflate-nan", "deposit-nan", "deposit-inf", "currency-nan", "currency-inf",
+        ],
+    )
+    def test_rejected_without_a_version_bump(self, bank, change):
+        bank.deposit_capacity("A", 10, "disk")
+        bank.issue_relative_ticket("A", "B", 500)
+        version = bank.version
+        with pytest.raises(EconomyError):
+            change(bank)
+        assert bank.version == version
+        assert bank.currency_value("B")["disk"] == pytest.approx(5.0)
+        np.testing.assert_allclose(bank.capacity_view("disk").capacities(), [10.0, 5.0])
 
 
 class TestInflation:

@@ -7,7 +7,9 @@ Invariants checked on randomly generated economies:
 - inflating a currency leaves its own value unchanged and scales the
   real value of every relative ticket it issued by exactly 1/factor;
 - the flattened agreement system's capacities are consistent with
-  currency values for two-level (acyclic, direct-agreement) economies.
+  currency values for two-level (acyclic, direct-agreement) economies;
+- eliminating the virtual currencies matches the per-ticket composition
+  of :mod:`flatten_reference`, bit for bit when there are none.
 """
 
 import numpy as np
@@ -17,6 +19,10 @@ from hypothesis import strategies as st
 
 from repro.economy import Bank
 from repro.economy.ticket import TicketKind
+
+from .flatten_reference import to_agreement_system as reference_flatten
+
+TYPES = ("general", "disk")
 
 
 @st.composite
@@ -122,3 +128,66 @@ class TestFlatteningConsistency:
                 j = system.index(t.backing)
                 expected[i, j] += t.face_value / bank.currency(t.issuer).face_value
         np.testing.assert_allclose(system.S, expected, atol=1e-12)
+
+
+@st.composite
+def virtual_economies(draw, max_virtuals=4):
+    """Principals and virtual currencies over two resource types.
+
+    Virtual currencies are funded relatively, absolutely or both, and
+    fund each other only forward (``w_a -> w_b`` with ``a < b``), so they
+    form chains but no cycle; principals may fund each other freely.
+    """
+    n = draw(st.integers(2, 5))
+    m = draw(st.integers(0, max_virtuals))
+    faces = st.sampled_from([50.0, 100.0, 1000.0])
+    bank = Bank()
+    principals = [f"p{i}" for i in range(n)]
+    virtuals = [f"w{k}" for k in range(m)]
+    for p in principals:
+        bank.create_currency(p, face_value=draw(faces))
+    for v in virtuals:
+        bank.create_currency(
+            v, face_value=draw(faces), owner=draw(st.sampled_from(principals)), virtual=True
+        )
+    names = principals + virtuals
+    for name in names:
+        for rtype in TYPES:
+            if draw(st.booleans()):
+                bank.deposit_capacity(name, draw(st.floats(0.0, 100.0)), rtype)
+    for _ in range(draw(st.integers(0, 12))):
+        issuer = draw(st.sampled_from(names))
+        backing = draw(st.sampled_from(names))
+        if issuer == backing or (
+            issuer in virtuals and backing in virtuals and backing < issuer
+        ):
+            continue
+        if draw(st.booleans()):
+            face = draw(st.floats(0.0, 0.6)) * bank.currency(issuer).face_value
+            bank.issue_relative_ticket(issuer, backing, face)
+        else:
+            amount = draw(st.floats(0.0, 20.0))
+            bank.issue_absolute_ticket(issuer, backing, amount, draw(st.sampled_from(TYPES)))
+    return bank
+
+
+class TestFlattenMatchesReference:
+    @given(virtual_economies())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_ticket_composition(self, bank):
+        for rtype in TYPES:
+            principals, V, S, A = bank.to_agreement_system(rtype)
+            ref_principals, ref_V, ref_S, ref_A = reference_flatten(bank, rtype)
+            assert principals == ref_principals
+            for got, want in ((V, ref_V), (S, ref_S), (A, ref_A)):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @given(virtual_economies(max_virtuals=0))
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_without_virtual_currencies(self, bank):
+        for rtype in TYPES:
+            got = bank.to_agreement_system(rtype)
+            want = reference_flatten(bank, rtype)
+            assert got[0] == want[0]
+            for a, b in zip(got[1:], want[1:]):
+                assert np.array_equal(a, b)
