@@ -6,11 +6,13 @@ instrumented layer:
 
 1. a GRM/LRM cluster allocating over the message transport
    (per-endpoint message counters, GRM allocate spans, LP solves);
-2. a small proxy-group simulation (DES event counts, scheduler LP
-   solves, sim-time/wall-time ratio).
+2. a small proxy-group simulation (the run span's tick count, one
+   consultation span and decision per scheduler LP solve, the
+   redirect and wait figures).
 
-Finally it replays the trace through the same aggregation that
-``scripts/obs_trace.py report`` uses and prints the summary tables.
+Finally it replays the trace's metric snapshot into the report that
+``scripts/obs_trace.py report`` prints, the same tables as the live
+``obs.report()``.
 
 Run:  python examples/tracing_demo.py [trace.jsonl]
 """
@@ -92,7 +94,7 @@ def main() -> None:
     print("\n== proxy-group simulation (scheme=lp) ==")
     proxy_simulation()
 
-    obs.disable()  # flushes the metric snapshot and closes the trace
+    obs.disable()  # writes the snapshot record and closes the trace
 
     print(f"\n== report replayed from {trace_path} ==")
     print(render_trace(trace_path))

@@ -16,9 +16,11 @@ Usage::
     PYTHONPATH=src python scripts/obs_trace.py report --json run.jsonl
     PYTHONPATH=src python scripts/obs_trace.py explain 17 run.jsonl
 
-``report TRACE`` replays one trace into summary tables of counters,
-histograms, spans, events and decisions (``--json`` emits the aggregated
-summary instead, for piping into other tooling).
+``report TRACE`` replays the trace's last metric snapshot into the
+tables the live ``repro.obs.report()`` prints: span timings, decision
+outcomes, counters, gauges and histograms, each number once, whatever
+the sampling rate (``--json`` emits the same summary as data, for piping
+into other tooling).
 
 ``explain REQUEST_ID`` prints the flight-recorder record(s) for one
 allocation decision (requestor, donor split, theta, LP statistics,
@@ -117,7 +119,7 @@ def main(argv: list[str] | None = None) -> int:
     p_tree.set_defaults(fn=_cmd_tree)
 
     p_report = sub.add_parser(
-        "report", help="replay one trace into summary tables"
+        "report", help="replay one trace's metric snapshot into summary tables"
     )
     p_report.add_argument("trace", help="JSONL trace written by repro.obs")
     p_report.add_argument(

@@ -156,7 +156,6 @@ def transitive_coefficients(S: np.ndarray, max_level: int | None = None) -> np.n
         T, cost = _coefficients_dp(S, m)
         span.set(**cost)
     if obs.enabled:
-        obs.counter("flow.builds")
         obs.histogram("flow.hop_depth", m)
         obs.histogram("flow.dp_states", cost["states"], reachable=cost["reachable"])
     return T

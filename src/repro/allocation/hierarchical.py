@@ -193,10 +193,7 @@ def allocate_hierarchical(
                 dec.set(multigrid_rounds=rounds)
         if remaining > 1e-6 and not partial:
             # Undo nothing — this is a pure planning function; just report.
-            obs.event(
-                "allocation.insufficient", principal=principal,
-                requested=x, available=satisfied, scheme="hierarchical",
-            )
+            span.set(available=satisfied)
             raise InsufficientResourcesError(principal, x, satisfied)
     return Allocation.finalize(
         system, request, take, "hierarchical", satisfied=satisfied

@@ -122,10 +122,7 @@ def allocate_lp(
         if x > cap + _TOL:
             if not partial:
                 obs.counter("allocation.denied")
-                obs.event(
-                    "allocation.insufficient", principal=principal,
-                    requested=x, available=cap,
-                )
+                sp.set(available=cap)
                 raise InsufficientResourcesError(principal, x, cap)
             x = cap
         if x <= _TOL:
@@ -142,10 +139,6 @@ def allocate_lp(
         res = solve(*arrays, backend=backend, model=f"allocate-{formulation}")
         if not res.ok:
             obs.counter("allocation.infeasible")
-            obs.event(
-                "allocation.infeasible", principal=principal, amount=x,
-                formulation=formulation, backend=backend,
-            )
             raise InfeasibleAllocationError(
                 f"allocation LP reported {res.status.value} "
                 f"(x={x:g}, requester index {a})"

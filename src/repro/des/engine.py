@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from ..errors import SimulationError
-from ..obs import get_observer
 
 __all__ = ["Engine"]
 
@@ -42,4 +41,3 @@ class Engine:
             fired += 1
             now += self.epoch
         self.events_processed += fired
-        get_observer().counter("des.events_fired", fired)

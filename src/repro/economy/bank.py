@@ -169,11 +169,18 @@ class Bank:
     ) -> Currency:
         """Create a currency.  Default (non-virtual) currencies represent a
         principal and should be named after it; virtual currencies must name
-        their creating principal as ``owner``."""
+        their creating principal, an existing default currency, as ``owner``
+        (the flatten charges their absolute grants to it)."""
         if name in self._currencies:
             raise DuplicateNameError(f"currency {name!r} already exists")
-        if virtual and owner is None:
-            raise EconomyError(f"virtual currency {name!r} must declare an owner")
+        if virtual:
+            if owner is None:
+                raise EconomyError(f"virtual currency {name!r} must declare an owner")
+            owning = self._currencies.get(owner)
+            if owning is None or owning.virtual:
+                raise EconomyError(
+                    f"virtual currency {name!r}: owner {owner!r} is not a principal"
+                )
         cur = Currency(name=name, face_value=face_value, owner=owner, virtual=virtual)
         self._currencies[name] = cur
         return cur
@@ -433,7 +440,8 @@ class Bank:
         Rebuilds (re-flattening the funding graph and discarding the old
         coefficient cache) only when the bank has been mutated since the
         entry was made; every other call is a dictionary hit.  Counters:
-        ``topology.cache_hit`` / ``topology.cache_miss`` / ``topology.rebuilds``.
+        ``topology.cache_hit`` / ``topology.cache_miss``; each rebuild is a
+        ``topology.rebuild`` span.
         """
         obs = get_observer()
         entry = self._topology_cache.get(resource_type)
@@ -447,7 +455,6 @@ class Bank:
         ):
             principals, V, S, A = self.to_agreement_system(resource_type)
             topology = AgreementTopology(principals, S, A if np.any(A) else None)
-        obs.counter("topology.rebuilds", resource_type=resource_type)
         V = np.asarray(V, dtype=float)
         V.flags.writeable = False
         entry = (self._version, topology, V)

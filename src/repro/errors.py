@@ -22,8 +22,6 @@ __all__ = [
     "InsufficientResourcesError",
     "InfeasibleAllocationError",
     "LPError",
-    "LPInfeasibleError",
-    "LPUnboundedError",
     "LPSolverError",
     "ManagerError",
     "UnknownPrincipalError",
@@ -118,14 +116,6 @@ class InfeasibleAllocationError(AllocationError):
 
 class LPError(ReproError):
     """Base class for linear-programming substrate errors."""
-
-
-class LPInfeasibleError(LPError):
-    """The linear program has no feasible point."""
-
-
-class LPUnboundedError(LPError):
-    """The linear program's objective is unbounded below."""
 
 
 class LPSolverError(LPError):

@@ -77,7 +77,7 @@ def solve(
             if dec is not None:
                 dec.set(lp_backend=backend, lp_status=status.value, lp_iterations=iterations)
         if status is LPStatus.ERROR:
-            obs.event("lp.solver_error", backend=backend, model=model, message=str(res.message))
+            sp.set(message=str(res.message))
             obs.counter("lp.solver_errors", backend=backend)
             raise LPSolverError(f"{backend} solver failed on {model!r}: {res.message}")
     ok = status is LPStatus.OPTIMAL

@@ -7,19 +7,17 @@ preserves the protocol boundary — every GRM/LRM interaction goes through
 messages that a real distributed deployment could serialise.
 
 Message accounting lives in the :mod:`repro.obs` registry when
-observability is enabled (``transport.sent{endpoint=..., type=...}``),
-along with a per-endpoint handler-latency histogram.
+observability is enabled (``transport.sent{endpoint=..., type=...}``).
 
 With observability enabled, each delivery runs inside a
-``transport.send`` span.  Delivery is synchronous, so the handler's spans
-open on top of it and join the sender's trace through the tracer's span
-stack.  With observability disabled, ``send`` calls the handler with no
-span.
+``transport.send`` span, which is also the handler's timing.  Delivery is
+synchronous, so the handler's spans open on top of it and join the
+sender's trace through the tracer's span stack.  With observability
+disabled, ``send`` calls the handler with no span.
 """
 
 from __future__ import annotations
 
-import time
 from collections.abc import Callable
 
 from ..errors import ManagerError
@@ -63,12 +61,4 @@ class InProcessTransport:
         msg_type = type(message).__name__
         obs.counter("transport.sent", endpoint=to, type=msg_type)
         with obs.span("transport.send", endpoint=to, type=msg_type):
-            start = time.perf_counter()
-            try:
-                return handler(message)
-            finally:
-                obs.histogram(
-                    "transport.handle_seconds",
-                    time.perf_counter() - start,
-                    endpoint=to,
-                )
+            return handler(message)

@@ -18,9 +18,10 @@ or from the environment, with no code changes::
     REPRO_OBS=1 REPRO_OBS_TRACE=run.jsonl python examples/tracing_demo.py
     REPRO_OBS=1 REPRO_OBS_TRACE=run.jsonl REPRO_OBS_SAMPLE=0.01 ...
 
-A written trace is replayed into summary tables by
-``scripts/obs_trace.py report`` (or :func:`repro.obs.report.render_trace`),
-and per-request span trees are reconstructed by ``scripts/obs_trace.py``.
+A written trace's last snapshot is replayed into the same tables as
+:func:`report` by ``scripts/obs_trace.py report`` (or
+:func:`repro.obs.report.render_trace`), and per-request span trees are
+reconstructed by ``scripts/obs_trace.py``.
 
 Instrumented call sites follow one pattern::
 
@@ -29,14 +30,19 @@ Instrumented call sites follow one pattern::
     obs = get_observer()
     with obs.span("flow.coefficients", n=n, hop_depth=m) as sp:
         ...
-    obs.counter("flow.builds")
+    obs.histogram("flow.hop_depth", m)
 
-Spans automatically feed a duration histogram named ``span.<name>``, so
-enabling metrics alone (no trace file) still yields timing breakdowns.
-Each span also carries trace/span/parent ids taken from the tracer's span
-stack (see :mod:`repro.obs.tracing`), with head-based sampling
-(``REPRO_OBS_SAMPLE``) deciding per *trace* whether its spans/events are
-written to the JSONL file; metrics are always on.
+Each fact has one record.  A span times an operation and carries its
+attributes (and the ``error`` of an exception that escapes it); every
+span also feeds a duration histogram named ``span.<name>``, so enabling
+metrics alone (no trace file) still yields timing breakdowns.  Counters
+count what no span counts, histograms summarise values, and decision
+records audit grants.  Each span carries trace/span/parent ids taken
+from the tracer's span stack (see :mod:`repro.obs.tracing`), with
+head-based sampling (``REPRO_OBS_SAMPLE``) deciding per *trace* whether
+its span and decision lines are written to the JSONL file; metrics are
+always on, and :meth:`Observer.flush` writes them as one ``snapshot``
+record, which is what the offline report replays.
 
 Allocation decisions additionally land in a bounded flight recorder
 (:mod:`repro.obs.decision`): :func:`explain` answers "why did request N
@@ -88,10 +94,9 @@ class Observer:
     - :meth:`span` / :meth:`root_span` — timed context managers, recorded
       as both a ``span.<name>`` histogram and (if tracing and the trace
       is sampled in) a JSONL line carrying trace/span/parent ids;
-    - :meth:`event` — a discrete structured record (only meaningful with
-      a trace path; otherwise kept in memory for inspection);
     - :meth:`decision` — opens a flight-recorder entry for one
-      allocation decision; :meth:`explain` queries the ring buffer.
+      allocation decision; :meth:`explain` queries the ring buffer;
+    - :meth:`flush` — writes the registry as one ``snapshot`` record.
 
     ``sample`` is the head-based sampled-in fraction for *new* traces:
     sampled-in traces are recorded fully, everything else stays
@@ -150,18 +155,6 @@ class Observer:
             record["parent"] = span.parent_id
         self.events_log.emit(record)
 
-    # -- events -------------------------------------------------------------
-
-    def event(self, kind: str, **fields) -> None:
-        top = self.tracer.current
-        if top is not None:
-            if not top.sampled:
-                self.registry.counter_inc("trace.sampled_out_events")
-                return
-            fields.setdefault("trace", top.trace_id)
-            fields.setdefault("span", top.span_id)
-        self.events_log.emit({"kind": "event", "event": kind, **fields})
-
     # -- decisions ----------------------------------------------------------
 
     def decision(self, **fields) -> DecisionBuilder:
@@ -192,26 +185,9 @@ class Observer:
     # -- lifecycle ----------------------------------------------------------
 
     def flush(self) -> None:
-        """Write the current metric snapshot into the trace and flush."""
-        snap = self.registry.snapshot()
-        for name, series in snap["counters"].items():
-            for labels, value in series.items():
-                self.events_log.emit(
-                    {"kind": "metric", "metric": "counter", "name": name,
-                     "labels": labels, "value": value}
-                )
-        for name, series in snap["gauges"].items():
-            for labels, value in series.items():
-                self.events_log.emit(
-                    {"kind": "metric", "metric": "gauge", "name": name,
-                     "labels": labels, "value": value}
-                )
-        for name, series in snap["histograms"].items():
-            for labels, summary in series.items():
-                self.events_log.emit(
-                    {"kind": "metric", "metric": "histogram", "name": name,
-                     "labels": labels, "summary": summary}
-                )
+        """Write the registry into the trace as one ``snapshot`` record
+        (a later one supersedes it) and flush."""
+        self.events_log.emit({"kind": "snapshot", **self.registry.snapshot()})
         self.events_log.flush()
 
     def close(self) -> None:
@@ -251,14 +227,15 @@ def enable(
 ) -> Observer:
     """Switch observability on, replacing any previous observer.
 
-    ``trace_path`` makes every span/event (and, on flush, the metric
-    snapshot) stream to a JSONL file; without it, metrics and spans
-    aggregate in memory only.  ``sample`` is the head-based sampled-in
-    fraction for new traces (default 1.0, or ``REPRO_OBS_SAMPLE``);
-    ``decision_capacity`` bounds the allocation flight recorder (default
-    512, or ``REPRO_OBS_DECISIONS``).  A rate outside ``[0, 1]`` (or
-    NaN), a negative capacity, or a value that does not parse raises
-    :class:`ValueError` naming the argument or variable.  Re-enabling
+    ``trace_path`` makes every sampled-in span and decision (and, on
+    flush, the metric snapshot) stream to a JSONL file; without it,
+    metrics and spans aggregate in memory only.  ``sample`` is the
+    head-based sampled-in fraction for new traces (default 1.0, or
+    ``REPRO_OBS_SAMPLE``); ``decision_capacity`` bounds the allocation
+    flight recorder (default 512, or ``REPRO_OBS_DECISIONS``).  A rate
+    outside ``[0, 1]`` (or NaN), a negative capacity, or a value that
+    does not parse raises :class:`ValueError` naming the argument or
+    variable.  Re-enabling
     flushes and closes the previous observer's trace first, so no
     already-recorded data is lost; the new trace file starts fresh.  The
     active trace is flushed and closed on :func:`disable` or, failing
@@ -306,7 +283,8 @@ def explain(request_id: int) -> DecisionRecord | None:
 
 
 def _env_truthy(value: str | None) -> bool:
-    return value is not None and value.strip().lower() not in ("", "0", "false", "no")
+    """Whether an on/off environment variable is set to on."""
+    return value is not None and value.strip().lower() not in ("", "0", "false", "no", "off")
 
 
 def _resolve(arg: str, value, env: str, default) -> tuple[str, object]:

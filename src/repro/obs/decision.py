@@ -22,11 +22,9 @@ which is what ``scripts/obs_trace.py explain`` queries offline.
 from __future__ import annotations
 
 import itertools
-import json
 import threading
 from collections import deque
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 __all__ = [
     "DecisionRecord",
@@ -191,15 +189,6 @@ class FlightRecorder:
     def records(self) -> list[DecisionRecord]:
         """Oldest-first copy of the buffer."""
         return list(self._buf)
-
-    def export_jsonl(self, path: str | Path) -> int:
-        """Append the buffered decisions to a JSONL file; returns count."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("a", encoding="utf-8") as fh:
-            for record in self._buf:
-                fh.write(json.dumps(record.to_dict(), default=str) + "\n")
-        return len(self._buf)
 
     def __len__(self) -> int:
         return len(self._buf)

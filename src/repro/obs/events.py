@@ -1,12 +1,14 @@
-"""Structured JSONL event export.
+"""Structured JSONL trace export.
 
 One line per record, each a self-describing JSON object with a ``kind``
 field:
 
-- ``{"kind": "span", "name": ..., "path": ..., "dur": ..., "attrs": {...}}``
-- ``{"kind": "event", "event": ..., ...free-form fields...}``
-- ``{"kind": "metric", "metric": "counter"|"gauge"|"histogram",
-   "name": ..., "labels": ..., ...}`` — snapshot lines written on flush.
+- ``{"kind": "span", "name": ..., "path": ..., "dur": ..., "attrs": {...},
+   "trace": ..., "span": ..., "parent": ...}`` — one closed, sampled-in span;
+- ``{"kind": "decision", "request_id": ..., "outcome": ..., ...}`` — one
+  flight-recorder entry (see :mod:`repro.obs.decision`);
+- ``{"kind": "snapshot", "counters": ..., "gauges": ..., "histograms": ...}``
+  — the whole metrics registry, written on flush; the last one wins.
 
 Every record carries ``ts``, seconds since the log was opened (wall
 clock), so traces are self-contained and replayable by

@@ -59,9 +59,6 @@ class NullObserver:
     def root_span(self, name: str, **attrs) -> NullSpan:
         return NULL_SPAN
 
-    def event(self, kind: str, **fields) -> None:
-        pass
-
     def decision(self, **fields) -> NullDecision:
         return NULL_DECISION
 

@@ -1,13 +1,16 @@
 """Human-readable summaries of metrics and traces.
 
-Two entry points:
+The report is one view of a registry snapshot: span timings come from
+the ``span.<name>`` histograms, decision outcomes from the
+``decision.recorded{outcome}`` counter, and every other series is
+listed once under its own kind.  Two entry points share it:
 
 - :func:`render_snapshot` — format a live
   :meth:`~repro.obs.registry.MetricsRegistry.snapshot` as aligned tables;
-- :func:`summarize_trace` / :func:`render_trace` — replay a JSONL trace
-  (see :mod:`repro.obs.events`) into aggregated span timings plus the
-  final metric snapshot, independent of any in-process state.  This is
-  what ``scripts/obs_trace.py report`` wraps.
+- :func:`summarize_trace` / :func:`render_trace` — replay the last
+  ``snapshot`` record of a JSONL trace (see :mod:`repro.obs.events`), so
+  the offline report equals the live one whatever the head-sampling
+  rate.  This is what ``scripts/obs_trace.py report`` wraps.
 """
 
 from __future__ import annotations
@@ -15,8 +18,12 @@ from __future__ import annotations
 from pathlib import Path
 
 from .events import read_trace
+from .trace_tools import build_trees
 
 __all__ = ["render_snapshot", "summarize_trace", "render_trace"]
+
+_SPAN_PREFIX = "span."
+_DECISIONS = "decision.recorded"
 
 
 def _fmt(value: float) -> str:
@@ -38,27 +45,64 @@ def _table(rows: list[tuple], headers: tuple) -> str:
     return "\n".join(out)
 
 
+def _split(snapshot: dict) -> dict:
+    """Separate span timings and decision outcomes from the other series.
+
+    Returns ``{"spans": {name: histogram summary}, "decisions": {outcome:
+    count}, "counters": ..., "gauges": ..., "histograms": ...}`` with the
+    ``span.*`` histograms and the decision counter appearing only under
+    their own key.
+    """
+    counters = dict(snapshot.get("counters", {}))
+    histograms = dict(snapshot.get("histograms", {}))
+    decisions = {
+        labels.removeprefix("outcome="): int(value)
+        for labels, value in counters.pop(_DECISIONS, {}).items()
+    }
+    spans = {
+        name.removeprefix(_SPAN_PREFIX): histograms.pop(name)[""]
+        for name in list(histograms)
+        if name.startswith(_SPAN_PREFIX)
+    }
+    return {
+        "spans": spans,
+        "decisions": decisions,
+        "counters": counters,
+        "gauges": dict(snapshot.get("gauges", {})),
+        "histograms": histograms,
+    }
+
+
 def render_snapshot(snapshot: dict) -> str:
-    """Format a metrics snapshot as counter/gauge/histogram tables."""
+    """Format a metrics snapshot as span, decision, counter, gauge and
+    histogram tables."""
+    view = _split(snapshot)
     parts = []
-    counters = snapshot.get("counters", {})
-    if counters:
+    if view["spans"]:
         rows = [
-            (name, labels or "-", _fmt(value))
-            for name, series in counters.items()
-            for labels, value in sorted(series.items())
+            (name, h["count"], f"{h['sum']:.6g}", f"{h['mean']:.6g}", f"{h['max']:.6g}")
+            for name, h in sorted(view["spans"].items(), key=lambda kv: -kv[1]["sum"])
         ]
-        parts.append("== counters ==\n" + _table(rows, ("name", "labels", "value")))
-    gauges = snapshot.get("gauges", {})
-    if gauges:
-        rows = [
-            (name, labels or "-", _fmt(value))
-            for name, series in gauges.items()
-            for labels, value in sorted(series.items())
-        ]
-        parts.append("== gauges ==\n" + _table(rows, ("name", "labels", "value")))
-    histograms = snapshot.get("histograms", {})
-    if histograms:
+        parts.append(
+            "== spans (seconds) ==\n"
+            + _table(rows, ("name", "count", "total", "mean", "max"))
+        )
+    if view["decisions"]:
+        parts.append(
+            "== decisions ==\n"
+            + _table(sorted(view["decisions"].items()), ("outcome", "count"))
+            + "\n(details: repro.obs.explain(request_id) live, "
+            "scripts/obs_trace.py explain <request_id> TRACE offline)"
+        )
+    for kind in ("counters", "gauges"):
+        if view[kind]:
+            rows = [
+                (name, labels or "-", _fmt(value))
+                for name, series in view[kind].items()
+                for labels, value in sorted(series.items())
+            ]
+            parts.append(f"== {kind} ==\n" + _table(rows, ("name", "labels", "value")))
+    if view["histograms"]:
         rows = [
             (
                 name,
@@ -69,7 +113,7 @@ def render_snapshot(snapshot: dict) -> str:
                 f"{h['max']:.6g}",
                 f"{h['sum']:.6g}",
             )
-            for name, series in histograms.items()
+            for name, series in view["histograms"].items()
             for labels, h in sorted(series.items())
         ]
         parts.append(
@@ -79,97 +123,29 @@ def render_snapshot(snapshot: dict) -> str:
     return "\n\n".join(parts) if parts else "(no metrics recorded)"
 
 
-def summarize_trace(records: list[dict]) -> dict:
-    """Aggregate raw trace records.
+def _last_snapshot(records: list[dict]) -> dict:
+    """The last ``snapshot`` record (empty if the run never flushed)."""
+    for record in reversed(records):
+        if record.get("kind") == "snapshot":
+            return record
+    return {}
 
-    Returns ``{"spans": {name: {count, total, mean, max}}, "events":
-    {event: count}, "decisions": {outcome: count}, "traces": n,
-    "counters": ..., "gauges": ..., "histograms": ...}``.  Metric lines
-    later in the trace supersede earlier ones (flush writes a full
-    snapshot each time).
+
+def summarize_trace(records: list[dict]) -> dict:
+    """The report of a trace as plain data.
+
+    Returns :func:`_split` of the trace's last snapshot plus ``"traces"``,
+    the number of distinct traces whose span lines were written (sampled
+    in).
     """
-    spans: dict[str, dict] = {}
-    events: dict[str, int] = {}
-    decisions: dict[str, int] = {}
-    trace_ids: set[str] = set()
-    counters: dict[str, dict[str, float]] = {}
-    gauges: dict[str, dict[str, float]] = {}
-    histograms: dict[str, dict[str, dict]] = {}
-    for rec in records:
-        kind = rec.get("kind")
-        if kind == "span":
-            agg = spans.setdefault(
-                rec["name"], {"count": 0, "total": 0.0, "max": 0.0}
-            )
-            agg["count"] += 1
-            agg["total"] += rec.get("dur", 0.0)
-            agg["max"] = max(agg["max"], rec.get("dur", 0.0))
-            if rec.get("trace"):
-                trace_ids.add(rec["trace"])
-        elif kind == "event":
-            name = rec.get("event", "?")
-            events[name] = events.get(name, 0) + 1
-        elif kind == "decision":
-            outcome = rec.get("outcome", "unknown")
-            decisions[outcome] = decisions.get(outcome, 0) + 1
-        elif kind == "metric":
-            target = {"counter": counters, "gauge": gauges, "histogram": histograms}[
-                rec["metric"]
-            ]
-            entry = rec.get("summary") if rec["metric"] == "histogram" else rec.get("value")
-            target.setdefault(rec["name"], {})[rec.get("labels", "")] = entry
-    for agg in spans.values():
-        agg["mean"] = agg["total"] / agg["count"] if agg["count"] else 0.0
-    return {
-        "spans": spans,
-        "events": events,
-        "decisions": decisions,
-        "traces": len(trace_ids),
-        "counters": counters,
-        "gauges": gauges,
-        "histograms": histograms,
-    }
+    return {**_split(_last_snapshot(records)), "traces": len(build_trees(records))}
 
 
 def render_trace(path: str | Path) -> str:
-    """Replay a JSONL trace file into the full human-readable report."""
-    summary = summarize_trace(read_trace(path))
-    parts = [f"trace: {path}"]
-    if summary["spans"]:
-        rows = [
-            (
-                name,
-                agg["count"],
-                f"{agg['total']:.6g}",
-                f"{agg['mean']:.6g}",
-                f"{agg['max']:.6g}",
-            )
-            for name, agg in sorted(
-                summary["spans"].items(), key=lambda kv: -kv[1]["total"]
-            )
-        ]
-        parts.append(
-            "== spans (seconds) ==\n"
-            + _table(rows, ("name", "count", "total", "mean", "max"))
-        )
-    if summary["events"]:
-        rows = sorted(summary["events"].items())
-        parts.append("== events ==\n" + _table(rows, ("event", "count")))
-    if summary.get("decisions"):
-        rows = sorted(summary["decisions"].items())
-        parts.append(
-            "== decisions ==\n" + _table(rows, ("outcome", "count"))
-            + "\n(use scripts/obs_trace.py explain <request_id> for details)"
-        )
-    if summary.get("traces"):
-        parts.append(f"distinct traces: {summary['traces']}")
-    parts.append(
-        render_snapshot(
-            {
-                "counters": summary["counters"],
-                "gauges": summary["gauges"],
-                "histograms": summary["histograms"],
-            }
-        )
+    """Replay a JSONL trace file into the report :func:`render_snapshot`
+    prints for the live registry."""
+    records = read_trace(path)
+    return (
+        f"trace: {path}\ndistinct traces written: {len(build_trees(records))}\n\n"
+        + render_snapshot(_last_snapshot(records))
     )
-    return "\n\n".join(parts)

@@ -244,7 +244,6 @@ class ProxySimulation:
                 "proxysim.redirect_fraction", res.redirect_fraction(),
                 scheme=cfg.scheme,
             )
-            obs.event("proxysim.done", **res.summary())
         return self.result
 
 

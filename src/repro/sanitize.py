@@ -38,6 +38,7 @@ import os
 import numpy as np
 
 from .errors import InvariantViolation
+from .obs import _env_truthy
 
 __all__ = [
     "enabled",
@@ -54,10 +55,6 @@ __all__ = [
 #: conservation tolerance — looser than the LP's own feasibility
 #: tolerance so solver slack never trips a false positive
 _TOL = 1e-6
-
-
-def _env_truthy(value: str | None) -> bool:
-    return value is not None and value.strip().lower() not in ("", "0", "false", "no", "off")
 
 
 _enabled = _env_truthy(os.environ.get("REPRO_SANITIZE"))

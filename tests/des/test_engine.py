@@ -86,12 +86,10 @@ class TestTracing:
         assert cfg.epoch == 60.0
         path = tmp_path / "trace.jsonl"
         try:
-            observer = obs.enable(trace_path=path)
+            obs.enable(trace_path=path)
             ProxySimulation(cfg, complete_structure(10, share=0.1)).run()
-            fired = observer.registry.counter_value("des.events_fired")
         finally:
             obs.disable()
-        assert fired == 1440
         (run,) = [
             r for r in read_trace(path)
             if r.get("kind") == "span" and r["name"] == "proxysim.run"

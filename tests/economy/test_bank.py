@@ -45,6 +45,18 @@ class TestRegistry:
         with pytest.raises(EconomyError, match="owner"):
             bank.create_currency("V1", virtual=True)
 
+    @pytest.mark.parametrize("owner", ["Nobody", "A1"])
+    def test_virtual_owner_must_be_a_principal(self, bank, owner):
+        """The flatten charges a virtual currency's absolute grants to its
+        owner, so an owner that is no principal would lose them there while
+        valuation kept them."""
+        bank.create_currency("A1", owner="A", virtual=True)
+        version = bank.version
+        with pytest.raises(EconomyError, match="not a principal"):
+            bank.create_currency("Av", owner=owner, virtual=True)
+        assert bank.version == version
+        assert [c.name for c in bank.currencies] == ["A", "B", "A1"]
+
     def test_virtual_excluded_from_principals(self, bank):
         bank.create_currency("A1", owner="A", virtual=True)
         assert bank.principals() == ["A", "B"]

@@ -56,16 +56,6 @@ class TestFlightRecorder:
         fr.record(DecisionRecord(request_id=9, outcome="granted"))
         assert fr.explain(9).outcome == "granted"
 
-    def test_export_jsonl(self, tmp_path):
-        fr = FlightRecorder()
-        fr.record(DecisionRecord(request_id=1, outcome="granted", granted=2.0))
-        fr.record(DecisionRecord(request_id=2, outcome="denied"))
-        path = tmp_path / "decisions.jsonl"
-        assert fr.export_jsonl(path) == 2
-        lines = [json.loads(x) for x in path.read_text().splitlines()]
-        assert [x["request_id"] for x in lines] == [1, 2]
-        assert all(x["kind"] == "decision" for x in lines)
-
 
 class TestDecisionBuilder:
     def test_nested_layers_attach_via_current_decision(self, observer):

@@ -8,11 +8,17 @@ observer rather than mutating the old one.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import repro.obs as obs
 from repro.obs.null import NULL_OBSERVER
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def _read_jsonl(path):
@@ -38,7 +44,7 @@ def test_reenable_flushes_and_closes_previous_trace(tmp_path):
         assert any(
             r["kind"] == "span" and r["name"] == "phase.one" for r in records
         )
-        assert any(r["kind"] == "metric" for r in records)
+        assert records[-1]["kind"] == "snapshot"
         assert first.events_log.closed
 
         # The second observer starts fresh: no carried-over metrics.
@@ -85,7 +91,9 @@ def test_second_close_is_a_noop(tmp_path):
     finally:
         obs.disable()
     assert path.read_text() == written
-    assert any(r.get("name") == "x" for r in _read_jsonl(path))
+    (snapshot,) = _read_jsonl(path)
+    assert snapshot["kind"] == "snapshot"
+    assert snapshot["counters"]["x"] == {"": 1}
 
 
 @pytest.mark.parametrize(
@@ -115,3 +123,21 @@ def test_invalid_settings_rejected(monkeypatch, name, value):
             obs.enable(**kwargs)
     finally:
         obs.disable()
+
+
+@pytest.mark.parametrize("value, observer", [
+    ("off", "NullObserver"), (" OFF ", "NullObserver"), ("no", "NullObserver"),
+    ("1", "Observer"),
+])
+def test_repro_obs_switch(value, observer):
+    """``REPRO_OBS`` reads on/off words as ``REPRO_SANITIZE`` does."""
+    env = {**os.environ, "REPRO_OBS": value}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.pop("REPRO_OBS_TRACE", None)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import repro.obs as obs; print(type(obs.get_observer()).__name__)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == observer

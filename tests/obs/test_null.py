@@ -24,7 +24,6 @@ class TestNullObserver:
         ob.counter("c", 5, endpoint="x")
         ob.gauge("g", 1.0)
         ob.histogram("h", 2.0)
-        ob.event("e", detail="y")
         ob.flush()
         ob.close()
         with ob.span("s", a=1) as sp:

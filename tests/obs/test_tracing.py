@@ -124,7 +124,6 @@ class TestSampling:
             observer = obs.enable(trace_path=path, sample=0.0)
             with observer.root_span("request") as root:
                 with observer.span("child"):
-                    observer.event("child.event", x=1)
                     with observer.decision(request_id=7, requestor="p0") as dec:
                         dec.set(outcome="granted", granted=1.0)
             record = observer.explain(7)
@@ -132,13 +131,12 @@ class TestSampling:
             obs.disable()
 
         assert not root.sampled
-        assert {r["kind"] for r in read_trace(path)} == {"metric"}
+        assert {r["kind"] for r in read_trace(path)} == {"snapshot"}
         # the flight recorder keeps the decision, tied to the dropped trace
         assert record is not None and record.outcome == "granted"
         assert record.trace_id == root.trace_id
         registry = observer.registry
         assert registry.counter_value("trace.sampled_out_spans") == 2
-        assert registry.counter_value("trace.sampled_out_events") == 1
         assert registry.counter_value("decision.recorded", outcome="granted") == 1
 
 
@@ -190,6 +188,25 @@ class TestInstrumentedStack:
             "allocation.requests", scheme="lp") == 1
         assert observer.registry.get_histogram("allocation.theta").count == 1
 
+    def test_denied_request_span_carries_available(self, traced_observer):
+        from repro.agreements import complete_structure
+        from repro.allocation import allocate_lp
+        from repro.errors import InsufficientResourcesError
+
+        observer, path = traced_observer
+        system = complete_structure(3, share=0.1)
+        principal = system.principals[0]
+        cap = system.capacity_of(principal)
+        with pytest.raises(InsufficientResourcesError):
+            allocate_lp(system, principal, cap + 5.0)
+        obs.disable()
+        (span,) = [
+            r for r in read_trace(path)
+            if r.get("kind") == "span" and r["name"] == "allocation.request"
+        ]
+        assert span["attrs"]["error"] == "InsufficientResourcesError"
+        assert span["attrs"]["available"] == pytest.approx(cap)
+
     def test_flow_dp_reports_its_size(self, traced_observer):
         from repro.agreements.flow import transitive_coefficients
         from repro.agreements.structures import complete_structure
@@ -235,9 +252,3 @@ class TestInstrumentedStack:
             t.send("ghost", Message(sender="x"))
         with pytest.raises(ReproError, match="<none registered>"):
             InProcessTransport().send("ghost", Message(sender="x"))
-
-    def test_engine_counters_reach_registry(self, observer):
-        from repro.des import Engine
-
-        Engine(1.0).run(2.0, lambda now: None)
-        assert observer.registry.counter_value("des.events_fired") == 2

@@ -12,7 +12,7 @@ class TestHierarchy:
             errors.CurrencyCycleError,
             errors.InvalidAgreementMatrixError,
             errors.InsufficientResourcesError,
-            errors.LPInfeasibleError,
+            errors.LPSolverError,
             errors.UnknownPrincipalError,
             errors.SimulationError,
             errors.WorkloadError,
@@ -43,4 +43,4 @@ class TestHierarchy:
 
     def test_catch_all_with_root(self):
         with pytest.raises(errors.ReproError):
-            raise errors.LPUnboundedError("x")
+            raise errors.LPSolverError("x")
