@@ -7,10 +7,12 @@ The DP's exactness against path enumeration is tested in
 ``tests/agreements/test_flow.py``.
 
 Run untimed (``--benchmark-disable``) it doubles as a regression guard:
-the n = 16 complete closure must finish inside ``DP_BUDGET_S``.
+the n = 16 complete closure must finish inside ``DP_BUDGET_S`` and peak
+under ``DP_PEAK_BYTES`` of traced memory.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,10 +21,15 @@ from repro.agreements import complete_structure, loop_structure
 from repro.agreements.flow import transitive_coefficients
 
 #: Wall-clock budget for the n = 16 complete full closure.  The vectorised
-#: DP takes ~0.55 s on a 2-core Xeon host; the per-subset Python loop it
+#: DP takes ~0.3 s on a 2-core Xeon host; the per-subset Python loop it
 #: replaced took ~22 s there, so the budget fails that and leaves room
 #: for slow CI runners.
 DP_BUDGET_S = 5.0
+
+#: Peak traced memory budget for the same closure.  Each source runs as a
+#: batch of its own and peaks at ~5 MB; batching all 16 sources at once
+#: would hold ~84 MB.
+DP_PEAK_BYTES = 16 * 2**20
 
 
 def random_S(n, seed=0):
@@ -56,7 +63,13 @@ def test_flow_dp_speed_n20_loop(benchmark, level):
 
 def test_dp_n16_complete_within_budget():
     S = complete_structure(16, share=1 / 15).S
-    start = time.perf_counter()
-    transitive_coefficients(S, None)
-    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        transitive_coefficients(S, None)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert elapsed < DP_BUDGET_S, f"n=16 complete closure took {elapsed:.2f} s"
+    assert peak < DP_PEAK_BYTES, f"n=16 complete closure peaked at {peak / 2**20:.1f} MB"

@@ -4,7 +4,7 @@ The enforcement pipeline separates two rates of change.  The agreement
 *structure* — who shares what fraction with whom — changes slowly (ticket
 issue/revoke), and owning it is expensive: the transitive coefficients
 ``T^(m)`` behind every flow query cost a subset DP, exponential in the
-number of principals (~6 ms at the paper's n = 10, ~0.55 s for a complete
+number of principals (~2 ms at the paper's n = 10, ~0.3 s for a complete
 n = 16 structure).
 Raw *capacities* ``V`` change every scheduling epoch as availability
 fluctuates, but everything derived from them (``I``, ``U``, ``C``) is a

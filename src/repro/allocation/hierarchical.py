@@ -181,7 +181,6 @@ def allocate_hierarchical(
         satisfied = float(take.sum())
         if obs.enabled:
             donors = int(np.count_nonzero(take > _TOL))
-            obs.counter("allocation.requests", scheme="hierarchical")
             obs.histogram("allocation.hierarchical.rounds", rounds)
             obs.histogram("allocation.donors", donors)
             span.set(path="multigrid", rounds=rounds, donors=donors,

@@ -149,7 +149,6 @@ def allocate_lp(
         theta = float(res.x[-1])
         if obs.enabled:
             donors = int(np.count_nonzero(take > _TOL))
-            obs.counter("allocation.requests", scheme="lp")
             obs.histogram("allocation.theta", theta)
             obs.histogram("allocation.donors", donors)
             sp.set(theta=theta, donors=donors, satisfied=x)

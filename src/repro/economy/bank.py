@@ -168,11 +168,16 @@ class Bank:
         virtual: bool = False,
     ) -> Currency:
         """Create a currency.  Default (non-virtual) currencies represent a
-        principal and should be named after it; virtual currencies must name
-        their creating principal, an existing default currency, as ``owner``
-        (the flatten charges their absolute grants to it)."""
+        principal and are owned by it: ``owner`` may only repeat ``name``.
+        Virtual currencies must name their creating principal, an existing
+        default currency, as ``owner``.  The flatten charges a currency's
+        absolute grants to its owner."""
         if name in self._currencies:
             raise DuplicateNameError(f"currency {name!r} already exists")
+        if not virtual and owner not in (None, name):
+            raise EconomyError(
+                f"default currency {name!r} is owned by its principal, not {owner!r}"
+            )
         if virtual:
             if owner is None:
                 raise EconomyError(f"virtual currency {name!r} must declare an owner")

@@ -8,7 +8,7 @@ keeps one availability table, so no donor's capacity is promised twice.
 
 Hot path: allocation reuses the bank's version-keyed topology cache
 (:meth:`repro.economy.Bank.topology`), so the coefficient DP (exponential
-in n; ~6 ms at n = 10) and the funding-graph flattening run once per
+in n; ~2 ms at n = 10) and the funding-graph flattening run once per
 *agreement change* rather than once per request; each request only binds
 the current availability vector to the cached topology as a
 :class:`~repro.agreements.topology.CapacityView`.  Availability itself

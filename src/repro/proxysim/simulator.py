@@ -234,11 +234,6 @@ class ProxySimulation:
             res = self.result
             obs.counter("proxysim.requests", res.total_requests, scheme=cfg.scheme)
             obs.counter("proxysim.redirected", res.total_redirected, scheme=cfg.scheme)
-            obs.counter(
-                "proxysim.scheduler_consults", res.scheduler_consults,
-                scheme=cfg.scheme,
-            )
-            obs.counter("proxysim.lp_solves", res.lp_solves, scheme=cfg.scheme)
             obs.gauge("proxysim.mean_wait", res.overall_mean_wait(), scheme=cfg.scheme)
             obs.gauge(
                 "proxysim.redirect_fraction", res.redirect_fraction(),

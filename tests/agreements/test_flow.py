@@ -15,6 +15,8 @@ from repro.agreements import (
     sparse_structure,
 )
 from repro.agreements.flow import (
+    _batches,
+    _reach,
     capacities,
     flow_matrix,
     overdraft_clamp,
@@ -136,6 +138,38 @@ class TestMethodAgreement:
                 transitive_coefficients(S, m), coefficients_dfs(S, m), rtol=1e-12, atol=1e-12
             )
 
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_batched_sources_ending_at_different_depths(self, data):
+        """Sources that share one batch but whose paths end at different
+        depths (no out-edges, small disconnected components, level-limited
+        runs, shares spanning three orders of magnitude) each get exactly
+        their own path sums."""
+        S, m = data.draw(_ragged_batch())
+        n = S.shape[0]
+        assert list(_batches(S, _reach(S != 0.0, m).sum(axis=1), m)) == [(0, n)]
+        np.testing.assert_allclose(
+            transitive_coefficients(S, m), coefficients_dfs(S, m), rtol=1e-12, atol=1e-15
+        )
+
+
+@st.composite
+def _ragged_batch(draw):
+    """An n <= 8 matrix split into disconnected components, with some
+    sources sharing nothing, each row's shares on its own scale, and a
+    level from 1 to the full closure."""
+    n = draw(st.integers(2, 8))
+    component = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    silent = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    density = draw(st.floats(0.3, 1.0))
+    scale = 10.0 ** rng.integers(-3, 1, size=(n, 1))
+    S = rng.random((n, n)) * scale * (rng.random((n, n)) < density)
+    S *= component[:, None] == component[None, :]
+    S[silent] = 0.0
+    np.fill_diagonal(S, 0.0)
+    return S, draw(st.integers(1, n - 1))
+
 
 @st.composite
 def _structures(draw):
@@ -243,6 +277,9 @@ class TestDPCost:
             tracemalloc.stop()
         assert after - before - T.nbytes < 64 * 2**10
         assert peak - before > 2**20  # the layers were really built
+        # each source is its own batch here; batching all 14 at once would
+        # hold ~17 MB
+        assert peak - before < 4 * 2**20
 
     def test_more_nodes_than_int64_mask_bits(self):
         """66 nodes within two hops of every source: subset masks no longer

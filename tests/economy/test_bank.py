@@ -57,6 +57,18 @@ class TestRegistry:
         assert bank.version == version
         assert [c.name for c in bank.currencies] == ["A", "B", "A1"]
 
+    @pytest.mark.parametrize("owner", ["Nobody", "A"])
+    def test_default_currency_owned_by_itself(self, bank, owner):
+        """The flatten charges a currency's absolute grants to its owner, so
+        a default currency owned by anyone else would lose them (or book
+        them as someone else's) while valuation kept them."""
+        version = bank.version
+        with pytest.raises(EconomyError, match="owned by its principal"):
+            bank.create_currency("C", owner=owner)
+        assert bank.version == version
+        assert [c.name for c in bank.currencies] == ["A", "B"]
+        assert bank.create_currency("C", owner="C").owner == "C"
+
     def test_virtual_excluded_from_principals(self, bank):
         bank.create_currency("A1", owner="A", virtual=True)
         assert bank.principals() == ["A", "B"]

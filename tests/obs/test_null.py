@@ -60,7 +60,7 @@ class TestNoAttributeLeakage:
             plan_on = allocate_lp(system, p, 1.2)
         finally:
             obs.disable()
-        assert ob.registry.counter_value("allocation.requests", scheme="lp") == 1
+        assert ob.registry.get_histogram("span.allocation.request").count == 1
         np.testing.assert_allclose(plan_on.take, plan_off.take)
         assert plan_on.theta == plan_off.theta
 

@@ -184,8 +184,7 @@ class TestInstrumentedStack:
 
         system = complete_structure(4, share=0.2)
         allocate_lp(system, system.principals[0], 1.0)
-        assert observer.registry.counter_value(
-            "allocation.requests", scheme="lp") == 1
+        assert observer.registry.get_histogram("span.allocation.request").count == 1
         assert observer.registry.get_histogram("allocation.theta").count == 1
 
     def test_denied_request_span_carries_available(self, traced_observer):
