@@ -23,8 +23,11 @@ the sampling rate (``--json`` emits the same summary as data, for piping
 into other tooling).
 
 ``explain REQUEST_ID`` prints the flight-recorder record(s) for one
-allocation decision (requestor, donor split, theta, LP statistics,
-capacities before/after) — the offline counterpart of
+allocation decision — every key the record carries, the
+:class:`~repro.obs.decision.DecisionRecord` fields first in schema order
+(requestor, donor split, theta, LP statistics, capacities before/after),
+then any extra fields a layer attached (a denial's ``available``, the
+multigrid's ``multigrid_rounds``) — the offline counterpart of
 ``repro.obs.explain``.  Exit status 1 if the request id is not in the
 trace.
 """
@@ -34,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 # Allow running from a source checkout without installing the package.
@@ -41,6 +45,7 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if _SRC.is_dir() and str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
+from repro.obs.decision import DecisionRecord  # noqa: E402
 from repro.obs.events import read_trace  # noqa: E402
 from repro.obs.report import render_trace, summarize_trace  # noqa: E402
 from repro.obs.trace_tools import (  # noqa: E402
@@ -71,6 +76,13 @@ def _cmd_report(args) -> int:
     return 0
 
 
+#: record keys in schema order; the extras a layer attaches follow them
+_FIELDS = [f.name for f in fields(DecisionRecord) if f.name != "extra"]
+#: keys the header line shows (``kind`` only tags the trace line)
+_HEADER = ("kind", "request_id", "outcome")
+_CAPACITY_MAPS = ("availability_before", "capacities_before", "capacities_after")
+
+
 def _cmd_explain(args) -> int:
     decisions = find_decisions(read_trace(args.trace), request_id=args.request_id)
     if not decisions:
@@ -84,21 +96,19 @@ def _cmd_explain(args) -> int:
         return 0
     for dec in decisions:
         print(f"request {dec.get('request_id')}: {dec.get('outcome', '?')}")
-        for key in (
-            "requestor", "resource_type", "amount", "granted", "theta",
-            "reason", "grm", "bank_version", "lp_backend", "lp_status",
-            "lp_iterations", "trace_id",
-        ):
-            if key in dec:
-                print(f"  {key}: {dec[key]}")
-        if dec.get("takes"):
-            print("  donor split:")
-            for principal, quantity in dec["takes"]:
-                print(f"    {principal}: {quantity:g}")
-        for key in ("availability_before", "capacities_before", "capacities_after"):
-            if key in dec:
-                cells = ", ".join(f"{p}={v:g}" for p, v in dec[key].items())
+        keys = [k for k in _FIELDS if k in dec] + [k for k in dec if k not in _FIELDS]
+        for key in (k for k in keys if k not in _HEADER):
+            value = dec[key]
+            if key == "takes":
+                if value:
+                    print("  donor split:")
+                for principal, quantity in value:
+                    print(f"    {principal}: {quantity:g}")
+            elif key in _CAPACITY_MAPS:
+                cells = ", ".join(f"{p}={v:g}" for p, v in value.items())
                 print(f"  {key}: {cells}")
+            else:
+                print(f"  {key}: {value}")
         print()
     return 0
 

@@ -8,9 +8,9 @@
   and cheap capacity views binding raw capacities ``V`` to it, one per
   scheduling epoch (:meth:`CapacityView.from_matrices` builds both);
 - :mod:`~repro.agreements.flow` — the flow coefficients ``T^(m)``
-  (sums over acyclic agreement chains of at most ``m`` hops), flows
-  ``I^(m) = V_i T^(m)_ij``, overdraft clamping ``K^(m)``, absolute-ticket
-  clamping ``U``, and effective capacities ``C_i``;
+  (sums over acyclic agreement chains of at most ``m`` hops), which the
+  topology clamps into ``K^(m)`` and turns, for each ``V``, into the
+  clamped inflows ``U`` and effective capacities ``C_i``;
 - :mod:`~repro.agreements.structures` — generators for the structures the
   paper names (complete, sparse, hierarchical) and the case study's loop
   with skip and distance-decay graphs;
@@ -28,13 +28,7 @@ from .analysis import (
     reachable_set,
     summarize,
 )
-from .flow import (
-    capacities,
-    flow_matrix,
-    overdraft_clamp,
-    transitive_coefficients,
-    u_matrix,
-)
+from .flow import transitive_coefficients
 from .topology import AgreementTopology, CapacityView
 from .structures import (
     complete_structure,
@@ -55,10 +49,6 @@ __all__ = [
     "chain_contributions",
     "summarize",
     "transitive_coefficients",
-    "flow_matrix",
-    "overdraft_clamp",
-    "u_matrix",
-    "capacities",
     "complete_structure",
     "loop_structure",
     "sparse_structure",

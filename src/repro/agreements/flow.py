@@ -30,10 +30,9 @@ of size <= m, and sparse ones (loops, hierarchies) only the subsets some
 path visits, so a whole n = 20 loop is one batch and takes ~1 ms even at
 full closure.  The tests check the DP against explicit path enumeration.
 
-The extensions of Section 3.2 are :func:`overdraft_clamp` (``K^(m)``,
-clamping coefficients at 1 when row sums may exceed 1) and
-:func:`u_matrix` (clamping combined relative+absolute inflows at the
-donor's raw capacity ``V_k``).
+The flows ``I``, Section 3.2's clamps ``K`` and ``U`` and the effective
+capacities ``C`` are written once, in
+:mod:`repro.agreements.topology`.
 """
 
 from __future__ import annotations
@@ -45,13 +44,7 @@ import numpy as np
 from ..errors import AgreementError
 from ..obs import get_observer
 
-__all__ = [
-    "transitive_coefficients",
-    "flow_matrix",
-    "overdraft_clamp",
-    "u_matrix",
-    "capacities",
-]
+__all__ = ["transitive_coefficients"]
 
 
 def _check_square(S: np.ndarray) -> np.ndarray:
@@ -225,52 +218,3 @@ def transitive_coefficients(S: np.ndarray, max_level: int | None = None) -> np.n
         obs.histogram("flow.hop_depth", m)
         obs.histogram("flow.dp_states", cost["states"], reachable=cost["reachable"])
     return T
-
-
-def flow_matrix(V: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """``I^(m)_ij = V_i * T^(m)_ij`` — actual resource flows."""
-    V = np.asarray(V, dtype=float)
-    T = _check_square(T)
-    if V.shape != (T.shape[0],):
-        raise AgreementError(
-            f"capacity vector shape {V.shape} does not match matrix {T.shape}"
-        )
-    return V[:, None] * T
-
-
-def overdraft_clamp(T: np.ndarray) -> np.ndarray:
-    """Section 3.2's ``K^(m)``: clamp coefficients at 1.
-
-    When a row of ``S`` sums past 1 (an overdraft), chained shares can
-    promise node ``j`` more than all of ``i``'s resources; the clamp caps
-    the transfer at 100% of ``V_i`` ("the quantity of resources C can
-    obtain is limited to 10 instead of 12").  Every topology applies it;
-    while row sums stay at most 1, ``T <= 1`` already and it is a no-op.
-    """
-    return np.minimum(_check_square(T), 1.0)
-
-
-def u_matrix(I: np.ndarray, A: np.ndarray | None, V: np.ndarray) -> np.ndarray:
-    """Combine relative flows with absolute grants, clamped at donor capacity.
-
-    ``U_ki = min(I^(n-1)_ki + A_ki, V_k)`` (Section 3.2): the total a donor
-    ``k`` provides to ``i`` cannot exceed what ``k`` owns.
-    """
-    I = _check_square(I)
-    V = np.asarray(V, dtype=float)
-    n = I.shape[0]
-    if A is None:
-        A = np.zeros((n, n))
-    A = _check_square(A)
-    if A.shape != I.shape:
-        raise AgreementError("absolute matrix shape does not match flow matrix")
-    U = np.minimum(I + A, V[:, None])
-    np.fill_diagonal(U, 0.0)
-    return U
-
-
-def capacities(V: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Effective capacities ``C_i = V_i + sum_{k != i} U_ki``."""
-    V = np.asarray(V, dtype=float)
-    U = _check_square(U)
-    return V + U.sum(axis=0)

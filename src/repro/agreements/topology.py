@@ -18,9 +18,9 @@ This module gives each rate its own type:
   number of epochs) amortise one DP run.
 - :class:`CapacityView` — a capacity vector ``V`` bound to a topology,
   answering the per-epoch queries (:meth:`~CapacityView.capacities`,
-  :meth:`~CapacityView.u`, :meth:`~CapacityView.flows`) with per-level
-  memoisation.  Views are cheap to mint (:meth:`AgreementTopology.view`)
-  and to rebind (:meth:`CapacityView.with_capacities`).
+  :meth:`~CapacityView.u`) with per-level memoisation.  Views are cheap
+  to mint (:meth:`AgreementTopology.view`) and to rebind
+  (:meth:`CapacityView.with_capacities`).
 
 A view is the one agreement type the rest of the package passes around:
 build one from matrices with :meth:`CapacityView.from_matrices`, from a
@@ -110,10 +110,8 @@ class AgreementTopology:
         if len(set(self.principals)) != self.n:
             raise InvalidAgreementMatrixError("principal names must be unique")
         self._index = {p: i for i, p in enumerate(self.principals)}
-        self.S = self._clean_relative(np.asarray(S, dtype=float).copy())
-        self.A = self._clean_absolute(
-            None if A is None else np.asarray(A, dtype=float).copy()
-        )
+        self.S = self._clean_matrix("S", S)
+        self.A = None if A is None else self._clean_matrix("A", A)
         self.groups = (
             None if groups is None else tuple(tuple(int(i) for i in g) for g in groups)
         )
@@ -122,41 +120,27 @@ class AgreementTopology:
 
     # -- validation ----------------------------------------------------------
 
-    def _clean_relative(self, S: np.ndarray) -> np.ndarray:
+    def _clean_matrix(self, name: str, M: np.ndarray) -> np.ndarray:
+        """Validate and freeze a copy of ``S`` or ``A``: ``(n, n)``,
+        finite, non-negative and zero on the diagonal."""
+        M = np.asarray(M, dtype=float).copy()
         n = self.n
-        if S.shape != (n, n):
+        if M.shape != (n, n):
             raise InvalidAgreementMatrixError(
-                f"S must have shape ({n}, {n}), got {S.shape}"
+                f"{name} must have shape ({n}, {n}), got {M.shape}"
             )
-        if not np.all(np.isfinite(S)):
-            raise InvalidAgreementMatrixError("S entries must be finite")
-        if np.any(np.abs(np.diag(S)) > _TOL):
-            raise InvalidAgreementMatrixError("S must have a zero diagonal (S_ii = 0)")
-        if np.any(S < -_TOL):
-            raise InvalidAgreementMatrixError("S entries must be non-negative")
-        np.maximum(S, 0.0, out=S)
-        np.fill_diagonal(S, 0.0)
-        S.flags.writeable = False
-        return S
-
-    def _clean_absolute(self, A: np.ndarray | None) -> np.ndarray | None:
-        if A is None:
-            return None
-        n = self.n
-        if A.shape != (n, n):
+        if not np.all(np.isfinite(M)):
+            raise InvalidAgreementMatrixError(f"{name} entries must be finite")
+        if np.any(np.abs(np.diag(M)) > _TOL):
             raise InvalidAgreementMatrixError(
-                f"A must have shape ({n}, {n}), got {A.shape}"
+                f"{name} must have a zero diagonal ({name}_ii = 0)"
             )
-        if not np.all(np.isfinite(A)):
-            raise InvalidAgreementMatrixError("A entries must be finite")
-        if np.any(A < -_TOL):
-            raise InvalidAgreementMatrixError("A entries must be non-negative")
-        if np.any(np.abs(np.diag(A)) > _TOL):
-            raise InvalidAgreementMatrixError("A must have a zero diagonal")
-        np.maximum(A, 0.0, out=A)
-        np.fill_diagonal(A, 0.0)
-        A.flags.writeable = False
-        return A
+        if np.any(M < -_TOL):
+            raise InvalidAgreementMatrixError(f"{name} entries must be non-negative")
+        np.maximum(M, 0.0, out=M)
+        np.fill_diagonal(M, 0.0)
+        M.flags.writeable = False
+        return M
 
     # -- identity ------------------------------------------------------------
 
@@ -206,7 +190,10 @@ class AgreementTopology:
         m = self._level(level)
         T = self._t_cache.get(m)
         if T is None:
-            T = _flow.overdraft_clamp(_flow.transitive_coefficients(self.S, m))
+            # K^(m) = min(T^(m), 1): a chain moves at most 100% of a donor's
+            # resources ("limited to 10 instead of 12").
+            T = _flow.transitive_coefficients(self.S, m)
+            np.minimum(T, 1.0, out=T)
             if _sanitize.enabled():
                 _sanitize.check_coefficients(T)
             T.flags.writeable = False
@@ -218,17 +205,36 @@ class AgreementTopology:
     # Everything below takes V explicitly: the topology knows how to
     # evaluate flows for *any* capacity vector without being cloned.
 
-    def flows(self, V: np.ndarray, level: int | None = None) -> np.ndarray:
-        """``I^(m)_ij`` — the amount of ``i``'s resources reachable by ``j``."""
-        return _flow.flow_matrix(V, self.coefficients(level))
+    def _uc(
+        self, V: np.ndarray | Sequence[float], level: int | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Section 3.2's ``(U, C)`` for raw capacities ``V``.
+
+        ``U_ki = min(V_k K_ki + A_ki, V_k)`` with a zero diagonal: the
+        flow ``I = V_k K_ki`` plus the absolute grant, clamped at what
+        donor ``k`` owns.  ``C_i = V_i + sum_k U_ki``.  Only ``V`` is
+        checked: ``S``, ``A`` and ``K`` were validated and frozen when
+        built.
+        """
+        V = np.asarray(V, dtype=float)
+        if V.shape != (self.n,):
+            raise InvalidAgreementMatrixError(
+                f"V must have shape ({self.n},), got {V.shape}"
+            )
+        U = V[:, None] * self.coefficients(level)
+        if self.A is not None:
+            U += self.A
+        np.minimum(U, V[:, None], out=U)
+        np.fill_diagonal(U, 0.0)
+        return U, V + U.sum(axis=0)
 
     def u(self, V: np.ndarray, level: int | None = None) -> np.ndarray:
         """``U_ki`` — relative + absolute inflow clamped at donor capacity."""
-        return _flow.u_matrix(self.flows(V, level), self.A, V)
+        return self._uc(V, level)[0]
 
     def capacities(self, V: np.ndarray, level: int | None = None) -> np.ndarray:
         """Effective capacities ``C_i`` for capacity vector ``V``."""
-        return _flow.capacities(V, self.u(V, level))
+        return self._uc(V, level)[1]
 
     def view(self, V: np.ndarray) -> "CapacityView":
         """Bind a raw-capacity vector to this topology."""
@@ -312,8 +318,7 @@ class CapacityView:
         m = self.topology._level(level)
         pair = self._uc_cache.get(m)
         if pair is None:
-            U = self.topology.u(self.V, m)
-            C = _flow.capacities(self.V, U)
+            U, C = self.topology._uc(self.V, m)
             # Freeze before caching: every caller shares these arrays, so
             # an in-place write would corrupt the memo for the rest of
             # the epoch.
@@ -321,9 +326,6 @@ class CapacityView:
             C.flags.writeable = False
             pair = self._uc_cache[m] = (U, C)
         return pair
-
-    def flows(self, level: int | None = None) -> np.ndarray:
-        return self.topology.flows(self.V, level)
 
     def u(self, level: int | None = None) -> np.ndarray:
         return self._uc(level)[0]

@@ -9,10 +9,10 @@ nearby ISPs than faraway ISPs."
 This scheme sees only *direct* agreements and no global availability
 information: the requester takes from its own resources first, then splits
 the remainder over donors proportionally to the direct agreement quantity
-``S[k, A] * V_k + A[k, A]``, capping each donor at that same quantity.  It
-cannot exploit transitive chains, and it sends work to heavily loaded
-donors just as readily as to idle ones — which is exactly the behaviour
-Figure 13 penalises.
+``U_kA`` at level 1, ``min(S[k, A] * V_k + A[k, A], V_k)``, capping each
+donor at that same quantity.  It cannot exploit transitive chains, and it
+sends work to heavily loaded donors just as readily as to idle ones —
+which is exactly the behaviour Figure 13 penalises.
 """
 
 from __future__ import annotations
@@ -45,11 +45,10 @@ def allocate_endpoint(
     a = system.index(principal)
     n = system.n
     V = system.V
-    A = system.A if system.A is not None else np.zeros((n, n))
 
-    # Direct agreement quantities only: no chains, no availability feedback.
-    direct = np.minimum(system.S[:, a] * V + A[:, a], V)
-    direct[a] = 0.0
+    # Direct agreement quantities only (U at level 1): no chains, no
+    # availability feedback.
+    direct = system.u(1)[:, a]
 
     take = np.zeros(n)
     local = min(float(V[a]), float(amount))

@@ -19,7 +19,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..agreements.topology import CapacityView
+from ..agreements.topology import AgreementTopology, CapacityView
 from ..errors import AllocationError, InsufficientResourcesError
 from ..lp import solve
 from ..obs import get_observer
@@ -56,13 +56,11 @@ def coarsen(system: CapacityView, groups: Sequence[Sequence[int]]) -> CapacityVi
     return CapacityView.from_matrices(names, Vg, Sg)
 
 
-def _subsystem(system: CapacityView, members: Sequence[int]) -> CapacityView:
-    """Member-level system restricted to one group (intra-group edges only)."""
-    idx = np.asarray(members)
-    names = [system.principals[i] for i in members]
-    return CapacityView.from_matrices(
-        names,
-        system.V[idx],
+def _group_topology(system: CapacityView, idx: np.ndarray) -> AgreementTopology:
+    """Member-level structure restricted to one group (intra-group edges
+    only); each round views it at its own capacities."""
+    return AgreementTopology(
+        [system.principals[i] for i in idx],
         system.S[np.ix_(idx, idx)],
         None if system.A is None else system.A[np.ix_(idx, idx)],
     )
@@ -120,7 +118,10 @@ def allocate_hierarchical(
 
     # Fast path: the whole request fits inside the requester's group.
     with span:
-        local_sys = _subsystem(system, groups[home])
+        # One topology per group and call, so one coefficient DP per group.
+        idx = [np.asarray(g) for g in groups]
+        topologies = [_group_topology(system, members) for members in idx]
+        local_sys = topologies[home].view(system.V[idx[home]])
         local_cap = local_sys.capacity_of(principal, level)
         if x <= local_cap + _TOL:
             span.set(path="local")
@@ -141,9 +142,9 @@ def allocate_hierarchical(
             # actually reach through intra-group agreements, not the raw member
             # sum — otherwise the coarse LP keeps "allocating" locally work that
             # refinement cannot extract.
-            home_deliverable = _subsystem(current, groups[home]).capacity_of(
-                principal, level
-            )
+            home_deliverable = topologies[home].view(
+                current.V[idx[home]]
+            ).capacity_of(principal, level)
             Vc = coarse.V.copy()
             Vc[home] = home_deliverable
             coarse = coarse.with_capacities(Vc)
@@ -160,7 +161,7 @@ def allocate_hierarchical(
                 if contribution <= _TOL:
                     continue
                 members = groups[gi]
-                sub = _subsystem(current, members)
+                sub = topologies[gi].view(current.V[idx[gi]])
                 if gi == home:
                     plan = allocate_lp(
                         sub, principal, float(contribution), level=level,

@@ -160,13 +160,13 @@ def take_blocks(a, V, U, T, rows):
 
     Returns ``(drops, ub)``: ``drops`` holds rows ``rows`` of ``I + T.T``
     (row ``i`` is principal ``i``'s capacity drop ``d_i + sum_k d_k
-    T_ki``), and ``ub`` bounds each take by constraint (4):
-    ``min(U_kA, V_k)`` for a donor ``k`` and ``V_A`` for the requester.
-    ``U=None`` bounds every take by ``V`` alone.
+    T_ki``), and ``ub`` bounds each take by constraint (4): ``U_kA``,
+    which is already clamped at ``V_k``, for a donor ``k`` and ``V_A``
+    for the requester.  ``U=None`` bounds every take by ``V`` alone.
     """
     n = len(V)
     drops = (T.T + np.eye(n))[rows]
-    ub = np.array(V, dtype=float) if U is None else np.minimum(U[:, a], V)
+    ub = np.array(V, dtype=float) if U is None else U[:, a].copy()
     ub[a] = V[a]
     return drops, ub
 

@@ -377,7 +377,7 @@ class Bank:
         Such currencies promise more than 100% of their value — the
         "overdraft" situation of Section 3.2: a column of the funding
         matrix sums above 1.  Legal: every topology clamps its
-        coefficients (:func:`repro.agreements.flow.overdraft_clamp`), so
+        coefficients (:meth:`repro.agreements.AgreementTopology.coefficients`), so
         no chain moves more than 100% of the issuer's resources.
         """
         names, M, _, _ = self._funding()

@@ -25,23 +25,30 @@ from .simplex import solve_simplex
 __all__ = ["BACKENDS", "solve"]
 
 
-def _highs(c, A_ub, b_ub, A_eq, b_eq, bounds):
-    # Imported per call: scipy.optimize costs ~50 MB and ~0.4 s to load, and
-    # only this backend needs it.
+def _highs() -> Callable[..., Any]:
+    # Loaded when solve() picks the backend, before it opens the span:
+    # scipy.optimize costs ~50 MB and ~0.4 s to import, and only this
+    # backend needs it.
     from scipy.optimize import linprog
 
-    return linprog(
-        c,
-        A_ub=A_ub if A_ub.size else None,
-        b_ub=b_ub if b_ub.size else None,
-        A_eq=A_eq if A_eq.size else None,
-        b_eq=b_eq if b_eq.size else None,
-        bounds=bounds,
-        method="highs",
-    )
+    def run(c, A_ub, b_ub, A_eq, b_eq, bounds):
+        return linprog(
+            c,
+            A_ub=A_ub if A_ub.size else None,
+            b_ub=b_ub if b_ub.size else None,
+            A_eq=A_eq if A_eq.size else None,
+            b_eq=b_eq if b_eq.size else None,
+            bounds=bounds,
+            method="highs",
+        )
+
+    return run
 
 
-_BACKENDS: dict[str, Callable[..., Any]] = {"scipy": _highs, "simplex": solve_simplex}
+#: backend name -> loader of the backend's solve function
+_BACKENDS: dict[str, Callable[[], Callable[..., Any]]] = {
+    "scipy": _highs, "simplex": lambda: solve_simplex,
+}
 BACKENDS = tuple(_BACKENDS)
 
 # Both backends report linprog's status codes; 1 (iteration limit) and 4
@@ -61,9 +68,10 @@ def solve(
     :class:`~repro.errors.LPSolverError`.
     """
     try:
-        run = _BACKENDS[backend]
+        load = _BACKENDS[backend]
     except KeyError:
         raise LPError(f"unknown LP backend {backend!r}; choose from {sorted(BACKENDS)}") from None
+    run = load()
     obs = get_observer()
     with obs.span("lp.solve", backend=backend, model=model) as sp:
         res = run(c, A_ub, b_ub, A_eq, b_eq, bounds, **options)

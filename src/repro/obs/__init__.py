@@ -1,7 +1,8 @@
 """repro.obs — structured tracing, metrics, and profiling hooks.
 
-The library's hot paths (LP solves, flow-matrix builds, GRM/LRM message
-round-trips, the DES loop) are instrumented against a process-global
+The library's hot paths (LP solves, coefficient DPs, GRM/LRM message
+round-trips, whole simulation runs, whose ``proxysim.run`` span carries
+the clock's tick count) are instrumented against a process-global
 *observer*.  By default that observer is the zero-overhead
 :class:`~repro.obs.null.NullObserver`, so nothing is measured and
 benchmark numbers are unchanged.  Switch it on with::

@@ -135,7 +135,6 @@ class ManagerPolicy(RedirectPolicy):
                     )
                     self.last_request_id = retry.msg_id
                     reply = self._send(retry)
-            self.lp_solves = self.grm.requests_served + self.grm.requests_denied
             take = np.zeros(self.n)
             if isinstance(reply, AllocationGrant):
                 self._held = (self.principals[requester], reply.msg_id)

@@ -118,7 +118,6 @@ class SimulationResult:
     redirects: SlotSeries = None  # type: ignore[assignment]
     total_requests: int = 0
     scheduler_consults: int = 0
-    lp_solves: int = 0
     local_wait_stats: SummaryStats = field(default_factory=SummaryStats)
     redirected_wait_stats: SummaryStats = field(default_factory=SummaryStats)
     """Wait aggregates split by whether the request was ever redirected —

@@ -36,9 +36,6 @@ __all__ = [
 class RedirectPolicy:
     """Interface: :meth:`plan` returns per-proxy take amounts."""
 
-    #: number of LP solves performed (for instrumentation)
-    lp_solves: int = 0
-
     def plan(self, requester: int, excess: float, avail: np.ndarray) -> np.ndarray:
         """Amount of the requester's excess work each proxy should absorb.
 
@@ -99,7 +96,6 @@ class LPPolicy(_SystemPolicy):
 
     def plan(self, requester: int, excess: float, avail: np.ndarray) -> np.ndarray:
         live = self._live(avail)
-        self.lp_solves += 1
         principal = live.principals[requester]
         # Direct policy calls bypass the GRM, so they open their own
         # flight-recorder entry (negative synthetic request ids — there is

@@ -62,7 +62,6 @@ class ProxySimulation:
         self.policy: RedirectPolicy = make_policy(config, system)
         self._system_updates = sorted(system_updates or [], key=lambda u: u[0])
         self._next_update = 0
-        self._lp_solves_retired = 0  # from policies replaced by updates
         capacities = config.capacities()
         self.queues = [WorkQueue(rate=float(r)) for r in capacities]
         self.capacities = capacities
@@ -188,7 +187,6 @@ class ProxySimulation:
                     "scheduled agreement system has the wrong principal count"
                 )
             self.system = new_system
-            self._lp_solves_retired += getattr(self.policy, "lp_solves", 0)
             self.policy = make_policy(self.config, new_system)
             self._next_update += 1
 
@@ -225,9 +223,6 @@ class ProxySimulation:
             for p in range(cfg.n_proxies):
                 self._push_arrivals(p, float("inf"))
                 self.queues[p].drain(self._on_served)
-            self.result.lp_solves = (
-                self._lp_solves_retired + getattr(self.policy, "lp_solves", 0)
-            )
         if obs.enabled:
             # Bridge the simulation's own accounting onto the shared
             # registry so traces carry the case-study counters too.

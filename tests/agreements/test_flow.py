@@ -9,20 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.agreements import (
+    AgreementTopology,
+    CapacityView,
     complete_structure,
     hierarchical_structure,
     loop_structure,
     sparse_structure,
 )
-from repro.agreements.flow import (
-    _batches,
-    _reach,
-    capacities,
-    flow_matrix,
-    overdraft_clamp,
-    transitive_coefficients,
-    u_matrix,
-)
+from repro.agreements.flow import _batches, _reach, transitive_coefficients
 from repro.errors import AgreementError
 
 from .dfs_reference import coefficients_dfs
@@ -299,22 +293,27 @@ class TestDPCost:
 
 
 class TestFlowAndCapacities:
+    """``I``, ``K``, ``U`` and ``C`` as a topology derives them from ``V``."""
+
+    @staticmethod
+    def view(V, S, A=None):
+        return CapacityView.from_matrices([f"p{i}" for i in range(len(V))], V, S, A)
+
     def test_flow_scales_by_capacity(self):
         S = random_S(8, 4)
-        T = transitive_coefficients(S)
         V = np.array([1.0, 2.0, 0.0, 5.0])
-        I = flow_matrix(V, T)
-        np.testing.assert_allclose(I, V[:, None] * T)
+        view = self.view(V, S)
+        # with no absolute grants the clamp at V never binds: U = I
+        np.testing.assert_allclose(view.u(), V[:, None] * view.coefficients())
 
     def test_flow_shape_mismatch(self):
+        topology = AgreementTopology([f"p{i}" for i in range(4)], np.zeros((4, 4)))
         with pytest.raises(AgreementError):
-            flow_matrix(np.ones(3), np.zeros((4, 4)))
+            topology.u(np.ones(3))
 
     def test_capacity_includes_own_resources(self):
-        n = 4
         V = np.array([1.0, 2.0, 3.0, 4.0])
-        U = np.zeros((n, n))
-        np.testing.assert_allclose(capacities(V, U), V)
+        np.testing.assert_allclose(self.view(V, np.zeros((4, 4))).capacities(), V)
 
     def test_paper_overdraft_example(self):
         """Section 3.2: A=10, shares 60% with B and 60% with C; B shares
@@ -323,28 +322,29 @@ class TestFlowAndCapacities:
         V = np.array([10.0, 0.0, 0.0])
         T = transitive_coefficients(S)
         assert T[0, 2] == pytest.approx(0.6 + 0.6)  # unclamped: 1.2
-        K = overdraft_clamp(T)
-        assert K[0, 2] == pytest.approx(1.0)
-        U = u_matrix(flow_matrix(V, K), None, V)
-        C = capacities(V, U)
-        assert C[2] == pytest.approx(10.0)
+        view = self.view(V, S)
+        assert view.coefficients()[0, 2] == pytest.approx(1.0)
+        assert view.capacities()[2] == pytest.approx(10.0)
 
     def test_u_clamps_at_donor_capacity(self):
-        I = np.array([[0.0, 8.0], [0.0, 0.0]])
+        S = np.array([[0.0, 0.8], [0.0, 0.0]])  # I = 8
         A = np.array([[0.0, 5.0], [0.0, 0.0]])
         V = np.array([10.0, 0.0])
-        U = u_matrix(I, A, V)
+        U = self.view(V, S, A).u()
         assert U[0, 1] == pytest.approx(10.0)  # min(8 + 5, 10)
 
     def test_u_without_absolute_matrix(self):
-        I = np.array([[0.0, 3.0], [1.0, 0.0]])
+        S = np.array([[0.0, 0.3], [0.1, 0.0]])
         V = np.array([10.0, 10.0])
-        U = u_matrix(I, None, V)
-        np.testing.assert_allclose(U, I)
+        U = AgreementTopology(["p0", "p1"], S).u(V)
+        np.testing.assert_allclose(U, [[0.0, 3.0], [1.0, 0.0]])
 
     def test_u_zero_diagonal(self):
-        I = np.full((3, 3), 2.0)
-        U = u_matrix(I, None, np.full(3, 10.0))
+        S = np.full((3, 3), 0.4)
+        np.fill_diagonal(S, 0.0)
+        A = np.full((3, 3), 2.0)
+        np.fill_diagonal(A, 0.0)
+        U = self.view(np.full(3, 10.0), S, A).u()
         assert not np.any(np.diag(U))
 
     @given(st.integers(0, 10_000), st.integers(2, 8))
@@ -355,9 +355,7 @@ class TestFlowAndCapacities:
         rng = np.random.default_rng(seed)
         S = random_S(seed, n, scale=1.0 / n)  # row sums <= 1
         V = rng.random(n) * 10
-        T = transitive_coefficients(S)
-        U = u_matrix(flow_matrix(V, T), None, V)
-        C = capacities(V, U)
+        C = self.view(V, S).capacities()
         assert np.all(C >= V - 1e-9)
         assert np.all(C <= V.sum() * n + 1e-9)
 
@@ -370,7 +368,5 @@ class TestFlowAndCapacities:
         rng = np.random.default_rng(seed)
         S = random_S(seed, n, scale=0.5)
         V = rng.random(n) * 10
-        K = overdraft_clamp(transitive_coefficients(S))
-        U = u_matrix(flow_matrix(V, K), None, V)
-        C = capacities(V, U)
+        C = self.view(V, S).capacities()
         assert np.all(C <= V.sum() + 1e-9)

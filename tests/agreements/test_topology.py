@@ -2,9 +2,10 @@
 
 Covers the contracts of the split — immutability, structural hashing,
 shared coefficient caches, per-view memoisation — plus a property test
-that a view built with :meth:`CapacityView.from_matrices` produces
-exactly the direct ``repro.agreements.flow`` computations on random
-agreement structures.
+that a view built with :meth:`CapacityView.from_matrices` matches
+Section 3.2's algebra, written out in numpy over
+``repro.agreements.flow``'s coefficients, on random agreement
+structures.
 """
 
 import numpy as np
@@ -85,12 +86,9 @@ SHARED = {
 
 #: accessors that compute a new array on every call
 FRESH = {
-    "topology.flows(V)": lambda t, v: t.flows(v.V),
     "topology.u(V)": lambda t, v: t.u(v.V),
     "topology.capacities(V)": lambda t, v: t.capacities(v.V),
     "topology.u(V, 1)": lambda t, v: t.u(v.V, 1),
-    "view.flows()": lambda t, v: v.flows(),
-    "view.flows(1)": lambda t, v: v.flows(1),
 }
 
 
@@ -193,7 +191,7 @@ class TestFromMatrices:
         assert topo().groups is None
 
 
-# -- property test: view == direct flow pipeline ------------------------------
+# -- property test: view == the algebra written out ---------------------------
 
 
 @st.composite
@@ -221,15 +219,15 @@ def test_view_matches_direct_flow_computation(structure):
     principals = [f"p{i}" for i in range(n)]
     sys_ = CapacityView.from_matrices(principals, V, S, A)
 
-    # the flow pipeline applied directly
+    # Section 3.2's algebra written out: K = min(T, 1),
+    # U = min(V_k K_ki + A_ki, V_k) off the diagonal, C = V + sum_k U_ki
     m = n - 1 if level is None else min(level, n - 1)
-    T = flow.overdraft_clamp(flow.transitive_coefficients(S, m))
-    I = flow.flow_matrix(V, T)
-    U = flow.u_matrix(I, A, V)
-    C = flow.capacities(V, U)
+    T = np.minimum(flow.transitive_coefficients(S, m), 1.0)
+    U = np.minimum(V[:, None] * T + (0.0 if A is None else A), V[:, None])
+    np.fill_diagonal(U, 0.0)
+    C = V + U.sum(axis=0)
 
     np.testing.assert_allclose(sys_.coefficients(level), T, atol=1e-12)
-    np.testing.assert_allclose(sys_.flows(level), I, atol=1e-12)
     np.testing.assert_allclose(sys_.u(level), U, atol=1e-12)
     np.testing.assert_allclose(sys_.capacities(level), C, atol=1e-12)
 

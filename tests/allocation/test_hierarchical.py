@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.obs as obs
 from repro.agreements import CapacityView, hierarchical_structure
 from repro.allocation import allocate_hierarchical, allocate_lp
 from repro.allocation.hierarchical import coarsen
@@ -98,3 +99,19 @@ class TestAllocate:
         outside = [i for i in np.nonzero(al.take)[0] if i not in system.topology.groups[0]]
         assert outside  # the request crossed groups, so the refine ran
         assert al.satisfied > 0.0
+
+    @pytest.mark.parametrize("groups, size", [(3, 4), (6, 8)])
+    def test_one_coefficient_dp_per_group(self, groups, size):
+        """Each group's coefficient DP runs once per call: every round views
+        the group at that round's capacities and adds only its coarse DP."""
+        system = hierarchical_structure(groups, size)
+        ask = 0.99 * system.capacity_of("node0")  # the full system's DP
+        ob = obs.enable()
+        try:
+            allocate_hierarchical(system, "node0", ask, partial=True)
+            dps = ob.registry.get_histogram("span.flow.coefficients").count
+            rounds = ob.registry.get_histogram("allocation.hierarchical.rounds")
+        finally:
+            obs.disable()
+        assert rounds.total >= 2  # the request needs more than one round
+        assert dps <= groups + rounds.total

@@ -160,6 +160,24 @@ class TestCli:
         assert "granted" in proc.stdout
         assert "p3" in proc.stdout
 
+    def test_explain_prints_every_field(self, tmp_path):
+        """A denial's quoted ``available``, its ``span_id`` and fields the
+        schema does not know all reach the text view, schema fields first."""
+        path = tmp_path / "run.jsonl"
+        _write_jsonl(path, [
+            {"kind": "decision", "request_id": 5, "requestor": "p0",
+             "amount": 50.0, "outcome": "denied", "reason": "insufficient",
+             "available": 2.0, "multigrid_rounds": 2, "span_id": "9",
+             "ts": 1.0},
+        ])
+        proc = self._run("explain", 5, path)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "request 5: denied"
+        for line in ("  available: 2.0", "  multigrid_rounds: 2", "  span_id: 9"):
+            assert line in lines
+        assert lines.index("  span_id: 9") < lines.index("  available: 2.0")
+
     def test_explain_json(self, tmp_path):
         path = _trace(tmp_path)
         proc = self._run("explain", 17, "--json", path)

@@ -82,4 +82,4 @@ class TestSystemUpdates:
             system_updates=[(30_000.0, sharing)],
         )
         result = sim.run()
-        assert result.lp_solves > 0
+        assert result.scheduler_consults > 0

@@ -53,12 +53,6 @@ class TestLPPolicy:
         assert take[1] == pytest.approx(0.0, abs=1e-9)
         assert take[2] == pytest.approx(0.0, abs=1e-9)
 
-    def test_counts_lp_solves(self, system):
-        policy = LPPolicy(system)
-        policy.plan(0, 1.0, avail(0, 10, 10, 10))
-        policy.plan(1, 1.0, avail(10, 0, 10, 10))
-        assert policy.lp_solves == 2
-
     def test_bad_availability_shape(self, system):
         policy = LPPolicy(system)
         with pytest.raises(SimulationError):
