@@ -16,8 +16,7 @@ structures that stress them in opposite directions.
 
 from conftest import BENCH_SCALE, run_once
 from repro.agreements import complete_structure, loop_structure
-from repro.experiments.common import base_config
-from repro.proxysim import run_simulation
+from repro.proxysim import SimulationConfig, run_simulation
 
 COMPLETE = complete_structure(10, share=0.1)
 LOOP1 = loop_structure(10, share=0.8, skip=1)
@@ -26,7 +25,7 @@ LOOP1 = loop_structure(10, share=0.8, skip=1)
 def sweep(weights=(0.0, 0.5, 1.0)):
     rows = []
     for w in weights:
-        cfg = base_config(BENCH_SCALE, scheme="lp", gap=3600.0, project_arrivals=w)
+        cfg = SimulationConfig.scaled(BENCH_SCALE, scheme="lp", gap=3600.0, project_arrivals=w)
         complete = run_simulation(cfg, COMPLETE)
         loop = run_simulation(cfg.with_(level=1), LOOP1)
         rows.append(

@@ -11,8 +11,7 @@ import numpy as np
 
 from conftest import BENCH_SCALE, run_once
 from repro.agreements import complete_structure
-from repro.experiments.common import base_config
-from repro.proxysim import run_simulation
+from repro.proxysim import SimulationConfig, run_simulation
 
 SYSTEM = complete_structure(10, share=0.1)
 
@@ -20,7 +19,7 @@ SYSTEM = complete_structure(10, share=0.1)
 def sweep(thresholds=(5.0, 15.0, 40.0, 120.0)):
     rows = []
     for thr in thresholds:
-        cfg = base_config(BENCH_SCALE, scheme="lp", gap=3600.0, threshold=thr)
+        cfg = SimulationConfig.scaled(BENCH_SCALE, scheme="lp", gap=3600.0, threshold=thr)
         res = run_simulation(cfg, SYSTEM)
         rows.append(
             {

@@ -1,8 +1,9 @@
 """Observability overhead on the GRM message path (allocations/sec).
 
-Runs the same ManagerPolicy workload as ``test_perf_manager_path.py``
-under three observer configurations and records the throughput ratios to
-``benchmarks/BENCH_obs_overhead.json``:
+Drives :class:`~repro.proxysim.manager_bridge.ManagerPolicy` (the GRM
+message path perfbench's ``grm_steady`` workload measures) on the
+10-proxy complete structure under three observer configurations and
+records the throughput ratios to ``benchmarks/BENCH_obs_overhead.json``:
 
 - ``off`` — the default :class:`~repro.obs.null.NullObserver`; this is
   the hot-path cost everyone pays, so it must stay within noise of the

@@ -2,7 +2,7 @@
 
 Each ``figNN`` module exposes ``run(...) -> ExperimentResult`` producing
 the same series/rows the figure plots, at a configurable workload scale
-(default: the scaled preset documented in DESIGN.md).  The
+(``SimulationConfig.scaled``, default 25; see DESIGN.md).  The
 :mod:`~repro.experiments.runner` CLI runs any subset and prints tables;
 ``benchmarks/`` wraps the same functions under pytest-benchmark.
 
@@ -17,6 +17,6 @@ the same series/rows the figure plots, at a configurable workload scale
 | fig13    | Figure 13    | centralized LP vs endpoint enforcement |
 """
 
-from .common import ExperimentResult, base_config
+from .common import ExperimentResult
 
-__all__ = ["ExperimentResult", "base_config"]
+__all__ = ["ExperimentResult"]

@@ -6,23 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..proxysim.config import SimulationConfig
-from ..units import approx_eq
-
-__all__ = ["ExperimentResult", "base_config", "mean_over_seeds"]
-
-
-def base_config(scale: float = 25.0, **overrides) -> SimulationConfig:
-    """The standard case-study configuration at a given workload scale.
-
-    ``scale=25`` (default) is the benchmark preset: the paper's offered-
-    load profile with 25x fewer, 25x longer requests (see DESIGN.md §3 and
-    EXPERIMENTS.md for how this preserves figure shapes).  ``scale=1`` is
-    the paper's own parameters (slow in pure Python).
-    """
-    if approx_eq(scale, 1.0):
-        return SimulationConfig.paper(**overrides)
-    return SimulationConfig.scaled(scale=scale, **overrides)
+__all__ = ["ExperimentResult", "mean_over_seeds"]
 
 
 @dataclass

@@ -11,14 +11,14 @@ peak wait is two to four orders of magnitude above the trough wait.
 
 from __future__ import annotations
 
-from ..proxysim import run_simulation
-from .common import ExperimentResult, base_config
+from ..proxysim import SimulationConfig, run_simulation
+from .common import ExperimentResult
 
 __all__ = ["run"]
 
 
 def run(scale: float = 25.0, seed: int = 0, **overrides) -> ExperimentResult:
-    cfg = base_config(scale, scheme="none", seed=seed, **overrides)
+    cfg = SimulationConfig.scaled(scale, scheme="none", seed=seed, **overrides)
     result = run_simulation(cfg)
 
     counts = result.request_count_series(0)

@@ -16,8 +16,8 @@ magnitude as the gap grows from 0 to 3600 s.
 from __future__ import annotations
 
 from ..agreements import complete_structure
-from ..proxysim import run_simulation
-from .common import ExperimentResult, base_config
+from ..proxysim import SimulationConfig, run_simulation
+from .common import ExperimentResult
 
 __all__ = ["run", "GAPS"]
 
@@ -37,7 +37,7 @@ def run(
     series = {}
 
     if include_baseline:
-        cfg = base_config(scale, scheme="none", gap=3600.0, seed=seed, **overrides)
+        cfg = SimulationConfig.scaled(scale, scheme="none", gap=3600.0, seed=seed, **overrides)
         base = run_simulation(cfg)
         rows.append(
             {
@@ -50,7 +50,7 @@ def run(
         series["wait:no-sharing"] = base.mean_wait_series(0)
 
     for gap in gaps:
-        cfg = base_config(scale, scheme="lp", gap=float(gap), seed=seed, **overrides)
+        cfg = SimulationConfig.scaled(scale, scheme="lp", gap=float(gap), seed=seed, **overrides)
         result = run_simulation(cfg, system)
         rows.append(
             {

@@ -18,8 +18,8 @@ does not have to pay (see EXPERIMENTS.md).
 from __future__ import annotations
 
 from ..agreements import complete_structure
-from ..proxysim import run_simulation
-from .common import ExperimentResult, base_config
+from ..proxysim import SimulationConfig, run_simulation
+from .common import ExperimentResult
 
 __all__ = ["run", "CAPACITY_FACTORS"]
 
@@ -33,7 +33,7 @@ def run(
     **overrides,
 ) -> ExperimentResult:
     system = complete_structure(10, share=0.1)
-    cfg_share = base_config(scale, scheme="lp", gap=3600.0, seed=seed, **overrides)
+    cfg_share = SimulationConfig.scaled(scale, scheme="lp", gap=3600.0, seed=seed, **overrides)
     shared = run_simulation(cfg_share, system)
     target = shared.worst_case_wait(0)
 
@@ -47,7 +47,7 @@ def run(
     ]
     crossover = None
     for f in factors:
-        cfg = base_config(
+        cfg = SimulationConfig.scaled(
             scale, scheme="none", gap=3600.0, capacity=float(f), seed=seed,
             **overrides,
         )

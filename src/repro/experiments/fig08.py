@@ -13,8 +13,8 @@ levels 2+ change the waiting time only marginally.
 from __future__ import annotations
 
 from ..agreements import complete_structure
-from ..proxysim import run_simulation
-from .common import ExperimentResult, base_config, mean_over_seeds
+from ..proxysim import SimulationConfig, run_simulation
+from .common import ExperimentResult, mean_over_seeds
 
 __all__ = ["run", "LEVELS"]
 
@@ -33,7 +33,7 @@ def run(
 
     base = mean_over_seeds(
         lambda s: run_simulation(
-            base_config(scale, scheme="none", gap=3600.0, seed=s, **overrides)
+            SimulationConfig.scaled(scale, scheme="none", gap=3600.0, seed=s, **overrides)
         ).worst_case_wait(0),
         seeds,
     )
@@ -42,7 +42,7 @@ def run(
     for level in levels:
         worst = mean_over_seeds(
             lambda s: run_simulation(
-                base_config(
+                SimulationConfig.scaled(
                     scale, scheme="lp", gap=3600.0, level=int(level), seed=s,
                     **overrides,
                 ),

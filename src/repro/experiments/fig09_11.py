@@ -25,8 +25,8 @@ level-1 donor is genuine.
 from __future__ import annotations
 
 from ..agreements import loop_structure
-from ..proxysim import run_simulation
-from .common import ExperimentResult, base_config, mean_over_seeds
+from ..proxysim import SimulationConfig, run_simulation
+from .common import ExperimentResult, mean_over_seeds
 
 __all__ = ["run", "SKIPS", "LEVELS"]
 
@@ -49,7 +49,7 @@ def run(
         for level in levels:
             worst = mean_over_seeds(
                 lambda s: run_simulation(
-                    base_config(
+                    SimulationConfig.scaled(
                         scale, scheme="lp", gap=3600.0, level=int(level),
                         seed=s, **overrides,
                     ),

@@ -16,8 +16,8 @@ within a small factor of one another, far below the no-sharing baseline.
 from __future__ import annotations
 
 from ..agreements import complete_structure
-from ..proxysim import run_simulation
-from .common import ExperimentResult, base_config
+from ..proxysim import SimulationConfig, run_simulation
+from .common import ExperimentResult
 
 __all__ = ["run", "COST_MULTIPLIERS"]
 
@@ -31,13 +31,13 @@ def run(
     **overrides,
 ) -> ExperimentResult:
     system = complete_structure(10, share=0.1)
-    probe = base_config(scale, seed=seed, **overrides)
+    probe = SimulationConfig.scaled(scale, seed=seed, **overrides)
     mean_service = probe.service.mean_service(probe.sizes)
 
     rows = []
     for mult in cost_multipliers:
         cost = float(mult) * mean_service
-        cfg = base_config(
+        cfg = SimulationConfig.scaled(
             scale, scheme="lp", gap=3600.0, redirect_cost=cost, seed=seed,
             **overrides,
         )
@@ -52,7 +52,7 @@ def run(
                 "peak_redirected_frac": result.peak_redirect_fraction(),
                 # "Although the waiting time of these requests has
                 # significant penalty ... the redirection pays off."
-                "mean_wait_redirected_s": result.redirected_wait_stats.mean,
+                "mean_wait_redirected_s": result.split_mean_wait()[1],
             }
         )
     return ExperimentResult(

@@ -23,8 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..agreements import distance_decay_structure
-from ..proxysim import run_simulation
-from .common import ExperimentResult, base_config
+from ..proxysim import SimulationConfig, run_simulation
+from .common import ExperimentResult
 
 __all__ = ["run", "SCHEMES"]
 
@@ -42,14 +42,14 @@ def run(
     rows = []
     series = {}
     peak_waits = {}
-    probe = base_config(scale, **overrides)
+    probe = SimulationConfig.scaled(scale, **overrides)
     rpd = probe.requests_per_day * float(load_factor)
     for scheme in schemes:
         kwargs = dict(gap=3600.0, requests_per_day=rpd)
         kwargs.update(overrides)
         kwargs["scheme"] = scheme
         kwargs["seed"] = seed
-        cfg = base_config(scale, **kwargs)
+        cfg = SimulationConfig.scaled(scale, **kwargs)
         result = run_simulation(cfg, system)
         waits = result.mean_wait_series(None)  # all ISPs (symmetric structure)
         rows.append(

@@ -7,8 +7,10 @@
     repro-experiments all --scale 50 --seed 1
     python -m repro.experiments.runner fig05
 
-Scale selects the workload preset (see DESIGN.md): 25 = default benchmark
-scale, 1 = the paper's raw parameters (~500 k requests/proxy/day — slow).
+``--scale s`` runs ``SimulationConfig.scaled(s)`` (see DESIGN.md §3): the
+paper's offered-load profile with s-times fewer, s-times longer requests.
+25 is the default benchmark scale; 1 has the paper's service model and
+~475 k requests/proxy/day (slow).
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--list", action="store_true", help="list experiments")
     parser.add_argument(
         "--scale", type=float, default=25.0,
-        help="workload scale factor (1 = paper parameters; default 25)",
+        help="workload scale: s-times fewer, s-times longer requests than "
+        "the paper's (default 25)",
     )
     parser.add_argument("--seed", type=int, default=0, help="workload seed")
     parser.add_argument(

@@ -7,11 +7,12 @@ proxy's front-end exceeds a threshold, the global scheduler is consulted;
 it redirects the excess to other proxies, enforcing the sharing agreements
 by solving the Section-3 LP (or one of the baseline schemes).
 
-- :class:`~repro.proxysim.config.SimulationConfig` — all knobs, with
-  paper-parameter and scaled-benchmark presets;
+- :class:`~repro.proxysim.config.SimulationConfig` — all knobs, with the
+  one workload-scale preset ``scaled(scale)`` (scale 1: the paper's);
 - :class:`~repro.proxysim.simulator.ProxySimulation` — the fixed-step simulation loop;
-- :class:`~repro.proxysim.metrics.SimulationResult` — per-slot series and
-  scalar summaries matching what the figures plot;
+- :class:`~repro.proxysim.metrics.SimulationResult` — one table of sums
+  per (origin proxy, 10-minute slot), viewed as the per-slot series and
+  scalar summaries the figures plot;
 - :mod:`~repro.proxysim.redirect` — redirection policies: none,
   LP (centralized, transitive) and endpoint (proportional, Figure 13's
   baseline).

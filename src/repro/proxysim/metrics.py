@@ -1,215 +1,133 @@
-"""Result types for the proxy simulation.
+"""Result table for the proxy simulation.
 
-Everything the paper's figures plot comes out of one
-:class:`SimulationResult`: per-10-minute-slot request counts and mean
-waiting times (per origin proxy and aggregated), worst-case (peak-slot)
-waits, and redirection statistics.  :class:`SlotSeries` accumulates
-values into fixed-width time slots; :class:`SummaryStats` keeps a
-streaming count and mean.
+Every figure of the case study plots the mean waiting time per 10-minute
+slot at an ISP, plus the redirected fraction for Figure 12.  So
+:class:`SimulationResult` keeps one table of sums per (origin proxy,
+slot), and every query is a view of it.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..workload.diurnal import DAY_SECONDS
 
-__all__ = ["SimulationResult", "SlotSeries", "SummaryStats"]
+__all__ = ["SimulationResult"]
 
 #: Statistics slot width: the paper's figures plot 10-minute slots.
 SLOT_SECONDS = 600.0
+SLOTS = int(math.ceil(DAY_SECONDS / SLOT_SECONDS))
 
-#: Window (seconds) over which the scheduler projects donor availability.
-LOOKAHEAD_SECONDS = 600.0
-
-
-class SlotSeries:
-    """Accumulates (time, value) observations into fixed-width slots.
-
-    ::
-
-        waits = SlotSeries(horizon=86_400.0, width=600.0)  # 144 slots
-        waits.record(t, wait)
-        waits.means()      # average waiting time per 10-minute slot
-        waits.counts()     # requests per slot
-    """
-
-    def __init__(self, horizon: float = 86_400.0, width: float = 600.0):
-        if width <= 0 or horizon <= 0:
-            raise ValueError("horizon and width must be positive")
-        self.horizon = float(horizon)
-        self.width = float(width)
-        self.slots = int(math.ceil(horizon / width))
-        self._sum = np.zeros(self.slots)
-        self._count = np.zeros(self.slots, dtype=np.int64)
-
-    def slot_of(self, t: float) -> int:
-        """Slot index for time ``t``; times wrap modulo the horizon."""
-        return int((t % self.horizon) // self.width) % self.slots
-
-    def record(self, t: float, value: float) -> None:
-        s = self.slot_of(t)
-        self._sum[s] += value
-        self._count[s] += 1
-
-    def counts(self) -> np.ndarray:
-        """Observations per slot."""
-        return self._count.copy()
-
-    def means(self) -> np.ndarray:
-        """Per-slot mean (0 for empty slots)."""
-        out = np.zeros(self.slots)
-        mask = self._count > 0
-        out[mask] = self._sum[mask] / self._count[mask]
-        return out
-
-    def slot_times(self) -> np.ndarray:
-        """Slot start times (seconds), for plotting."""
-        return np.arange(self.slots) * self.width
-
-    def peak_mean(self) -> float:
-        """The worst per-slot mean — the paper's 'worst-case waiting time'."""
-        means = self.means()
-        return float(means.max()) if means.size else 0.0
-
-    def overall_mean(self) -> float:
-        total = int(self._count.sum())
-        return float(self._sum.sum() / total) if total else 0.0
-
-    def merge(self, other: "SlotSeries") -> None:
-        """Accumulate another series (same geometry) into this one."""
-        if (self.slots, self.width) != (other.slots, other.width):
-            raise ValueError("cannot merge SlotSeries with different geometry")
-        self._sum += other._sum
-        self._count += other._count
+#: The four sums of a table cell, by column.
+WAIT, COUNT, REDIRECTED, REDIRECTED_WAIT = range(4)
 
 
-@dataclass
-class SummaryStats:
-    """Streaming count and mean of a value stream."""
-
-    count: int = 0
-    total: float = 0.0
-
-    def record(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
+def _slot_means(slots: np.ndarray) -> np.ndarray:
+    """Per-slot mean wait of ``(slot, column)`` sums (0 for empty slots)."""
+    out = np.zeros(len(slots))
+    mask = slots[:, COUNT] > 0
+    out[mask] = slots[mask, WAIT] / slots[mask, COUNT]
+    return out
 
 
 @dataclass
 class SimulationResult:
     """Statistics from one simulation run (measured days only).
 
-    Waiting times are keyed by the request's *arrival* time-of-day and its
-    *origin* proxy (so a redirected request counts at the ISP whose client
-    issued it, as in the paper's per-ISP curves).
+    Waits are keyed by the request's *arrival* time of day (wrapped onto
+    one day) and its *origin* proxy, so a redirected request counts at the
+    ISP whose client issued it, as in the paper's per-ISP curves.  In the
+    queries ``proxy=None`` aggregates all ISPs.
     """
 
     n_proxies: int
-    waits_by_proxy: list[SlotSeries] = field(default_factory=list)
-    waits_all: SlotSeries = None  # type: ignore[assignment]
-    redirects: SlotSeries = None  # type: ignore[assignment]
-    total_requests: int = 0
     scheduler_consults: int = 0
-    local_wait_stats: SummaryStats = field(default_factory=SummaryStats)
-    redirected_wait_stats: SummaryStats = field(default_factory=SummaryStats)
-    """Wait aggregates split by whether the request was ever redirected —
-    the paper notes redirected requests pay a penalty that still beats
-    their counterfactual local wait."""
+    cells: array = field(init=False, repr=False)
+    """The table, flat: ``cells[(origin * SLOTS + slot) * 4 + column]``."""
 
     def __post_init__(self) -> None:
-        if not self.waits_by_proxy:
-            self.waits_by_proxy = [
-                SlotSeries(DAY_SECONDS, SLOT_SECONDS) for _ in range(self.n_proxies)
-            ]
-        if self.waits_all is None:
-            self.waits_all = SlotSeries(DAY_SECONDS, SLOT_SECONDS)
-        if self.redirects is None:
-            self.redirects = SlotSeries(DAY_SECONDS, SLOT_SECONDS)
-
-    # -- recording (used by the simulator) ---------------------------------
+        self.cells = array("d", [0.0]) * (self.n_proxies * SLOTS * 4)
 
     def record_wait(
         self, origin: int, arrival: float, wait: float, redirected: bool = False
     ) -> None:
-        self.waits_by_proxy[origin].record(arrival, wait)
-        self.waits_all.record(arrival, wait)
-        self.total_requests += 1
+        i = (origin * SLOTS + int((arrival % DAY_SECONDS) // SLOT_SECONDS) % SLOTS) * 4
+        cells = self.cells
+        cells[i + WAIT] += wait
+        cells[i + COUNT] += 1.0
         if redirected:
-            self.redirects.record(arrival, 1.0)
-            self.redirected_wait_stats.record(wait)
-        else:
-            self.local_wait_stats.record(wait)
+            cells[i + REDIRECTED] += 1.0
+            cells[i + REDIRECTED_WAIT] += wait
 
-    # -- queries (what the figures plot) --------------------------------------
+    # -- views (what the figures plot) ----------------------------------------
+
+    def table(self) -> np.ndarray:
+        """The sums as a fresh ``(origin, slot, column)`` array."""
+        return np.array(self.cells, dtype=float).reshape(self.n_proxies, SLOTS, 4)
+
+    def _slots(self, proxy: int | None) -> np.ndarray:
+        table = self.table()
+        return table.sum(axis=0) if proxy is None else table[proxy]
+
+    @property
+    def total_requests(self) -> int:
+        return int(self.table()[:, :, COUNT].sum())
 
     @property
     def total_redirected(self) -> int:
         """Measured requests that were redirected, counted once each."""
-        return self.redirected_wait_stats.count
+        return int(self.table()[:, :, REDIRECTED].sum())
 
     def mean_wait_series(self, proxy: int | None = 0) -> np.ndarray:
-        """Per-slot mean waiting time; ``proxy=None`` aggregates all ISPs."""
-        series = self.waits_all if proxy is None else self.waits_by_proxy[proxy]
-        return series.means()
+        return _slot_means(self._slots(proxy))
 
     def request_count_series(self, proxy: int | None = 0) -> np.ndarray:
-        series = self.waits_all if proxy is None else self.waits_by_proxy[proxy]
-        return series.counts()
+        return self._slots(proxy)[:, COUNT].astype(np.int64)
 
     def slot_times(self) -> np.ndarray:
-        return self.waits_all.slot_times()
-
-    def combined_series(self, origins) -> SlotSeries:
-        """Merge the wait series of a set of origin proxies.
-
-        Used by the loop experiments (Figures 9-11): with n proxies on an
-        n-index ring but skews spanning only n hours of a 24-hour day, a
-        proxy whose donor index wraps (``i - skip < 0``) does not actually
-        have a donor ``skip`` hours away, so those figures aggregate over
-        the proxies whose donors are genuine.
-        """
-        merged = SlotSeries(self.waits_all.horizon, SLOT_SECONDS)
-        for o in origins:
-            merged.merge(self.waits_by_proxy[o])
-        return merged
+        """Slot start times (seconds), for plotting."""
+        return np.arange(SLOTS) * SLOT_SECONDS
 
     def worst_case_wait_over(self, origins) -> float:
-        """Peak per-slot mean wait over a set of origin proxies."""
-        return self.combined_series(origins).peak_mean()
+        """Peak per-slot mean wait of the requests of a set of origins: the
+        loop figures (9-11) leave out the proxies whose donor index wraps
+        round the ring, as they have no donor ``skip`` hours away."""
+        return float(_slot_means(self.table()[list(origins)].sum(axis=0)).max())
 
     def worst_case_wait(self, proxy: int | None = 0) -> float:
         """Peak per-slot mean wait — the figures' 'worst-case waiting time'."""
-        series = self.waits_all if proxy is None else self.waits_by_proxy[proxy]
-        return series.peak_mean()
+        return float(self.mean_wait_series(proxy).max())
 
     def overall_mean_wait(self, proxy: int | None = None) -> float:
-        series = self.waits_all if proxy is None else self.waits_by_proxy[proxy]
-        return series.overall_mean()
+        slots = self._slots(proxy)
+        total = int(slots[:, COUNT].sum())
+        return float(slots[:, WAIT].sum() / total) if total else 0.0
+
+    def split_mean_wait(self) -> tuple[float, float]:
+        """(never-redirected, redirected) mean waits: the paper's redirected
+        requests pay a penalty that still beats their local wait."""
+        wait, count, red, red_wait = (float(x) for x in self.table().sum(axis=(0, 1)))
+        local = count - red
+        return (wait - red_wait) / local if local else 0.0, red_wait / red if red else 0.0
 
     def redirect_fraction(self) -> float:
-        """Fraction of all requests that were redirected (Figure 12 quotes
-        < 1.5% overall for the complete graph)."""
-        return self.total_redirected / self.total_requests if self.total_requests else 0.0
+        """Fraction of requests redirected (Figure 12: < 1.5% on the complete graph)."""
+        total = self.total_requests
+        return self.total_redirected / total if total else 0.0
 
     def peak_redirect_fraction(self) -> float:
         """Worst per-slot redirected fraction (Figure 12 quotes < 6% at peak)."""
-        red = self.redirects.counts().astype(float)
-        req = self.waits_all.counts().astype(float)
-        mask = req > 0
-        if not mask.any():
-            return 0.0
-        return float(np.max(red[mask] / req[mask]))
+        slots = self._slots(None)
+        mask = slots[:, COUNT] > 0
+        return float(np.max(slots[mask, REDIRECTED] / slots[mask, COUNT])) if mask.any() else 0.0
 
     def summary(self) -> dict:
         """Scalar digest used by the experiment tables."""
+        local, redirected = self.split_mean_wait()
         return {
             "total_requests": self.total_requests,
             "total_redirected": self.total_redirected,
@@ -218,6 +136,6 @@ class SimulationResult:
             "worst_case_wait_isp0": round(self.worst_case_wait(0), 4),
             "worst_case_wait_all": round(self.worst_case_wait(None), 4),
             "scheduler_consults": self.scheduler_consults,
-            "mean_wait_local": round(self.local_wait_stats.mean, 4),
-            "mean_wait_redirected": round(self.redirected_wait_stats.mean, 4),
+            "mean_wait_local": round(local, 4),
+            "mean_wait_redirected": round(redirected, 4),
         }

@@ -17,29 +17,11 @@ from dataclasses import dataclass, field
 
 from .errors import ReproError
 
-__all__ = ["ResourceVector", "CoupledResource", "ZERO", "approx_eq"]
+__all__ = ["ResourceVector", "CoupledResource", "ZERO"]
 
 _QUANTITY_TOL = 1e-12
 #: decimals ``==`` and ``hash`` round quantities to (the tolerance's grid)
 _QUANTITY_DIGITS = 12
-
-#: default tolerances for :func:`approx_eq` — loose enough for LP solver
-#: output, tight enough to distinguish any two meaningfully distinct
-#: capacities in the paper's scenarios
-_REL_TOL = 1e-9
-_ABS_TOL = 1e-9
-
-
-def approx_eq(
-    a: float, b: float, *, rel_tol: float = _REL_TOL, abs_tol: float = _ABS_TOL
-) -> bool:
-    """Tolerance-based equality for float capacity/theta quantities.
-
-    ``tests/test_float_equality.py`` forbids ``==``/``!=`` on LP-derived
-    floats in ``src/repro``; this is the sanctioned comparison (a thin,
-    domain-defaulted wrapper over :func:`math.isclose`).
-    """
-    return math.isclose(float(a), float(b), rel_tol=rel_tol, abs_tol=abs_tol)
 
 
 def _check_quantity(name: str, value: float) -> float:

@@ -10,18 +10,18 @@ import numpy as np
 import pytest
 
 from repro.experiments import fig05, fig06, fig07, fig08, fig09_11, fig12, fig13
-from repro.experiments.common import ExperimentResult, base_config
+from repro.experiments.common import ExperimentResult
 from repro.experiments.runner import EXPERIMENTS, main
+from repro.proxysim import SimulationConfig
 
 FAST = dict(scale=250.0)
 
 
 class TestCommon:
-    def test_base_config_scales(self):
-        cfg = base_config(250.0)
+    def test_scaled_config_scales(self):
+        cfg = SimulationConfig.scaled(250.0)
         assert cfg.requests_per_day == pytest.approx(500_000 / 250 * 0.95)
-        paper = base_config(1.0)
-        assert paper.service.a == 0.1
+        assert cfg.service.a == pytest.approx(0.1 * 250)
 
     def test_table_rendering(self):
         res = ExperimentResult(

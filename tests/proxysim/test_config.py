@@ -63,19 +63,20 @@ class TestConfig:
 
 class TestPresets:
     def test_paper_preset_parameters(self):
-        cfg = SimulationConfig.paper()
+        """Scale 1 is the paper's service model at 0.95 x its volume."""
+        cfg = SimulationConfig.scaled(1.0)
         assert cfg.service.a == 0.1
         assert cfg.service.b == 1e-6
         assert cfg.service.c == 30.0
-        assert cfg.requests_per_day == 500_000.0
+        assert cfg.requests_per_day == pytest.approx(0.95 * 500_000.0)
 
     def test_scaled_preserves_utilisation(self):
-        """The scaled preset must offer the same load/capacity profile."""
-        paper = SimulationConfig.paper()
+        """Every scale must offer the same load/capacity profile."""
+        paper = SimulationConfig.scaled(1.0)
         for scale in (5.0, 25.0, 50.0):
             scaled = SimulationConfig.scaled(scale)
             assert scaled.mean_utilisation() == pytest.approx(
-                0.95 * paper.mean_utilisation(), rel=1e-6
+                paper.mean_utilisation(), rel=1e-6
             )
 
     def test_scaled_scales_service_times(self):
@@ -93,9 +94,9 @@ class TestPresets:
             SimulationConfig.scaled(0)
 
     def test_utilisation_in_overload_regime(self):
-        """Both presets must put the diurnal peak above capacity (the
-        regime in which Figure 5's waits arise)."""
-        for cfg in (SimulationConfig.paper(), SimulationConfig.scaled()):
+        """Paper and benchmark scales must put the diurnal peak above
+        capacity (the regime in which Figure 5's waits arise)."""
+        for cfg in (SimulationConfig.scaled(1.0), SimulationConfig.scaled()):
             profile = cfg.base_profile()
             peak_util = (
                 profile.peak_rate * cfg.service.mean_service(cfg.sizes)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.agreements import complete_structure
 from repro.proxysim import ProxySimulation, SimulationConfig
+from repro.proxysim.metrics import REDIRECTED
 from repro.workload import Request, Stream
 
 
@@ -35,7 +36,7 @@ class TestSystemUpdates:
             system_updates=[(30_000.0, revoked)],
         )
         result = sim.run()
-        redirects = result.redirects.counts()
+        redirects = result.table()[:, :, REDIRECTED].sum(axis=0)
         early_slots = slice(0, int(30_000 / 600))
         late_slots = slice(int(30_000 / 600), 144)
         assert redirects[early_slots].sum() > 0, "sharing active before update"
@@ -50,7 +51,7 @@ class TestSystemUpdates:
             system_updates=[(30_000.0, sharing)],
         )
         result = sim.run()
-        redirects = result.redirects.counts()
+        redirects = result.table()[:, :, REDIRECTED].sum(axis=0)
         assert redirects[: int(30_000 / 600)].sum() == 0
         assert redirects[int(30_000 / 600) :].sum() > 0
 

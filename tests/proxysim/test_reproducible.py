@@ -45,7 +45,7 @@ def _one_day():
         result.total_redirected,
         result.scheduler_consults,
         policy.messages,
-        result.waits_all._sum.tobytes(),
+        result.table().tobytes(),
     )
 
 

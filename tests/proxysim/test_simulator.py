@@ -11,6 +11,7 @@ import pytest
 from repro.agreements import complete_structure
 from repro.errors import SimulationError
 from repro.proxysim import ProxySimulation, SimulationConfig, run_simulation
+from repro.proxysim.metrics import COUNT, REDIRECTED, WAIT
 from repro.workload import Request, Stream, read_trace
 
 
@@ -57,7 +58,7 @@ class TestConservation:
 
     def test_waits_nonnegative(self):
         result = run_simulation(tiny_config())
-        assert np.all(result.waits_all.means() >= 0)
+        assert np.all(result.mean_wait_series(None) >= 0)
 
 
 class TestExternalStreams:
@@ -80,14 +81,14 @@ class TestExternalStreams:
         streams = [read_trace(p) for p in paths]
         assert all(int(o) == 0 for s in streams for o in s.origins)
         result = run_simulation(tiny_config(warmup_days=0), streams=streams)
-        counts = [int(w.counts().sum()) for w in result.waits_by_proxy]
+        counts = [int(result.request_count_series(k).sum()) for k in range(2)]
         assert counts == [10, 10]
 
     def test_row_origin_beyond_proxy_count_ignored(self):
         rows = [Request(100.0 * i, 5_000.0, 7) for i in range(5)]
         streams = [Stream.from_requests(rows), Stream.from_requests(rows)]
         result = run_simulation(tiny_config(warmup_days=0), streams=streams)
-        assert [int(w.counts().sum()) for w in result.waits_by_proxy] == [5, 5]
+        assert [int(result.request_count_series(k).sum()) for k in range(2)] == [5, 5]
 
     def test_request_lists_rejected(self):
         rows = [Request(100.0, 5_000.0, 0)]
@@ -105,7 +106,7 @@ class TestExternalStreams:
         cfg = tiny_config(n_proxies=1, gap=0.0, epoch=100.0)
         result = run_simulation(cfg, streams=[Stream.from_requests(reqs)])
         # first waits 0; second waits (10 + 1.1) - 10.5 = 0.6
-        total_wait = float(result.waits_all._sum.sum())
+        total_wait = float(result.table()[:, :, WAIT].sum())
         assert total_wait == pytest.approx(0.6)
 
 
@@ -167,7 +168,7 @@ class TestRedirection:
     def test_redirected_requests_counted_at_origin(self):
         result = self.make_overload("lp")
         # proxy 1 only generated one request of its own
-        assert int(result.waits_by_proxy[1].counts().sum()) == 1
+        assert int(result.request_count_series(1).sum()) == 1
 
     def test_warmup_redirects_not_counted(self):
         """Redirects are tallied with the waits they are divided by: the
@@ -176,9 +177,9 @@ class TestRedirection:
             400, gap=3600.0, scheme="endpoint", warmup_days=1, seed=0
         )
         result = run_simulation(cfg, complete_structure(10, share=0.1))
-        assert result.redirected_wait_stats.count > 0
-        assert result.total_redirected == result.redirected_wait_stats.count
-        assert int(result.redirects.counts().sum()) == result.total_redirected
+        assert result.total_redirected > 0
+        table = result.table()
+        assert np.all(table[:, :, REDIRECTED] <= table[:, :, COUNT])
 
 
 class TestPolicyWiring:

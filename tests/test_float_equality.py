@@ -3,7 +3,7 @@
 Capacities, thetas, takes and availabilities come out of LP solves and
 dense linear algebra, so exact comparison assumes an exactness scipy does
 not provide and that breaks across BLAS builds; use
-:func:`repro.units.approx_eq` or ``numpy.isclose``.  A comparison is
+:func:`math.isclose` or ``numpy.isclose``.  A comparison is
 flagged when either side ends in a float-domain name (``theta``,
 ``v.capacities()[0]``, ...) or is a non-zero float literal.  Exempt: the
 exact-zero sparsity idiom on other names (``S[i, j] != 0.0``) and
