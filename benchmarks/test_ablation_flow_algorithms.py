@@ -8,7 +8,9 @@ The DP's exactness against path enumeration is tested in
 
 Run untimed (``--benchmark-disable``) it doubles as a regression guard:
 the n = 16 complete closure must finish inside ``DP_BUDGET_S`` and peak
-under ``DP_PEAK_BYTES`` of traced memory.
+under ``DP_PEAK_BYTES`` of traced memory, and a bank's rebuild after a
+revoke and after the reissue must replay its coefficient plan, not
+re-plan (read off the ``flow.coefficients`` span's ``plan``).
 """
 
 import time
@@ -17,8 +19,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import repro.obs as obs
 from repro.agreements import complete_structure, loop_structure
 from repro.agreements.flow import transitive_coefficients
+from repro.economy import Bank
+from repro.obs.events import read_trace
 
 #: Wall-clock budget for the n = 16 complete full closure.  The vectorised
 #: DP takes ~0.3 s on a 2-core Xeon host; the per-subset Python loop it
@@ -73,3 +78,65 @@ def test_dp_n16_complete_within_budget():
         tracemalloc.stop()
     assert elapsed < DP_BUDGET_S, f"n=16 complete closure took {elapsed:.2f} s"
     assert peak < DP_PEAK_BYTES, f"n=16 complete closure peaked at {peak / 2**20:.1f} MB"
+
+
+def _bank_of(S, face=100.0):
+    """A bank whose relative tickets express ``S``, one per edge."""
+    bank = Bank()
+    names = [f"p{i}" for i in range(S.shape[0])]
+    for name in names:
+        bank.create_currency(name, face_value=face)
+    tickets = {
+        (i, j): bank.issue_relative_ticket(names[i], names[j], face * S[i, j]).ticket_id
+        for i, j in zip(*np.nonzero(S))
+    }
+    return bank, names, tickets
+
+
+def _best_ms(fn, repeats=7):
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return min(times) * 1e3
+
+
+@pytest.mark.parametrize(
+    "S",
+    [complete_structure(10, share=0.1).S, loop_structure(20, share=0.8, skip=1).S],
+    ids=["complete10", "loop20"],
+)
+def test_rebuild_replays_after_revoke_and_reissue(benchmark, tmp_path, S):
+    bank, names, tickets = _bank_of(S)
+    i, j = min(tickets)
+
+    def revoke_then_reissue(share):
+        bank.revoke_ticket(tickets.pop((i, j)))
+        bank.topology().coefficients()
+        tickets[i, j] = bank.issue_relative_ticket(names[i], names[j], 100.0 * share).ticket_id
+        bank.topology().coefficients()
+
+    bank.topology().coefficients()  # the bank's first topology keeps no plan
+    revoke_then_reissue(0.09)  # records after the revoke, then on the full pattern
+    path = tmp_path / "trace.jsonl"
+    obs.enable(trace_path=path)
+    try:
+        revoke_then_reissue(0.11)
+    finally:
+        obs.disable()
+    modes = [
+        r["attrs"]["plan"]
+        for r in read_trace(path)
+        if r.get("kind") == "span" and r["name"] == "flow.coefficients"
+    ]
+    assert modes == ["replayed", "replayed"], f"the rebuilds ran {modes}"
+
+    topology = bank.topology()
+    plan = topology._plans[topology.max_level]
+    replay_ms = _best_ms(lambda: transitive_coefficients(topology.S, None, plan=plan))
+    scratch_ms = _best_ms(lambda: transitive_coefficients(topology.S, None))
+    benchmark.extra_info.update(replay_ms=replay_ms, scratch_ms=scratch_ms)
+    print(f"replay {replay_ms:.3f} ms, from scratch {scratch_ms:.3f} ms")
+    assert replay_ms < scratch_ms
+    benchmark(transitive_coefficients, topology.S, None, plan=plan)

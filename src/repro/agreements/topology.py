@@ -15,7 +15,10 @@ This module gives each rate its own type:
 - :class:`AgreementTopology` — immutable and hashable: principals, the
   relative matrix ``S`` and the optional absolute matrix ``A``.  It owns
   the per-level ``K`` coefficient cache, so any number of views (and any
-  number of epochs) amortise one DP run.
+  number of epochs) amortise one DP run.  A bank's rebuilt topology also
+  keeps the DP's plan per level (:class:`~repro.agreements.flow.CoefficientPlan`)
+  and passes it to the next rebuild, which replays it while no
+  agreement adds an edge.
 - :class:`CapacityView` — a capacity vector ``V`` bound to a topology,
   answering the per-epoch queries (:meth:`~CapacityView.capacities`,
   :meth:`~CapacityView.u`) with per-level memoisation.  Views are cheap
@@ -94,6 +97,7 @@ class AgreementTopology:
         "groups",
         "_index",
         "_t_cache",
+        "_plans",
         "_hash",
     )
 
@@ -116,6 +120,9 @@ class AgreementTopology:
             None if groups is None else tuple(tuple(int(i) for i in g) for g in groups)
         )
         self._t_cache: dict[int, np.ndarray] = {}
+        # the coefficient DP's index half per level, kept only by a bank's
+        # rebuilt topologies (see `_adopt_plans`)
+        self._plans: dict[int, _flow.CoefficientPlan] | None = None
         self._hash: int | None = None
 
     # -- validation ----------------------------------------------------------
@@ -185,20 +192,41 @@ class AgreementTopology:
         """Section 3.2's clamped coefficients ``K^(m)``, cached per level.
 
         While every row of ``S`` sums to at most 1, ``T^(m) <= 1`` already
-        and the clamp changes nothing.
+        and the clamp changes nothing.  A topology that keeps plans (see
+        :meth:`_adopt_plans`) replays the level's plan or records one.
         """
         m = self._level(level)
         T = self._t_cache.get(m)
         if T is None:
+            plans = self._plans
+            plan = None if plans is None else plans.setdefault(m, _flow.CoefficientPlan())
+            replay = plan is not None and plan.recorded
+            T = _flow.transitive_coefficients(self.S, m, plan=plan)
+            if replay and _sanitize.enabled():
+                _sanitize.check_replay(T, _flow._coefficients_dp(self.S, m)[0])
             # K^(m) = min(T^(m), 1): a chain moves at most 100% of a donor's
             # resources ("limited to 10 instead of 12").
-            T = _flow.transitive_coefficients(self.S, m)
             np.minimum(T, 1.0, out=T)
             if _sanitize.enabled():
                 _sanitize.check_coefficients(T)
             T.flags.writeable = False
             self._t_cache[m] = T
         return T
+
+    def _adopt_plans(self, previous: "AgreementTopology") -> None:
+        """Take over ``previous``'s coefficient plans and keep recording.
+
+        The bank calls this when it rebuilds a topology after a mutation.
+        A level's plan passes over when the principals match and it covers
+        this ``S`` (a revoke, a reissue at a new share or an inflation):
+        that level's first DP then only replays it.  Any other level, as
+        after an issue on a new edge, records a new plan as its DP runs.
+        """
+        plans = previous._plans
+        if plans is None or previous.principals != self.principals:
+            self._plans = {}
+        else:
+            self._plans = {m: plan for m, plan in plans.items() if plan.covers(self.S, m)}
 
     # -- capacity-dependent queries -------------------------------------------
     #

@@ -444,9 +444,12 @@ class Bank:
 
         Rebuilds (re-flattening the funding graph and discarding the old
         coefficient cache) only when the bank has been mutated since the
-        entry was made; every other call is a dictionary hit.  Counters:
-        ``topology.cache_hit`` / ``topology.cache_miss``; each rebuild is a
-        ``topology.rebuild`` span.
+        entry was made; every other call is a dictionary hit.  A rebuild
+        hands the old topology's coefficient plans to the new one, which
+        replays a level's plan if the new shares fit its pattern and
+        records a new one otherwise; the bank's first topology keeps none.
+        Counters: ``topology.cache_hit`` / ``topology.cache_miss``; each
+        rebuild is a ``topology.rebuild`` span.
         """
         obs = get_observer()
         entry = self._topology_cache.get(resource_type)
@@ -460,6 +463,8 @@ class Bank:
         ):
             principals, V, S, A = self.to_agreement_system(resource_type)
             topology = AgreementTopology(principals, S, A if np.any(A) else None)
+            if entry is not None:
+                topology._adopt_plans(entry[1])
         V = np.asarray(V, dtype=float)
         V.flags.writeable = False
         entry = (self._version, topology, V)

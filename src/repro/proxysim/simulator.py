@@ -91,6 +91,8 @@ class ProxySimulation:
             base.with_skew(i * config.gap) for i in range(config.n_proxies)
         ]
         self._mean_service = mean_service
+        # read once: _on_served runs for every served request
+        self._measure_start = config.measure_start
         self.result = SimulationResult(n_proxies=config.n_proxies)
 
     # -- internals -----------------------------------------------------------
@@ -111,7 +113,7 @@ class ProxySimulation:
         self._cursor[proxy] = j
 
     def _on_served(self, item: QueuedItem, start: float) -> None:
-        if item.arrival >= self.config.measure_start:
+        if item.arrival >= self._measure_start:
             self.result.record_wait(
                 item.payload,
                 item.arrival,

@@ -18,7 +18,9 @@ would otherwise propagate silently into later decisions:
   the donor split on the grant message sums to the granted amount.
 - **Topology** (:meth:`~repro.agreements.topology.AgreementTopology.coefficients`):
   transitive coefficients are non-negative with a zero diagonal, and the
-  Section-3.2 overdraft clamp keeps ``K`` within ``[0, 1]``.
+  Section-3.2 overdraft clamp keeps ``K`` within ``[0, 1]``; a ``T``
+  replayed from a kept coefficient plan equals a from-scratch DP's bit
+  for bit.
 
 Failures raise :class:`~repro.errors.InvariantViolation`; when an
 allocation decision is in flight (:func:`repro.obs.decision.current_decision`)
@@ -50,6 +52,7 @@ __all__ = [
     "check_grant",
     "check_allocation",
     "check_coefficients",
+    "check_replay",
 ]
 
 #: conservation tolerance — looser than the LP's own feasibility
@@ -249,4 +252,18 @@ def check_coefficients(T) -> None:
             "overdraft-clamp-bounds",
             "overdraft clamp K exceeded 1 (K must lie in [0, 1])",
             max_entry=float(T.max()),
+        )
+
+
+def check_replay(replayed, scratch) -> None:
+    """A ``T`` replayed from a coefficient plan is the from-scratch DP's,
+    bit for bit: the plan's extra states carry exact zeros, so any
+    difference means the plan dropped a live move or the products were
+    summed in another order."""
+    replayed, scratch = np.asarray(replayed), np.asarray(scratch)
+    if replayed.tobytes() != scratch.tobytes():
+        violation(
+            "coefficients-replay-exact",
+            "a replayed coefficient plan gave a different T than the full DP",
+            max_diff=float(np.max(np.abs(replayed - scratch), initial=0.0)),
         )

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.agreements import (
@@ -16,7 +16,12 @@ from repro.agreements import (
     loop_structure,
     sparse_structure,
 )
-from repro.agreements.flow import _batches, _reach, transitive_coefficients
+from repro.agreements.flow import (
+    CoefficientPlan,
+    _batches,
+    _reach,
+    transitive_coefficients,
+)
 from repro.errors import AgreementError
 
 from .dfs_reference import coefficients_dfs
@@ -190,6 +195,138 @@ def _structures(draw):
     density = draw(st.floats(0.2, 1.0))
     scale = (1.8 if kind == "random" else 6.0) / (n - 1)
     return random_S(seed, n, density=density, scale=scale)
+
+
+def _changed(S: np.ndarray, rng: np.random.Generator, change: str) -> np.ndarray:
+    """``S`` after one kind of agreement change that adds no edge."""
+    S = S.copy()
+    if change == "revoke":
+        S *= rng.random(S.shape) < 0.6
+    elif change == "reissue":
+        S = np.where(S != 0.0, S * rng.uniform(0.5, 1.5, S.shape), 0.0)
+    else:  # inflating an issuer scales its row
+        S *= rng.uniform(0.2, 2.0, (S.shape[0], 1))
+    return S
+
+
+class TestPlanReplay:
+    """A plan recorded on one pattern, replayed on new shares within it,
+    gives the full DP's ``T`` bit for bit."""
+
+    @staticmethod
+    def recorded(S, m):
+        plan = CoefficientPlan()
+        T = transitive_coefficients(S, m, plan=plan)
+        assert plan.recorded
+        # recording runs the full DP: it changes nothing in T
+        assert T.tobytes() == transitive_coefficients(S, m).tobytes()
+        return plan
+
+    def assert_replays(self, plan, S, m):
+        assert plan.covers(S, m)
+        replayed = transitive_coefficients(S, m, plan=plan)
+        assert replayed.tobytes() == transitive_coefficients(S, m).tobytes()
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_replay_after_changes_is_bit_identical(self, data):
+        """The flow corpus (loop, sparse, hierarchical, random, overdraft
+        and ragged one-batch structures, every level) after revokes,
+        reissues at new shares and inflations."""
+        if data.draw(st.booleans()):
+            S = data.draw(_structures())
+            assume(S.shape[0] > 1)  # one principal has no paths to record
+            m = data.draw(st.integers(1, S.shape[0] - 1))
+        else:
+            S, m = data.draw(_ragged_batch())
+        plan = self.recorded(S, m)
+        rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+        for change in data.draw(
+            st.lists(st.sampled_from(["revoke", "reissue", "inflate"]), min_size=1, max_size=4)
+        ):
+            self.assert_replays(plan, _changed(S, rng, change), m)
+
+    @pytest.mark.parametrize("n", [9, 10, 11, 12])
+    @pytest.mark.parametrize("level", [2, 4, None])
+    def test_dense_random_every_change(self, n, level):
+        m = n - 1 if level is None else level
+        S = random_S(300 + n, n, density=0.5, scale=0.5)
+        plan = CoefficientPlan()
+        transitive_coefficients(S, m, plan=plan)
+        if not plan.recorded:  # dense n >= 11 closures outgrow the budget
+            assert level is None and n >= 11
+            return
+        rng = np.random.default_rng(n)
+        for change in ("revoke", "reissue", "inflate"):
+            self.assert_replays(plan, _changed(S, rng, change), m)
+
+    def test_complete_plan_replays_sparser_patterns(self):
+        S = complete_structure(10, share=0.1).S
+        plan = self.recorded(S, 9)
+        rng = np.random.default_rng(5)
+        for density in (0.9, 0.5, 0.2, 0.05, 0.0):
+            sparse = S * (rng.random(S.shape) < density) * rng.uniform(0.5, 1.5, S.shape)
+            self.assert_replays(plan, sparse, 9)
+
+    def test_loop_and_wide_level_limited_plans(self):
+        for S, m in [
+            (loop_structure(20, share=0.8, skip=1).S, 19),
+            (loop_structure(20, share=0.8, skip=1).S, 3),
+            # past 62 nodes the subset keys are Python ints
+            (loop_structure(66, share=0.9, skip=1).S, 65),
+            (sparse_structure(66, degree=2, seed=3).S, 3),
+        ]:
+            plan = self.recorded(S, m)
+            self.assert_replays(plan, _changed(S, np.random.default_rng(1), "revoke"), m)
+
+    def test_a_new_edge_is_not_covered(self):
+        S = loop_structure(6, share=0.5, skip=1).S
+        plan = self.recorded(S, 5)
+        grown = S.copy()
+        grown[0, 3] = 0.1
+        assert not plan.covers(grown, 5)
+        assert not plan.covers(S, 4)  # another level
+        assert not plan.covers(np.zeros((7, 7)), 5)  # another size
+        with pytest.raises(AgreementError, match="does not cover"):
+            transitive_coefficients(grown, 5, plan=plan)
+
+    def test_not_kept_past_the_state_budget(self):
+        """A complete n = 11 closure makes 56,320 moves, past the
+        budget of 2^15; recording keeps nothing and T is unchanged."""
+        S = complete_structure(11, share=0.05).S
+        plan = CoefficientPlan()
+        T = transitive_coefficients(S, None, plan=plan)
+        assert not plan.recorded
+        assert T.tobytes() == transitive_coefficients(S, None).tobytes()
+
+    def test_not_kept_when_a_product_can_underflow(self):
+        """0 -> 1 -> 2 with shares of 1e-200: the two-hop product
+        underflows to 0.0, so the DP drops that move.  A plan recorded
+        from those values would miss it once a reissue makes it
+        representable, so none is kept."""
+        S = np.zeros((3, 3))
+        S[0, 1] = S[1, 2] = 1e-200
+        plan = CoefficientPlan()
+        assert transitive_coefficients(S, 2, plan=plan)[0, 2] == 0.0
+        assert not plan.recorded
+        # the same pattern at representable shares records and replays
+        S[0, 1] = S[1, 2] = 1e-100
+        plan = self.recorded(S, 2)
+        self.assert_replays(plan, S * 10.0, 2)
+
+    def test_overflowing_replay_falls_back_to_the_full_dp(self):
+        """Shares of 1e300 overflow a two-hop product to inf, and inf times
+        a zero share is NaN, which the full DP keeps as a move the pattern
+        does not allow.  A replay that comes out non-finite is redone in
+        full, so the two still agree bit for bit."""
+        S = np.zeros((4, 4))
+        S[0, 1] = S[1, 2] = 0.5
+        plan = self.recorded(S, 3)
+        huge = S * 2e300
+        with np.errstate(over="ignore", invalid="ignore"):
+            full = transitive_coefficients(huge, 3)
+            assert np.isnan(full[0, 3])  # reached through no edge at all
+            self.assert_replays(plan, huge, 3)
 
 
 class TestLoopReference:

@@ -233,3 +233,92 @@ class TestManagerPathCacheBehaviour:
         assert after[1] + after[2] == pytest.approx(0.0)
         # the mutation forced exactly one extra rebuild
         assert observer.registry.counter_total("topology.cache_miss") == 2
+
+
+def _plan_modes(path):
+    """The ``plan`` attribute of every ``flow.coefficients`` span, in order."""
+    from repro.obs.events import read_trace
+
+    return [
+        r["attrs"]["plan"]
+        for r in read_trace(path)
+        if r.get("kind") == "span" and r["name"] == "flow.coefficients"
+    ]
+
+
+class TestCoefficientPlanHandOver:
+    """A rebuild after a mutation replays the last topology's coefficient
+    plan whenever the new shares fit the plan's pattern."""
+
+    @staticmethod
+    def bank(n=4, face=20.0):
+        bank = Bank()
+        names = [f"p{i}" for i in range(n)]
+        for name in names:
+            bank.create_currency(name, face_value=100.0)
+        tickets = {
+            (a, b): bank.issue_relative_ticket(a, b, face).ticket_id
+            for a in names
+            for b in names
+            if a != b
+        }
+        return bank, tickets
+
+    @staticmethod
+    def assert_fresh(bank):
+        """The bank's coefficients equal a fresh topology's, bit for bit."""
+        from repro.agreements import AgreementTopology
+
+        principals, _, S, A = bank.to_agreement_system()
+        fresh = AgreementTopology(principals, S, A)
+        assert bank.topology().coefficients().tobytes() == fresh.coefficients().tobytes()
+
+    def test_first_and_standalone_topologies_keep_no_plans(self):
+        bank, _ = self.bank()
+        bank.topology().coefficients()
+        assert bank.topology()._plans is None
+        system = complete_structure(4, share=0.2)
+        system.coefficients()
+        assert system.topology._plans is None
+
+    def test_each_mutation_kind(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        obs.enable(trace_path=path)
+        try:
+            bank, tickets = self.bank()
+            steps = [
+                lambda: None,  # the bank's first topology
+                lambda: bank.revoke_ticket(tickets.pop(("p0", "p1"))),
+                # an edge the recorded plan lacks
+                lambda: bank.issue_relative_ticket("p0", "p1", 25.0),
+                lambda: bank.revoke_ticket(tickets.pop(("p1", "p2"))),
+                lambda: bank.issue_relative_ticket("p1", "p2", 15.0),
+                lambda: bank.inflate_currency("p3", 2.0),
+                lambda: bank.create_currency("p4", face_value=100.0),
+            ]
+            for step in steps:
+                step()
+                self.assert_fresh(bank)
+        finally:
+            obs.disable()
+        # each step builds the bank's coefficients, then a fresh topology's
+        modes = _plan_modes(path)
+        assert modes[0::2] == [
+            "none", "recorded", "recorded", "replayed", "replayed", "replayed", "recorded",
+        ]
+        assert set(modes[1::2]) == {"none"}
+
+    def test_each_level_keeps_its_own_plan(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        obs.enable(trace_path=path)
+        try:
+            bank, tickets = self.bank(n=5)
+            for ticket_id in [None, *list(tickets.values())[:3]]:
+                if ticket_id is not None:
+                    bank.revoke_ticket(ticket_id)
+                for m in (1, 2, None):
+                    bank.topology().coefficients(m)
+        finally:
+            obs.disable()
+        assert _plan_modes(path) == ["none"] * 3 + ["recorded"] * 3 + ["replayed"] * 6
+        assert sorted(bank.topology()._plans) == [1, 2, 4]

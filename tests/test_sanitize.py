@@ -221,3 +221,38 @@ class TestCoefficientInvariants:
         )
         K = system.coefficients()
         assert float(K.max()) <= 1.0 + 1e-9
+
+    def test_replay_differing_from_the_full_dp(self, sanitized):
+        T = np.array([[0.0, 0.5], [0.25, 0.0]])
+        sanitize.check_replay(T, T.copy())
+        with pytest.raises(InvariantViolation, match="replayed"):
+            sanitize.check_replay(T, np.nextafter(T, 1.0))
+
+    def test_forged_plan_caught_on_replay(self, sanitized):
+        """A plan claiming a pattern it never recorded replays a ``T``
+        that misses the paths through the claimed edges."""
+        from repro.agreements import AgreementTopology, flow
+
+        S = np.zeros((3, 3))
+        S[0, 1] = 0.5
+        plan = flow.CoefficientPlan()
+        flow.transitive_coefficients(S, 2, plan=plan)
+        plan.pattern = ~np.eye(3, dtype=bool)  # every edge, forged
+        S[1, 2] = 0.5
+        topology = AgreementTopology(["a", "b", "c"], S)
+        topology._plans = {2: plan}
+        with pytest.raises(InvariantViolation, match="replayed"):
+            topology.coefficients(2)
+
+    def test_bank_replays_pass(self, sanitized):
+        bank = Bank()
+        for name in "abcd":
+            bank.create_currency(name, face_value=100.0)
+        tickets = [bank.issue_relative_ticket(a, b, 20.0) for a in "abcd" for b in "abcd" if a != b]
+        bank.topology().coefficients()
+        for ticket in tickets[:4]:
+            bank.revoke_ticket(ticket.ticket_id)
+            bank.topology().coefficients()
+            bank.issue_relative_ticket(ticket.issuer, ticket.backing, 30.0)
+            bank.topology().coefficients()
+        assert bank.topology()._plans[3].recorded
