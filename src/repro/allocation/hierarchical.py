@@ -73,7 +73,7 @@ def allocate_hierarchical(
     *,
     groups: Sequence[Sequence[int]] | None = None,
     level: int | None = None,
-    backend: str = "scipy",
+    backend: str = "simplex",
     partial: bool = False,
 ) -> Allocation:
     """Multigrid allocation on a hierarchical structure.

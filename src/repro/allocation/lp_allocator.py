@@ -41,7 +41,8 @@ remainders ``V'``, plus ``theta`` — the ``n^2 + n + 1`` of Section 3.1).
 and ``theta``.  The optima are identical (property-tested); reduced is the
 default and every caller in the package uses it, while the faithful form
 serves as the tests' oracle.  Both are built directly as arrays and
-solved by :func:`repro.lp.solve` with either backend.
+solved by :func:`repro.lp.solve`: the in-repo simplex by default, HiGHS
+on request.
 
 :func:`take_blocks` builds the reduced LP's capacity-drop rows and take
 bounds once, and :func:`min_theta_lp` assembles the min-theta LP from
@@ -73,7 +74,7 @@ def allocate_lp(
     *,
     level: int | None = None,
     formulation: str = "reduced",
-    backend: str = "scipy",
+    backend: str = "simplex",
     partial: bool = False,
 ) -> Allocation:
     """Allocate ``amount`` to ``principal``, minimally perturbing the system.
@@ -90,7 +91,8 @@ def allocate_lp(
     formulation:
         ``"reduced"`` (default) or ``"faithful"`` — see module docstring.
     backend:
-        LP backend (``"scipy"`` or ``"simplex"``).
+        LP backend: ``"simplex"`` (default, the in-repo bounded simplex)
+        or ``"scipy"`` (HiGHS, imported only when asked for).
     partial:
         If the request exceeds ``C_A``, grant ``C_A`` instead of raising
         :class:`~repro.errors.InsufficientResourcesError`.

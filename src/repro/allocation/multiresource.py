@@ -39,7 +39,7 @@ def allocate_multi(
     systems: dict[str, CapacityView],
     request: MultiResourceRequest,
     *,
-    backend: str = "scipy",
+    backend: str = "simplex",
 ) -> dict[str, Allocation]:
     """Solve one allocation LP per requested resource type.
 

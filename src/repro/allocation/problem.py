@@ -117,7 +117,14 @@ class Allocation:
             principals=principals,
         )
         if _sanitize.enabled():
-            _sanitize.check_allocation(view.capacities(level), allocation)
+            bound = None
+            if scheme in ("lp", "endpoint"):
+                # Constraint (4) binds these schemes only: the multigrid
+                # refine spreads a group's share by member capacity alone.
+                a = view.index(request.principal)
+                bound = view.u(level)[:, a].copy()
+                bound[a] = view.V[a]
+            _sanitize.check_allocation(view.capacities(level), allocation, bound)
         dec = current_decision()
         if dec is not None:
             dec.set(

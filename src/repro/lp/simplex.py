@@ -12,12 +12,20 @@ finite bounds (a free one at 0), and the ratio test stops a move at the first
 bound reached, whether a basic variable's or the entering variable's own.
 Phase 1 gives every row whose logical starts out of bounds an artificial and
 minimises their sum; phase 2 fixes the artificials at 0 and minimises
-``c.x``.  Bland's rule (the smallest eligible index enters, the smallest
-basic index leaves on a tie) guarantees termination.
+``c.x``.  The smallest eligible index enters (Bland's rule).  The ratio test
+is Harris's: it may step up to ``_FEAS_TOL`` past a basic variable's bound,
+which lets it skip pivots under a tenth of the largest blocking one; the
+smallest basic index leaves among the rest.  The basic values are
+recomputed from the original rows at the end of each phase.  Without that,
+agreement structures whose coefficients span many orders of magnitude (deep
+hierarchies) led to wrong answers and spurious "infeasible" verdicts.  A
+basis that is still singular (a pivot taken on round-off), or an unbounded
+ray, makes the solver start again, refactoring the tableau at every pivot.
 
 It is deliberately dense and simple (the allocation LPs here have at most a
-few hundred variables) and exists so the library's results do not hinge on
-one external solver; HiGHS is cross-checked against it in the tests.
+few hundred variables).  It is the default backend of
+:func:`repro.lp.solve`, so every allocation LP runs on it unless a caller
+asks for HiGHS; HiGHS is cross-checked against it in the tests.
 """
 
 from __future__ import annotations
@@ -34,8 +42,9 @@ _FEAS_TOL = 1e-7  # phase-1 objective above which the LP is infeasible
 
 class SimplexResult(NamedTuple):
     """Outcome in :func:`scipy.optimize.linprog`'s terms: ``status`` is 0
-    (optimal), 1 (iteration limit), 2 (infeasible) or 3 (unbounded);
-    ``nit`` counts pivots and bound flips."""
+    (optimal), 1 (iteration limit), 2 (infeasible), 3 (unbounded) or 4
+    (numerical trouble: a singular basis); ``nit`` counts pivots and bound
+    flips."""
 
     status: int
     x: np.ndarray | None
@@ -67,11 +76,10 @@ def solve_simplex(c, A_ub, b_ub, A_eq, b_eq, bounds, max_iter: int = 50_000) -> 
     k = len(short)
     N = n + m + k
 
-    T = np.zeros((m, N))  # B^-1 [A | I | artificial columns]; B is diagonal +-1 here
-    T[:, :n] = A
-    T[:, n : n + m] = np.eye(m)
-    T[short, n + m + np.arange(k)] = sign
-    T[short] *= sign[:, None]
+    M = np.zeros((m, N))  # [A | I | artificial columns]
+    M[:, :n] = A
+    M[:, n : n + m] = np.eye(m)
+    M[short, n + m + np.arange(k)] = sign
     lo = np.concatenate([lo_x, np.zeros(m + k)])
     hi = np.concatenate([hi_x, np.where(eq_row, 0.0, np.inf), np.full(k, np.inf)])
     x = np.concatenate([x0, residual, np.abs(residual[short])])
@@ -79,10 +87,30 @@ def solve_simplex(c, A_ub, b_ub, A_eq, b_eq, bounds, max_iter: int = 50_000) -> 
     basis = n + np.arange(m)
     basis[short] = n + m + np.arange(k)
 
+    # A singular basis, or an unbounded ray, can come from a pivot taken on
+    # round-off; solve again, refactoring the tableau from M at every pivot
+    # instead of updating it.
+    nit = 0
+    for refactor in (False, True):
+        T = M.copy()  # B^-1 M; the starting B is diagonal +-1
+        T[short] *= sign[:, None]
+        res = _two_phase(c, M, T, b, basis.copy(), x.copy(), lo, hi.copy(), nit, max_iter, refactor)
+        if res.status not in (3, 4):
+            return res
+        nit = res.nit
+    return res
+
+
+def _two_phase(c, M, T, b, basis, x, lo, hi, nit, max_iter, refactor) -> SimplexResult:
+    """Phase 1 from the artificial basis, then phase 2 on ``c``."""
+    m, N = M.shape
+    n = len(c)
     cost = np.zeros(N)
     cost[n + m :] = 1.0
-    status, nit = _iterate(T, basis, x, lo, hi, cost, 0, max_iter)
+    status, nit = _iterate(M, T, basis, x, lo, hi, cost, nit, max_iter, refactor)
     if status == 0:
+        if not _refresh(M, b, basis, x):
+            return SimplexResult(4, None, np.nan, nit, "singular basis")
         if x[n + m :].sum() > _FEAS_TOL:
             return SimplexResult(2, None, np.nan, nit, "infeasible")
         # Phase 2: artificials are fixed at 0, so none can re-enter and a
@@ -91,23 +119,35 @@ def solve_simplex(c, A_ub, b_ub, A_eq, b_eq, bounds, max_iter: int = 50_000) -> 
         hi[n + m :] = 0.0
         cost[:] = 0.0
         cost[:n] = c
-        status, nit = _iterate(T, basis, x, lo, hi, cost, nit, max_iter)
+        status, nit = _iterate(M, T, basis, x, lo, hi, cost, nit, max_iter, refactor)
     if status != 0:  # phase 1 is bounded below by 0, so only phase 2 can be unbounded
-        message = "unbounded" if status == 3 else f"simplex exceeded {max_iter} iterations"
+        message = {3: "unbounded", 4: "singular basis"}.get(
+            status, f"simplex exceeded {max_iter} iterations"
+        )
         return SimplexResult(status, None, np.nan, nit, message)
-
-    # Recompute the basic values in one pass from b and the nonbasic values,
-    # so the step-by-step updates' rounding does not reach the answer; the
-    # tableau's logical columns hold B^-1.
-    nonbasic = np.ones(N, dtype=bool)
-    nonbasic[basis] = False
-    x[basis] = T[:, n : n + m] @ b - T[:, nonbasic] @ x[nonbasic]
+    if not _refresh(M, b, basis, x):
+        return SimplexResult(4, None, np.nan, nit, "singular basis")
     return SimplexResult(0, x[:n].copy(), float(c @ x[:n]), nit, "optimal")
 
 
-def _iterate(T, basis, x, lo, hi, cost, nit: int, max_iter: int) -> tuple[int, int]:
-    """Primal simplex with Bland's rule on the tableau ``T`` (updated in
-    place with ``basis`` and ``x``); returns ``(status, iterations)``."""
+def _refresh(M, b, basis, x) -> bool:
+    """Recompute the basic values from the original rows ``M`` and ``b``
+    and the nonbasic values, so the step-by-step updates' rounding does not
+    reach a phase's verdict; ``False`` if the basis matrix is singular."""
+    nonbasic = np.ones(len(x), dtype=bool)
+    nonbasic[basis] = False
+    try:
+        x[basis] = np.linalg.solve(M[:, basis], b - M[:, nonbasic] @ x[nonbasic])
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _iterate(M, T, basis, x, lo, hi, cost, nit, max_iter, refactor) -> tuple[int, int]:
+    """Primal simplex on the tableau ``T = B^-1 M`` (updated in place with
+    ``basis`` and ``x``, or recomputed from ``M`` at every pivot when
+    ``refactor``); returns ``(status, iterations)``, status 4 on a
+    singular basis."""
     m, N = T.shape
     is_basic = np.zeros(N, dtype=bool)
     is_basic[basis] = True
@@ -124,30 +164,47 @@ def _iterate(T, basis, x, lo, hi, cost, nit: int, max_iter: int) -> tuple[int, i
         step = 1.0 if up[j] else -1.0
         alpha = step * T[:, j]  # x_B moves by -t * alpha
         xb, lb, ub = x[basis], lo[basis], hi[basis]
-        ratio = np.full(m, np.inf)
-        fall, rise = alpha > _TOL, alpha < -_TOL
-        ratio[fall] = (xb[fall] - lb[fall]) / alpha[fall]
-        ratio[rise] = (ub[rise] - xb[rise]) / -alpha[rise]
-        np.maximum(ratio, 0.0, out=ratio)
-        t_row = ratio.min() if m else np.inf
+        size = np.abs(alpha)
+        moves = size > _TOL
+        room = np.where(alpha > 0, xb - lb, ub - xb)[moves]
+        blocking = np.flatnonzero(moves)
         t_flip = hi[j] - lo[j]
         nit += 1
+        if blocking.size:
+            # Harris's two-pass ratio test: the longest step that keeps
+            # every basic variable within _FEAS_TOL of its bounds, then,
+            # among the rows that block within it, a pivot of at least a
+            # tenth of the largest (Bland's smallest basic index among
+            # those), so no tiny pivot amplifies round-off.
+            pivots = size[blocking]
+            ratio = room / pivots
+            near = ratio <= ((room + _FEAS_TOL) / pivots).min()
+            pick = np.flatnonzero(near & (pivots >= 0.1 * pivots[near].max()))
+            k = pick[np.argmin(basis[blocking[pick]])]
+            r, t_row = blocking[k], max(ratio[k], 0.0)
+        else:
+            t_row = np.inf
         if t_flip <= t_row:
             if np.isinf(t_flip):
                 return 3, nit
             x[basis] -= t_flip * alpha
             x[j] = hi[j] if step > 0 else lo[j]
             continue
-        ties = np.flatnonzero(ratio <= t_row + _TOL)
-        r = ties[np.argmin(basis[ties])]
         x[basis] -= t_row * alpha
         x[j] += step * t_row
         leaving = basis[r]
         x[leaving] = lo[leaving] if alpha[r] > 0 else hi[leaving]
+        basis[r] = j
+        is_basic[leaving], is_basic[j] = False, True
+        if refactor:
+            try:
+                T[:] = np.linalg.solve(M[:, basis], M)
+            except np.linalg.LinAlgError:
+                return 4, nit
+            d = cost - cost[basis] @ T
+            continue
         pivot = T[r] / T[r, j]
         rows = np.flatnonzero(T[:, j])  # the tableaux here are mostly zeros
         T[rows] -= np.outer(T[rows, j], pivot)
         T[r] = pivot
         d -= d[j] * pivot
-        basis[r] = j
-        is_basic[leaving], is_basic[j] = False, True

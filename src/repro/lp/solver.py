@@ -2,8 +2,10 @@
 
 :func:`solve` takes the array form
 ``min c.x  s.t.  A_ub x <= b_ub,  A_eq x == b_eq,  bounds`` and hands it to a
-backend: ``"scipy"`` (:func:`scipy.optimize.linprog` with HiGHS) or
-``"simplex"`` (:func:`~repro.lp.simplex.solve_simplex`).  It alone opens the
+backend: ``"simplex"`` (:func:`~repro.lp.simplex.solve_simplex`, the
+default) or ``"scipy"`` (:func:`scipy.optimize.linprog` with HiGHS, loaded
+only when a caller names it, so no default path imports
+:mod:`scipy.optimize`).  It alone opens the
 ``lp.solve`` span, maps the backend's status to :class:`LPStatus` and writes
 ``lp_backend`` / ``lp_status`` / ``lp_iterations`` to the allocation decision
 in flight.
@@ -57,11 +59,12 @@ _STATUS = {0: LPStatus.OPTIMAL, 2: LPStatus.INFEASIBLE, 3: LPStatus.UNBOUNDED}
 
 
 def solve(
-    c, A_ub, b_ub, A_eq, b_eq, bounds, *, backend: str = "scipy", model: str = "lp", **options
+    c, A_ub, b_ub, A_eq, b_eq, bounds, *, backend: str = "simplex", model: str = "lp", **options
 ) -> LPResult:
     """Solve ``min c.x`` over the rows and per-variable ``(lower, upper)``
-    ``bounds`` with ``backend``; ``options`` go to the backend (the
-    simplex takes ``max_iter``).
+    ``bounds`` with ``backend`` (the in-repo simplex unless a caller asks
+    for ``"scipy"``); ``options`` go to the backend (the simplex takes
+    ``max_iter``).
 
     The ``A``/``b`` blocks are arrays and may have no rows.  Infeasible and
     unbounded outcomes are reported in the result; a solver failure raises

@@ -104,7 +104,9 @@ class SimulationConfig:
     peak — the paper's trace average has no cold start)."""
 
     seed: int = 0
-    allocator_backend: str = "scipy"
+    allocator_backend: str = "simplex"
+    """LP backend of the ``lp`` scheme: ``"simplex"`` (the in-repo bounded
+    simplex) or ``"scipy"`` (HiGHS)."""
 
     def __post_init__(self) -> None:
         if self.n_proxies < 1:

@@ -82,13 +82,17 @@ class _SystemPolicy(RedirectPolicy):
 
 
 class LPPolicy(_SystemPolicy):
-    """Centralized LP enforcement with transitive agreements (the paper)."""
+    """Centralized LP enforcement with transitive agreements (the paper).
+
+    Each consult solves one allocation LP with ``backend`` (the in-repo
+    simplex unless ``"scipy"`` asks for HiGHS).
+    """
 
     def __init__(
         self,
         system: CapacityView,
         level: int | None = None,
-        backend: str = "scipy",
+        backend: str = "simplex",
     ):
         super().__init__(system)
         self.level = level

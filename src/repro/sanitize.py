@@ -13,7 +13,9 @@ would otherwise propagate silently into later decisions:
 - **Allocators** (:meth:`repro.allocation.problem.Allocation.finalize`,
   the epilogue every allocator ends with): takes are non-negative and
   conserve the satisfied amount, ``theta >= 0``, and post-allocation
-  effective capacities never exceed pre-allocation ones (``C' <= C``).
+  effective capacities never exceed pre-allocation ones (``C' <= C``);
+  for the LP and endpoint schemes each take also stays within its
+  agreement bound (constraint (4)).
 - **GRM** (:meth:`~repro.manager.grm.GlobalResourceManager._allocate`):
   the donor split on the grant message sums to the granted amount.
 - **Topology** (:meth:`~repro.agreements.topology.AgreementTopology.coefficients`):
@@ -172,13 +174,15 @@ def check_grant(takes, granted: float) -> None:
             )
 
 
-def check_allocation(C_before, allocation) -> None:
+def check_allocation(C_before, allocation, bound=None) -> None:
     """Postconditions of every allocator result, run by ``Allocation.finalize``.
 
     Asserts the Section-3.1 postconditions on the finished
     :class:`~repro.allocation.problem.Allocation`: non-negative takes
     that conserve ``satisfied``, a non-negative perturbation ``theta``,
-    and effective capacities that only ever shrink (``C' <= C``).
+    and effective capacities that only ever shrink (``C' <= C``).  With
+    ``bound`` (constraint (4): ``U_kA`` for a donor ``k``, ``V_A`` for
+    the requester) no take may exceed its entry.
     """
     take = np.asarray(allocation.take, dtype=float)
     if take.size and float(take.min()) < -_TOL:
@@ -188,6 +192,18 @@ def check_allocation(C_before, allocation) -> None:
             scheme=allocation.scheme,
             min_take=float(take.min()),
         )
+    if bound is not None and take.size:
+        over_idx = int(np.argmax(take - bound))
+        if float(take[over_idx] - bound[over_idx]) > _TOL:
+            violation(
+                "take-agreement-bound",
+                "a take exceeds its agreement bound (take[k] > U[k, A], "
+                "or the requester's take > V[A])",
+                scheme=allocation.scheme,
+                index=over_idx,
+                take=float(take[over_idx]),
+                bound=float(bound[over_idx]),
+            )
     total = float(take.sum())
     if abs(total - float(allocation.satisfied)) > _TOL:
         violation(

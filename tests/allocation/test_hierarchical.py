@@ -8,6 +8,7 @@ from repro.agreements import CapacityView, hierarchical_structure
 from repro.allocation import allocate_hierarchical, allocate_lp
 from repro.allocation.hierarchical import coarsen
 from repro.errors import AllocationError, InsufficientResourcesError
+from repro.lp import BACKENDS
 
 
 @pytest.fixture
@@ -45,10 +46,11 @@ class TestAllocate:
         assert set(np.nonzero(al.take)[0]) <= set(hier.topology.groups[0])
 
     def test_group_spanning_request(self, hier):
-        al = allocate_hierarchical(hier, "node0", 2.2)
-        assert al.satisfied == pytest.approx(2.2, rel=1e-6)
-        outside = [i for i in np.nonzero(al.take)[0] if i not in hier.topology.groups[0]]
-        assert outside  # some contribution crossed group boundaries
+        for backend in BACKENDS:
+            al = allocate_hierarchical(hier, "node0", 2.2, backend=backend)
+            assert al.satisfied == pytest.approx(2.2, rel=1e-6), backend
+            outside = [i for i in np.nonzero(al.take)[0] if i not in hier.topology.groups[0]]
+            assert outside, backend  # some contribution crossed group boundaries
 
     def test_conservation(self, hier):
         al = allocate_hierarchical(hier, "node5", 2.0)
@@ -77,10 +79,11 @@ class TestAllocate:
     def test_comparable_to_flat_lp(self, hier):
         """Multigrid is a refinement heuristic: it must satisfy the same
         request the flat LP does, with theta in the same ballpark."""
-        flat = allocate_lp(hier, "node0", 1.5)
-        multi = allocate_hierarchical(hier, "node0", 1.5)
-        assert multi.satisfied == pytest.approx(flat.satisfied, rel=1e-6)
-        assert multi.theta <= flat.theta * 5 + 0.5
+        for backend in BACKENDS:
+            flat = allocate_lp(hier, "node0", 1.5, backend=backend)
+            multi = allocate_hierarchical(hier, "node0", 1.5, backend=backend)
+            assert multi.satisfied == pytest.approx(flat.satisfied, rel=1e-6), backend
+            assert multi.theta <= flat.theta * 5 + 0.5, backend
 
     def test_simplex_backend_reaches_every_lp(self, monkeypatch):
         """``backend="simplex"`` holds for the in-group refine too: with
@@ -99,6 +102,19 @@ class TestAllocate:
         outside = [i for i in np.nonzero(al.take)[0] if i not in system.topology.groups[0]]
         assert outside  # the request crossed groups, so the refine ran
         assert al.satisfied > 0.0
+
+    def test_deep_coarse_coefficients_stay_feasible(self):
+        """A 6x8 hierarchy's coarse LP holds coefficients down to ~1e-8; a
+        request near the requester's capacity makes every take sit at its
+        bound.  The in-repo simplex once called that LP infeasible."""
+        system = hierarchical_structure(6, 8, inter_share=0.2)
+        ask = 0.95 * system.capacity_of("node0")
+        plans = [
+            allocate_hierarchical(system, "node0", ask, backend=backend, partial=True)
+            for backend in BACKENDS
+        ]
+        assert plans[0].satisfied > 0.0
+        assert plans[1].satisfied == pytest.approx(plans[0].satisfied, rel=1e-6)
 
     @pytest.mark.parametrize("groups, size", [(3, 4), (6, 8)])
     def test_one_coefficient_dp_per_group(self, groups, size):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.agreements import CapacityView, complete_structure, loop_structure
 from repro.allocation import allocate_lp
 from repro.errors import InsufficientResourcesError, LPError
+from repro.lp import BACKENDS
 
 
 def two_node(v0=10.0, v1=0.0, share=0.5):
@@ -71,25 +72,28 @@ class TestFeasibility:
 class TestConstraints:
     def test_takes_respect_flow_bounds(self):
         sys_ = complete_structure(5, 0.1, capacity=2.0)
-        al = allocate_lp(sys_, "isp0", 2.5)
         U = sys_.u(None)
         a = sys_.index("isp0")
-        for i in range(5):
-            bound = sys_.V[a] if i == a else min(U[i, a], sys_.V[i])
-            assert al.take[i] <= bound + 1e-9
+        for backend in BACKENDS:
+            al = allocate_lp(sys_, "isp0", 2.5, backend=backend)
+            for i in range(5):
+                bound = sys_.V[a] if i == a else min(U[i, a], sys_.V[i])
+                assert al.take[i] <= bound + 1e-9, backend
 
     def test_conservation(self):
         sys_ = complete_structure(5, 0.1, capacity=2.0)
-        al = allocate_lp(sys_, "isp0", 2.5)
-        np.testing.assert_allclose(sys_.V - al.take, al.new_V, atol=1e-9)
-        assert al.take.sum() == pytest.approx(2.5)
+        for backend in BACKENDS:
+            al = allocate_lp(sys_, "isp0", 2.5, backend=backend)
+            np.testing.assert_allclose(sys_.V - al.take, al.new_V, atol=1e-9)
+            assert al.take.sum() == pytest.approx(2.5), backend
 
     def test_theta_matches_capacity_drops(self):
         sys_ = complete_structure(5, 0.1, capacity=2.0)
-        al = allocate_lp(sys_, "isp0", 2.5)
         a = sys_.index("isp0")
-        drops = np.delete(sys_.capacities() - al.new_C, a)
-        assert al.theta == pytest.approx(drops.max(), abs=1e-6)
+        for backend in BACKENDS:
+            al = allocate_lp(sys_, "isp0", 2.5, backend=backend)
+            drops = np.delete(sys_.capacities() - al.new_C, a)
+            assert al.theta == pytest.approx(drops.max(), abs=1e-6), backend
 
     def test_local_take_free_when_nobody_depends_on_requester(self):
         """If no agreement draws on the requester's resources, serving
@@ -113,9 +117,10 @@ class TestFormulationsAgree:
     def test_reduced_equals_faithful(self):
         sys_ = complete_structure(6, 0.15, capacity=1.5)
         for amount in (0.5, 2.0, 3.0):
-            r = allocate_lp(sys_, "isp2", amount, formulation="reduced")
-            f = allocate_lp(sys_, "isp2", amount, formulation="faithful")
-            assert r.theta == pytest.approx(f.theta, abs=1e-6)
+            for backend in BACKENDS:
+                r = allocate_lp(sys_, "isp2", amount, formulation="reduced", backend=backend)
+                f = allocate_lp(sys_, "isp2", amount, formulation="faithful", backend=backend)
+                assert r.theta == pytest.approx(f.theta, abs=1e-6), backend
 
     @given(
         st.integers(0, 5_000),
@@ -149,6 +154,27 @@ class TestFormulationsAgree:
                         backend="simplex")
         assert a.theta == pytest.approx(b.theta, abs=1e-6)
 
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([1, 2, None]))
+    @settings(max_examples=60, deadline=None)
+    def test_backends_agree_at_capacity(self, seed, level):
+        """A request at or above the requester's capacity puts every take
+        at its bound, the most degenerate allocation LP.  Shares spread over
+        several orders of magnitude, as deep transitive chains make them."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 12))
+        S = rng.random((n, n)) ** 6 * (0.95 / n)
+        np.fill_diagonal(S, 0.0)
+        V = rng.random(n) * 10 * (rng.random(n) < 0.8)
+        sys_ = CapacityView.from_matrices([f"p{i}" for i in range(n)], V, S)
+        a = int(rng.integers(0, n))
+        x = sys_.capacity_of(f"p{a}", level) * rng.choice([1.0, 1.5])
+        highs, simplex = (
+            allocate_lp(sys_, f"p{a}", x, level=level, backend=b, partial=True)
+            for b in ("scipy", "simplex")
+        )
+        assert simplex.satisfied == pytest.approx(highs.satisfied, abs=1e-6)
+        assert simplex.theta == pytest.approx(highs.theta, abs=1e-6)
+
     # Arguments are validated before the zero-amount and over-capacity
     # shortcuts, so a bad name never yields an empty Allocation or an
     # InsufficientResourcesError.
@@ -177,11 +203,13 @@ class TestObjectiveVariants:
         """theta ranges over the other principals only, so the requester
         drains its own capacity before perturbing anyone else's."""
         sys_ = complete_structure(10, 0.1, capacity=1.0)
-        al = allocate_lp(sys_, "isp0", 1.5)
-        assert al.local_take == pytest.approx(1.0)
+        for backend in BACKENDS:
+            al = allocate_lp(sys_, "isp0", 1.5, backend=backend)
+            assert al.local_take == pytest.approx(1.0), backend
 
     def test_theta_nonnegative_and_bounded(self):
         sys_ = loop_structure(8, 0.8, skip=3, capacity=2.0)
         for x in (0.5, 1.5, 3.0):
-            al = allocate_lp(sys_, "isp4", x, partial=True)
-            assert 0.0 <= al.theta <= al.satisfied + 1e-6
+            for backend in BACKENDS:
+                al = allocate_lp(sys_, "isp4", x, partial=True, backend=backend)
+                assert 0.0 <= al.theta <= al.satisfied + 1e-6, backend

@@ -6,6 +6,7 @@ from repro.allocation import MultiResourceRequest, allocate_multi
 from repro.allocation.multiresource import expand_coupled_takes
 from repro.economy import Bank
 from repro.errors import AllocationError, InsufficientResourcesError
+from repro.lp import BACKENDS
 from repro.units import CoupledResource, ResourceVector
 
 
@@ -28,10 +29,11 @@ def systems():
 class TestVectorRequests:
     def test_one_lp_per_type(self, systems):
         req = MultiResourceRequest("b", ResourceVector(cpu=3.0, disk=20.0))
-        plans = allocate_multi(systems, req)
-        assert set(plans) == {"cpu", "disk"}
-        assert plans["cpu"].satisfied == pytest.approx(3.0)
-        assert plans["disk"].satisfied == pytest.approx(20.0)
+        for backend in BACKENDS:
+            plans = allocate_multi(systems, req, backend=backend)
+            assert set(plans) == {"cpu", "disk"}
+            assert plans["cpu"].satisfied == pytest.approx(3.0)
+            assert plans["disk"].satisfied == pytest.approx(20.0)
 
     def test_missing_system_raises(self, systems):
         req = MultiResourceRequest("b", ResourceVector(gpu=1.0))

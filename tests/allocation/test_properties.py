@@ -1,4 +1,8 @@
-"""Property-based invariants of the allocation engine."""
+"""Property-based invariants of the allocation engine.
+
+Every LP property runs on both backends: the in-repo simplex, which every
+path uses by default, and HiGHS, the tests' oracle.
+"""
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.agreements import CapacityView
 from repro.allocation import allocate_endpoint, allocate_lp
+from repro.lp import BACKENDS
 
 
 @st.composite
@@ -28,33 +33,36 @@ class TestLPInvariants:
     @settings(max_examples=40, deadline=None)
     def test_conservation_and_bounds(self, sr):
         system, principal, x = sr
-        plan = allocate_lp(system, principal, x)
-        assert plan.take.sum() == pytest.approx(x, abs=1e-6)
-        assert np.all(plan.take >= -1e-9)
-        assert np.all(plan.take <= system.V + 1e-6)
         a = system.index(principal)
         U = system.u(None)
-        for k in range(system.n):
-            bound = system.V[a] if k == a else min(U[k, a], system.V[k])
-            assert plan.take[k] <= bound + 1e-6
+        for backend in BACKENDS:
+            plan = allocate_lp(system, principal, x, backend=backend)
+            assert plan.take.sum() == pytest.approx(x, abs=1e-6), backend
+            assert np.all(plan.take >= -1e-9), backend
+            assert np.all(plan.take <= system.V + 1e-6), backend
+            for k in range(system.n):
+                bound = system.V[a] if k == a else min(U[k, a], system.V[k])
+                assert plan.take[k] <= bound + 1e-6, backend
 
     @given(systems_and_requests())
     @settings(max_examples=40, deadline=None)
     def test_theta_is_true_max_drop(self, sr):
         system, principal, x = sr
-        plan = allocate_lp(system, principal, x)
         a = system.index(principal)
-        drops = np.delete(system.capacities() - plan.new_C, a)
-        observed = drops.max() if drops.size else 0.0
-        assert plan.theta == pytest.approx(observed, abs=1e-6)
+        for backend in BACKENDS:
+            plan = allocate_lp(system, principal, x, backend=backend)
+            drops = np.delete(system.capacities() - plan.new_C, a)
+            observed = drops.max() if drops.size else 0.0
+            assert plan.theta == pytest.approx(observed, abs=1e-6), backend
 
     @given(systems_and_requests())
     @settings(max_examples=30, deadline=None)
     def test_theta_monotone_in_request(self, sr):
         system, principal, x = sr
-        small = allocate_lp(system, principal, 0.5 * x)
-        large = allocate_lp(system, principal, x)
-        assert small.theta <= large.theta + 1e-6
+        for backend in BACKENDS:
+            small = allocate_lp(system, principal, 0.5 * x, backend=backend)
+            large = allocate_lp(system, principal, x, backend=backend)
+            assert small.theta <= large.theta + 1e-6, backend
 
     @given(systems_and_requests())
     @settings(max_examples=30, deadline=None)
@@ -62,8 +70,9 @@ class TestLPInvariants:
         system, principal, x = sr
         bigger = system.with_capacities(system.V * 1.5)
         assert bigger.capacity_of(principal) >= system.capacity_of(principal) - 1e-9
-        plan = allocate_lp(bigger, principal, x)
-        assert plan.satisfied == pytest.approx(x, abs=1e-6)
+        for backend in BACKENDS:
+            plan = allocate_lp(bigger, principal, x, backend=backend)
+            assert plan.satisfied == pytest.approx(x, abs=1e-6), backend
 
     @given(systems_and_requests())
     @settings(max_examples=30, deadline=None)
@@ -80,16 +89,17 @@ class TestSchemeDominance:
         """The endpoint scheme sees only direct agreements, so it can never
         place more than the transitive LP."""
         system, principal, x = sr
-        lp = allocate_lp(system, principal, x, partial=True)
         ep = allocate_endpoint(system, principal, x, partial=True)
-        assert lp.satisfied >= ep.satisfied - 1e-6
+        for backend in BACKENDS:
+            lp = allocate_lp(system, principal, x, partial=True, backend=backend)
+            assert lp.satisfied >= ep.satisfied - 1e-6, backend
 
     @given(systems_and_requests())
     @settings(max_examples=30, deadline=None)
     def test_all_schemes_respect_donor_capacity(self, sr):
         system, principal, x = sr
         for plan in (
-            allocate_lp(system, principal, x, partial=True),
+            *(allocate_lp(system, principal, x, partial=True, backend=b) for b in BACKENDS),
             allocate_endpoint(system, principal, x, partial=True),
         ):
             assert np.all(plan.take <= system.V + 1e-6), plan.scheme

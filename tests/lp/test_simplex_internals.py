@@ -107,6 +107,34 @@ class TestDegenerateCases:
         assert res.ok
         assert res.x[0] == pytest.approx(-4.0)
 
+    def test_round_off_pivot_solves_again(self, monkeypatch):
+        """An allocation LP whose shares span fifteen orders of magnitude
+        ends the updated-tableau pass on a singular basis; the solver
+        starts again, refactoring at every pivot, and matches HiGHS."""
+        from repro.agreements import CapacityView
+        from repro.allocation import allocate_lp
+        from repro.lp import simplex
+
+        rng = np.random.default_rng(41)
+        n = int(rng.integers(3, 9))
+        S = 10.0 ** -rng.integers(0, 15, (n, n)) * (rng.random((n, n)) < 0.6) * (0.9 / n)
+        np.fill_diagonal(S, 0.0)
+        system = CapacityView.from_matrices([f"p{i}" for i in range(n)], rng.random(n) * 10, S)
+        a = f"p{int(rng.integers(0, n))}"
+        passes = []
+        two_phase = simplex._two_phase
+
+        def spy(*args):
+            passes.append(args[-1])
+            return two_phase(*args)
+
+        monkeypatch.setattr(simplex, "_two_phase", spy)
+        plan = allocate_lp(system, a, system.capacity_of(a), partial=True)
+        assert passes == [False, True]
+        ref = allocate_lp(system, a, system.capacity_of(a), partial=True, backend="scipy")
+        assert plan.satisfied == pytest.approx(ref.satisfied, abs=1e-6)
+        assert plan.theta == pytest.approx(ref.theta, abs=1e-6)
+
     def test_iterations_reported(self):
         # max x + 2y st x + y <= 6, x, y in [0, 4]
         problem = lp_arrays([-1, -2], ub=[([1, 1], 6)], bounds=[(0, 4), (0, 4)])

@@ -200,6 +200,37 @@ class TestAllocationInvariants:
         allocation = allocate_lp(system, "a", 12.0)
         assert allocation.satisfied == pytest.approx(12.0)
 
+    def test_agreement_bound_violation(self, sanitized):
+        allocation = SimpleNamespace(
+            take=np.array([1.0, 4.5]),
+            satisfied=5.5,
+            theta=0.0,
+            new_C=None,
+            scheme="test",
+        )
+        with pytest.raises(InvariantViolation, match="agreement bound") as exc_info:
+            sanitize.check_allocation(None, allocation, np.array([2.0, 4.0]))
+        assert exc_info.value.details["index"] == 1
+        sanitize.check_allocation(None, allocation, np.array([2.0, 4.5]))
+
+    def test_finalize_checks_constraint_4(self, sanitized):
+        """A take above ``U[k, A]`` fails the LP epilogue, and the
+        requester's own take is bounded by ``V[A]``."""
+        from repro.allocation import Allocation, AllocationRequest
+
+        system = CapacityView.from_matrices(
+            ["a", "b"], np.array([10.0, 10.0]), np.array([[0.0, 0.4], [0.4, 0.0]])
+        )
+        request = AllocationRequest("a", 12.0)
+        # U[b, a] = 4, so b may give at most 4 of a's 12.
+        Allocation.finalize(system, request, np.array([8.0, 4.0]), "lp")
+        with pytest.raises(InvariantViolation, match="agreement bound"):
+            Allocation.finalize(system, request, np.array([7.0, 5.0]), "lp")
+        with pytest.raises(InvariantViolation, match="agreement bound"):
+            Allocation.finalize(system, request, np.array([11.0, 1.0]), "endpoint")
+        # The multigrid refine's contract has no per-donor bound.
+        Allocation.finalize(system, request, np.array([7.0, 5.0]), "hierarchical")
+
 
 class TestCoefficientInvariants:
     def test_overdraft_clamp_bounds(self, sanitized):
