@@ -26,8 +26,8 @@ into other tooling).
 allocation decision — every key the record carries, the
 :class:`~repro.obs.decision.DecisionRecord` fields first in schema order
 (requestor, donor split, theta, LP statistics, capacities before/after),
-then any extra fields a layer attached (a denial's ``available``, the
-multigrid's ``multigrid_rounds``) — the offline counterpart of
+then any extra fields a layer attached (a denial's ``available``) — the
+offline counterpart of
 ``repro.obs.explain``.  Exit status 1 if the request id is not in the
 trace.
 """

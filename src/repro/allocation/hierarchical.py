@@ -9,8 +9,12 @@ inside each group to further refine the resource allocation."
 The coarse level treats each group as a super-principal: its raw capacity
 is the sum of member capacities, and the coarse share from group ``g`` to
 group ``h`` is the capacity-weighted aggregate of member-to-member shares
-(an upper-level approximation — refinement inside each donor group then
-respects the member-level bounds exactly).
+(an upper-level approximation that shapes the coarse LP's objective).
+What a group may give is its *budget*: the sum of its members'
+constraint-(4) bounds ``U[k, A]`` (``V_A`` for the requester).  The
+budgets sum to ``C_A``, and each group's in-group LP bounds every member
+by its own entry, so every refine is feasible and no take ever exceeds
+what the agreements allow.
 """
 
 from __future__ import annotations
@@ -20,16 +24,32 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..agreements.topology import AgreementTopology, CapacityView
-from ..errors import AllocationError, InsufficientResourcesError
+from ..errors import AllocationError, InfeasibleAllocationError, InsufficientResourcesError
 from ..lp import solve
 from ..obs import get_observer
-from ..obs.decision import current_decision
-from .lp_allocator import allocate_lp, min_theta_lp, take_blocks
-from .problem import Allocation, AllocationRequest
+from .lp_allocator import allocate_lp, min_theta_lp
+from .problem import Allocation, AllocationRequest, _agreement_bound
 
 __all__ = ["allocate_hierarchical", "coarsen"]
 
 _TOL = 1e-9
+
+
+def _members(groups: Sequence[Sequence[int]], n: int) -> list[np.ndarray]:
+    """``groups`` as index arrays, checked to partition ``0 .. n-1``."""
+    idx = [np.asarray(g, dtype=int).reshape(-1) for g in groups]
+    every = np.concatenate(idx) if idx else np.zeros(0, dtype=int)
+    if every.size and (every.min() < 0 or every.max() >= n):
+        bad = every[(every < 0) | (every >= n)][0]
+        raise AllocationError(f"group index {bad} is outside 0..{n - 1}")
+    counts = np.bincount(every, minlength=n)
+    if np.any(counts != 1):
+        k = int(np.flatnonzero(counts != 1)[0])
+        where = "more than one group" if counts[k] else "no group"
+        raise AllocationError(
+            f"groups must partition the principals: index {k} is in {where}"
+        )
+    return idx
 
 
 def coarsen(system: CapacityView, groups: Sequence[Sequence[int]]) -> CapacityView:
@@ -38,32 +58,20 @@ def coarsen(system: CapacityView, groups: Sequence[Sequence[int]]) -> CapacityVi
     ``V_g = sum_{i in g} V_i`` and
     ``S_gh = sum_{i in g, j in h} S_ij V_i / V_g`` (capacity-weighted mean
     outgoing share; 0 for an empty group).  Intra-group agreements do not
-    appear at the coarse level.
+    appear at the coarse level.  ``groups`` must partition the principals.
     """
-    ng = len(groups)
-    Vg = np.array([system.V[list(g)].sum() for g in groups])
-    Sg = np.zeros((ng, ng))
-    for gi, g in enumerate(groups):
-        if Vg[gi] <= _TOL:
-            continue
-        for hi, h in enumerate(groups):
-            if gi == hi:
-                continue
-            Sg[gi, hi] = sum(
-                system.S[i, j] * system.V[i] for i in g for j in h
-            ) / Vg[gi]
-    names = [f"group{gi}" for gi in range(ng)]
+    idx = _members(groups, system.n)
+    M = np.zeros((len(idx), system.n))  # group membership
+    for gi, members in enumerate(idx):
+        M[gi, members] = 1.0
+    Vg = M @ system.V
+    Sg = M @ (system.V[:, None] * system.S) @ M.T
+    np.fill_diagonal(Sg, 0.0)
+    live = Vg > _TOL
+    Sg[live] /= Vg[live, None]
+    Sg[~live] = 0.0
+    names = [f"group{gi}" for gi in range(len(idx))]
     return CapacityView.from_matrices(names, Vg, Sg)
-
-
-def _group_topology(system: CapacityView, idx: np.ndarray) -> AgreementTopology:
-    """Member-level structure restricted to one group (intra-group edges
-    only); each round views it at its own capacities."""
-    return AgreementTopology(
-        [system.principals[i] for i in idx],
-        system.S[np.ix_(idx, idx)],
-        None if system.A is None else system.A[np.ix_(idx, idx)],
-    )
 
 
 def allocate_hierarchical(
@@ -76,23 +84,23 @@ def allocate_hierarchical(
     backend: str = "simplex",
     partial: bool = False,
 ) -> Allocation:
-    """Multigrid allocation on a hierarchical structure.
+    """Multigrid allocation on a hierarchical structure, in one pass.
 
-    1. Try to satisfy the request entirely inside the requester's group
-       (one small LP).
-    2. Otherwise allocate at the coarse (group) level, refine each donor
-       group's contribution with an intra-group LP, and — because the
-       coarse level may overestimate what a group can actually hand to the
-       requesting member — *iterate* on any shortfall with updated member
-       capacities, exactly the paper's "iterating this process as
-       required".
+    1. If the requester's group covers the request through its own
+       agreements, solve one LP on that group.
+    2. Otherwise solve one coarse LP that splits the request among the
+       groups, each capped by its budget (its members' constraint-(4)
+       bounds summed), then one LP per contributing group that spreads
+       its share over the members under their bounds.
 
     ``groups`` defaults to the ``system.topology.groups`` partition set by
-    :func:`repro.agreements.structures.hierarchical_structure`.
+    :func:`repro.agreements.structures.hierarchical_structure`; it must
+    partition the principals, else :class:`~repro.errors.AllocationError`.
 
-    Raises :class:`~repro.errors.InsufficientResourcesError` (with the
-    amount actually deliverable) if iteration stalls short of the request
-    and ``partial`` is False.
+    A request above ``C_A`` raises
+    :class:`~repro.errors.InsufficientResourcesError` quoting ``C_A``, or
+    is granted ``C_A`` with ``partial=True``, as in
+    :func:`~repro.allocation.lp_allocator.allocate_lp`.
     """
     if groups is None:
         groups = system.topology.groups
@@ -101,113 +109,66 @@ def allocate_hierarchical(
             "hierarchical allocation needs a group partition; pass groups= "
             "or use a system built by hierarchical_structure()"
         )
+    idx = _members(groups, system.n)
     a = system.index(principal)
-    home = next((gi for gi, g in enumerate(groups) if a in g), None)
-    if home is None:
-        raise AllocationError(f"principal {principal!r} is not in any group")
+    home = next(gi for gi, members in enumerate(idx) if a in members)
 
-    n = system.n
     request = AllocationRequest(principal, amount, level)
     x = float(amount)
-    take = np.zeros(n)
+    take = np.zeros(system.n)
     obs = get_observer()
-    span = obs.span(
-        "allocation.hierarchical", principal=principal, amount=x,
-        groups=len(groups),
-    )
-
-    # Fast path: the whole request fits inside the requester's group.
-    with span:
+    with obs.span(
+        "allocation.hierarchical", principal=principal, amount=x, groups=len(idx)
+    ) as span:
         # One topology per group and call, so one coefficient DP per group.
-        idx = [np.asarray(g) for g in groups]
         topologies = [_group_topology(system, members) for members in idx]
-        local_sys = topologies[home].view(system.V[idx[home]])
-        local_cap = local_sys.capacity_of(principal, level)
-        if x <= local_cap + _TOL:
+        local = topologies[home].view(system.V[idx[home]])
+        if x <= local.capacity_of(principal, level) + _TOL:
             span.set(path="local")
-            plan = allocate_lp(local_sys, principal, x, level=level, backend=backend)
-            for m, t in zip(groups[home], plan.take):
-                take[m] = t
+            take[idx[home]] = allocate_lp(
+                local, principal, x, level=level, backend=backend
+            ).take
             return Allocation.finalize(system, request, take, "hierarchical", satisfied=x)
 
-        remaining = x
-        current = system
-        rounds = 0
-        for _iteration in range(len(groups) + 2):
-            if remaining <= _TOL:
-                break
-            rounds += 1
-            coarse = coarsen(current, groups)
-            # The home group's deliverable capacity is what the requester can
-            # actually reach through intra-group agreements, not the raw member
-            # sum — otherwise the coarse LP keeps "allocating" locally work that
-            # refinement cannot extract.
-            home_deliverable = topologies[home].view(
-                current.V[idx[home]]
-            ).capacity_of(principal, level)
-            Vc = coarse.V.copy()
-            Vc[home] = home_deliverable
-            coarse = coarse.with_capacities(Vc)
-            coarse_cap = coarse.capacity_of(f"group{home}", level)
-            ask = min(remaining, coarse_cap)
-            if ask <= _TOL:
-                break
-            coarse_plan = allocate_lp(
-                coarse, f"group{home}", ask, level=level, backend=backend,
-                partial=True,
-            )
-            round_take = np.zeros(n)
-            for gi, contribution in enumerate(coarse_plan.take):
-                if contribution <= _TOL:
-                    continue
-                members = groups[gi]
-                sub = topologies[gi].view(current.V[idx[gi]])
-                if gi == home:
-                    plan = allocate_lp(
-                        sub, principal, float(contribution), level=level,
-                        backend=backend, partial=True,
-                    )
-                    member_take = plan.take
-                else:
-                    member_take = _spread_within(sub, float(contribution), backend)
-                for m, t in zip(members, member_take):
-                    round_take[m] += t
-            got = float(round_take.sum())
-            if got <= _TOL:
-                break  # stalled: nothing more is extractable
-            take += round_take
-            remaining -= got
-            current = current.with_capacities(np.maximum(current.V - round_take, 0.0))
-
-        satisfied = float(take.sum())
+        cap = system.capacity_of(principal, level)
+        if x > cap + _TOL:
+            if not partial:
+                span.set(available=cap)
+                raise InsufficientResourcesError(principal, x, cap)
+            x = cap
+        bound = _agreement_bound(system, a, level)
+        budgets = np.array([bound[members].sum() for members in idx])
+        coarse = coarsen(system, idx).coefficients(level)
+        others = np.delete(np.arange(len(idx)), home)
+        split = _min_theta(x, coarse, others, budgets, backend, "coarse")
+        for gi, members in enumerate(idx):
+            if split[gi] > _TOL:
+                take[members] = _min_theta(
+                    split[gi], topologies[gi].coefficients(level),
+                    np.flatnonzero(members != a), bound[members], backend, "refine",
+                )
         if obs.enabled:
             donors = int(np.count_nonzero(take > _TOL))
-            obs.histogram("allocation.hierarchical.rounds", rounds)
             obs.histogram("allocation.donors", donors)
-            span.set(path="multigrid", rounds=rounds, donors=donors,
-                     satisfied=satisfied)
-            dec = current_decision()
-            if dec is not None:
-                # The refinement round count is evidence the opener of
-                # the decision (GRM or policy) cannot see from outside.
-                dec.set(multigrid_rounds=rounds)
-        if remaining > 1e-6 and not partial:
-            # Undo nothing — this is a pure planning function; just report.
-            span.set(available=satisfied)
-            raise InsufficientResourcesError(principal, x, satisfied)
-    return Allocation.finalize(
-        system, request, take, "hierarchical", satisfied=satisfied
+            span.set(path="multigrid", donors=donors, satisfied=x)
+    return Allocation.finalize(system, request, take, "hierarchical", satisfied=x)
+
+
+def _group_topology(system: CapacityView, idx: np.ndarray) -> AgreementTopology:
+    """Member-level structure restricted to one group (intra-group edges
+    only)."""
+    return AgreementTopology(
+        [system.principals[i] for i in idx],
+        system.S[np.ix_(idx, idx)],
+        None if system.A is None else system.A[np.ix_(idx, idx)],
     )
 
 
-def _spread_within(sub: CapacityView, contribution: float, backend: str) -> np.ndarray:
-    """Spread a donor group's contribution over members, minimising the
-    maximum member drop (a small LP with an exogenous sink: every member's
-    drop is a row and each take is bounded by the member's ``V`` alone)."""
-    k = sub.n
-    contribution = min(contribution, float(sub.V.sum()))
-    blocks = take_blocks(0, sub.V, None, sub.coefficients(), np.arange(k))
-    res = solve(*min_theta_lp(contribution, *blocks), backend=backend, model="refine")
-    if not res.ok:  # pragma: no cover - bounded by construction
-        raise AllocationError(f"group refinement LP {res.status.value}")
-    return np.clip(res.x[:k], 0.0, None)
+def _min_theta(x, T, rows, ub, backend, model):
+    """Takes summing to ``x`` within ``ub`` that minimise the largest drop
+    among ``rows`` (feasible whenever ``x <= sum(ub)``)."""
+    arrays = min_theta_lp(min(x, float(ub.sum())), T, rows, ub)
+    res = solve(*arrays, backend=backend, model=model)
+    if not res.ok:  # pragma: no cover - feasible by construction
+        raise InfeasibleAllocationError(f"multigrid {model} LP {res.status.value}")
+    return np.clip(res.x[: len(ub)], 0.0, ub)

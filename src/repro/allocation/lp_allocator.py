@@ -44,9 +44,10 @@ serves as the tests' oracle.  Both are built directly as arrays and
 solved by :func:`repro.lp.solve`: the in-repo simplex by default, HiGHS
 on request.
 
-:func:`take_blocks` builds the reduced LP's capacity-drop rows and take
-bounds once, and :func:`min_theta_lp` assembles the min-theta LP from
-them — for this allocator and for the multigrid refine's in-group spread.
+Constraint (4)'s take bounds come from one helper, shared with the
+multigrid allocator and the sanitizer, and :func:`min_theta_lp` builds the
+reduced min-theta LP for this allocator and for the multigrid's coarse
+and in-group LPs.
 """
 
 from __future__ import annotations
@@ -60,9 +61,9 @@ from ..errors import (
 )
 from ..lp import BACKENDS, solve
 from ..obs import get_observer
-from .problem import Allocation, AllocationRequest
+from .problem import Allocation, AllocationRequest, _agreement_bound
 
-__all__ = ["allocate_lp", "min_theta_lp", "take_blocks"]
+__all__ = ["allocate_lp", "min_theta_lp"]
 
 _TOL = 1e-7
 
@@ -114,8 +115,6 @@ def allocate_lp(
     with obs.span(
         "allocation.request", principal=principal, amount=float(amount), n=n
     ) as sp:
-        V = system.V
-        U = system.u(level)  # inflow bounds, absolute agreements included
         C = system.capacities(level)
         T = system.coefficients(level)
 
@@ -133,11 +132,11 @@ def allocate_lp(
             )
 
         with obs.span("lp.build", formulation=formulation, n=n):
-            drops, ub = take_blocks(a, V, U, T, np.delete(np.arange(n), a))
+            ub = _agreement_bound(system, a, level)
             if formulation == "reduced":
-                arrays = min_theta_lp(x, drops, ub)
+                arrays = min_theta_lp(x, T, np.delete(np.arange(n), a), ub)
             else:
-                arrays = _faithful_arrays(a, x, V, U, C, T, ub)
+                arrays = _faithful_arrays(a, x, system.V, system.u(level), C, T, ub)
         res = solve(*arrays, backend=backend, model=f"allocate-{formulation}")
         if not res.ok:
             obs.counter("allocation.infeasible")
@@ -146,7 +145,7 @@ def allocate_lp(
                 f"(x={x:g}, requester index {a})"
             )
         # The faithful LP's first n variables are the remainders V'.
-        take = res.x[:n] if formulation == "reduced" else V - res.x[:n]
+        take = res.x[:n] if formulation == "reduced" else system.V - res.x[:n]
         take = np.clip(take, 0.0, None)
         theta = float(res.x[-1])
         if obs.enabled:
@@ -157,27 +156,17 @@ def allocate_lp(
     return Allocation.finalize(system, request, take, "lp", satisfied=x, theta=theta)
 
 
-def take_blocks(a, V, U, T, rows):
-    """The reduced LP's blocks over the takes ``d_0 .. d_{n-1}``.
+def min_theta_lp(x, T, rows, ub):
+    """The reduced min-theta LP over the takes ``d_0 .. d_{n-1}``, as
+    ``(c, A_ub, b_ub, A_eq, b_eq, bounds)`` over ``[d_0 .. d_{n-1}, theta]``.
 
-    Returns ``(drops, ub)``: ``drops`` holds rows ``rows`` of ``I + T.T``
-    (row ``i`` is principal ``i``'s capacity drop ``d_i + sum_k d_k
-    T_ki``), and ``ub`` bounds each take by constraint (4): ``U_kA``,
-    which is already clamped at ``V_k``, for a donor ``k`` and ``V_A``
-    for the requester.  ``U=None`` bounds every take by ``V`` alone.
+    ``min theta`` s.t. ``drops @ d <= theta``, ``sum d = x`` and
+    ``0 <= d <= ub``, where ``drops`` holds rows ``rows`` of ``I + T.T``:
+    row ``i`` is principal ``i``'s capacity drop ``d_i + sum_k d_k T_ki``.
     """
-    n = len(V)
+    n = len(ub)
     drops = (T.T + np.eye(n))[rows]
-    ub = np.array(V, dtype=float) if U is None else U[:, a].copy()
-    ub[a] = V[a]
-    return drops, ub
-
-
-def min_theta_lp(x, drops, ub):
-    """``min theta`` s.t. ``drops @ d <= theta``, ``sum d = x`` and
-    ``0 <= d <= ub``, as ``(c, A_ub, b_ub, A_eq, b_eq, bounds)`` over
-    ``[d_0 .. d_{n-1}, theta]``."""
-    m, n = drops.shape
+    m = len(drops)
     c = np.zeros(n + 1)
     c[n] = 1.0
     A_ub = np.zeros((m, n + 1))

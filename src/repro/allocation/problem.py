@@ -23,6 +23,15 @@ if TYPE_CHECKING:
 __all__ = ["AllocationRequest", "Allocation"]
 
 
+def _agreement_bound(view: CapacityView, a: int, level: int | None) -> np.ndarray:
+    """Constraint (4)'s take bounds for requester ``a``: ``U[k, A]``, which
+    is already clamped at ``V_k``, for a donor ``k`` and ``V_A`` for the
+    requester.  They sum to ``C_A``."""
+    bound = view.u(level)[:, a].copy()
+    bound[a] = view.V[a]
+    return bound
+
+
 @dataclass(frozen=True)
 class AllocationRequest:
     """A request by ``principal`` for ``amount`` of one resource.
@@ -94,9 +103,9 @@ class Allocation:
         the request's transitivity level.  ``satisfied`` defaults to the
         sum of the takes and ``theta`` to the largest capacity drop among
         non-requesters; optimising allocators pass their solver's values
-        instead.  The sanitizer's postconditions run on the result, and an
-        in-flight decision records the outcome, donor split, theta and
-        ``C'``.
+        instead.  The sanitizer's postconditions, constraint (4) included,
+        run on the result, and an in-flight decision records the outcome,
+        donor split, theta and ``C'``.
         """
         level = request.level
         new_V = np.maximum(view.V - take, 0.0)
@@ -117,13 +126,7 @@ class Allocation:
             principals=principals,
         )
         if _sanitize.enabled():
-            bound = None
-            if scheme in ("lp", "endpoint"):
-                # Constraint (4) binds these schemes only: the multigrid
-                # refine spreads a group's share by member capacity alone.
-                a = view.index(request.principal)
-                bound = view.u(level)[:, a].copy()
-                bound[a] = view.V[a]
+            bound = _agreement_bound(view, view.index(request.principal), level)
             _sanitize.check_allocation(view.capacities(level), allocation, bound)
         dec = current_decision()
         if dec is not None:

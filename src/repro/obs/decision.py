@@ -11,8 +11,8 @@ is enabled.
 
 Layering: the GRM (or a direct policy) opens a :class:`DecisionBuilder`
 around the allocation; deeper layers that know facts the opener cannot
-see (the LP solver's iteration count, the multigrid allocator's round
-count) attach them to the *active* decision via :func:`current_decision`
+see (the LP solver's iteration count) attach them to the *active*
+decision via :func:`current_decision`
 without any handle being threaded through the call chain.  On close the
 record lands in the observer's :class:`FlightRecorder` and — when the
 surrounding trace is sampled — as a ``{"kind": "decision"}`` JSONL line,

@@ -13,9 +13,9 @@ by solving the Section-3 LP (or one of the baseline schemes).
 - :class:`~repro.proxysim.metrics.SimulationResult` — one table of sums
   per (origin proxy, 10-minute slot), viewed as the per-slot series and
   scalar summaries the figures plot;
-- :mod:`~repro.proxysim.redirect` — redirection policies: none,
-  LP (centralized, transitive) and endpoint (proportional, Figure 13's
-  baseline).
+- :mod:`~repro.proxysim.redirect` — redirection policies: LP
+  (centralized, transitive) and endpoint (proportional, Figure 13's
+  baseline); ``scheme="none"`` has none.
 """
 
 from .config import ServiceModel, SimulationConfig
@@ -23,7 +23,6 @@ from .metrics import SimulationResult
 from .redirect import (
     EndpointPolicy,
     LPPolicy,
-    NoSharingPolicy,
     RedirectPolicy,
     make_policy,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "ProxySimulation",
     "run_simulation",
     "RedirectPolicy",
-    "NoSharingPolicy",
     "LPPolicy",
     "EndpointPolicy",
     "make_policy",

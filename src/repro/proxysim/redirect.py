@@ -5,12 +5,14 @@ seconds of queued work it wants to shed, and each proxy currently has
 ``avail[k]`` seconds of spare processing capacity over the scheduler's
 lookahead window, how much work goes to whom?
 
-- :class:`NoSharingPolicy` — the Figure-5 baseline: nothing moves;
 - :class:`LPPolicy` — the paper's scheme: the Section-3 LP over the
   agreement system, enforcing (level-limited) transitive flow bounds and
   minimising global perturbation;
 - :class:`EndpointPolicy` — Figure 13's baseline: proportional to direct
   agreement quantities, blind to remote availability.
+
+The Figure-5 baseline, ``scheme="none"``, has no policy: nothing moves,
+so the simulation never consults.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from ..obs.decision import next_request_id
 
 __all__ = [
     "RedirectPolicy",
-    "NoSharingPolicy",
     "LPPolicy",
     "EndpointPolicy",
     "make_policy",
@@ -45,18 +46,6 @@ class RedirectPolicy:
         construction (it is consulting precisely because it has none).
         """
         raise NotImplementedError
-
-
-class NoSharingPolicy(RedirectPolicy):
-    """No agreements enforced; all work stays where it arrived."""
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def plan(self, requester: int, excess: float, avail: np.ndarray) -> np.ndarray:
-        take = np.zeros(self.n)
-        take[requester] = excess  # "keep local" — i.e. no redirection
-        return take
 
 
 class _SystemPolicy(RedirectPolicy):
@@ -151,10 +140,11 @@ class EndpointPolicy(_SystemPolicy):
         return take
 
 
-def make_policy(config, system: CapacityView | None) -> RedirectPolicy:
-    """Build the policy named by ``config.scheme``."""
+def make_policy(config, system: CapacityView | None) -> RedirectPolicy | None:
+    """Build the policy named by ``config.scheme`` (``None`` for ``"none"``,
+    under which nothing is redirected)."""
     if config.scheme == "none":
-        return NoSharingPolicy(config.n_proxies)
+        return None
     if system is None:
         raise SimulationError(
             f"scheme {config.scheme!r} needs an agreement system"

@@ -59,7 +59,7 @@ class ProxySimulation:
         """
         self.config = config
         self.system = system
-        self.policy: RedirectPolicy = make_policy(config, system)
+        self.policy: RedirectPolicy | None = make_policy(config, system)
         self._system_updates = sorted(system_updates or [], key=lambda u: u[0])
         self._next_update = 0
         capacities = config.capacities()

@@ -13,9 +13,9 @@ would otherwise propagate silently into later decisions:
 - **Allocators** (:meth:`repro.allocation.problem.Allocation.finalize`,
   the epilogue every allocator ends with): takes are non-negative and
   conserve the satisfied amount, ``theta >= 0``, and post-allocation
-  effective capacities never exceed pre-allocation ones (``C' <= C``);
-  for the LP and endpoint schemes each take also stays within its
-  agreement bound (constraint (4)).
+  effective capacities never exceed pre-allocation ones (``C' <= C``),
+  and each take stays within its agreement bound (constraint (4)), for
+  every scheme.
 - **GRM** (:meth:`~repro.manager.grm.GlobalResourceManager._allocate`):
   the donor split on the grant message sums to the granted amount.
 - **Topology** (:meth:`~repro.agreements.topology.AgreementTopology.coefficients`):

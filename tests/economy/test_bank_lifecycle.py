@@ -3,14 +3,17 @@
 A hypothesis state machine on 4-6 principals interleaves accepted
 mutations (issue, revoke, reissue at a new share, inflate) with rejected
 ones (a non-finite face value, an unknown currency, revoking a revoked
-ticket), under the armed sanitizer, so every topology rebuild that
-replays a coefficient plan is also checked against a from-scratch DP.
-After each step:
+ticket, a virtual currency whose owner is not a principal, a default
+currency owned by another name), under the armed sanitizer, so every
+topology rebuild that replays a coefficient plan is also checked against
+a from-scratch DP.  After each step:
 
 - for ``m`` in 1, 2 and the full closure, the bank's coefficients equal a
   fresh topology's over the same matrices, bit for bit;
 - an accepted mutation costs exactly one ``topology.cache_miss`` on the
-  next access, and a rejected one none.
+  next access, and a rejected one none;
+- the bank holds exactly the tickets the machine counts as live, so
+  revoke/reissue cycles leave no revoked ticket behind.
 """
 
 import math
@@ -78,6 +81,7 @@ class BankLifecycle(RuleBasedStateMachine):
         self.principals = [f"p{i}" for i in range(n)]
         for name in self.principals:
             self.bank.create_currency(name, face_value=FACE)
+        self.bank.create_currency("v0", owner=self.principals[0], virtual=True)
         for a, b, face in shares:
             self.issue(a, b, face)
         self.bank.topology()
@@ -143,7 +147,25 @@ class BankLifecycle(RuleBasedStateMachine):
         ticket_id = sorted(self.revoked)[pick % len(self.revoked)]
         self.rejected(lambda: self.bank.revoke_ticket(ticket_id), TicketRevokedError)
 
+    @rule(owner=st.sampled_from(["nobody", "v0"]))
+    def create_virtual_without_principal_owner(self, owner):
+        """A virtual currency must be owned by a principal: an unknown name
+        or another virtual currency (``v0``) is refused."""
+        self.rejected(
+            lambda: self.bank.create_currency("v-new", owner=owner, virtual=True),
+            EconomyError,
+        )
+
+    @rule(pick=picks)
+    def create_default_owned_by_another(self, pick):
+        owner = self.principals[pick % len(self.principals)]
+        self.rejected(lambda: self.bank.create_currency("p-new", owner=owner), EconomyError)
+
     # -- invariants --------------------------------------------------------------
+
+    @invariant()
+    def tickets_are_the_live_ones(self):
+        assert len(self.bank.tickets) == len(self.live)
 
     @invariant()
     def coefficients_match_a_fresh_topology(self):

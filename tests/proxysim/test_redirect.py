@@ -6,11 +6,7 @@ import pytest
 from repro.agreements import complete_structure, loop_structure
 from repro.errors import SimulationError
 from repro.proxysim import SimulationConfig, make_policy
-from repro.proxysim.redirect import (
-    EndpointPolicy,
-    LPPolicy,
-    NoSharingPolicy,
-)
+from repro.proxysim.redirect import EndpointPolicy, LPPolicy
 
 
 @pytest.fixture
@@ -20,14 +16,6 @@ def system():
 
 def avail(*values):
     return np.asarray(values, dtype=float)
-
-
-class TestNoSharing:
-    def test_keeps_everything_local(self):
-        policy = NoSharingPolicy(4)
-        take = policy.plan(1, 10.0, avail(5, 0, 5, 5))
-        assert take[1] == 10.0
-        assert take.sum() == 10.0
 
 
 class TestLPPolicy:
@@ -83,7 +71,7 @@ class TestEndpointPolicy:
 class TestMakePolicy:
     def test_scheme_dispatch(self, system):
         cfg = SimulationConfig(n_proxies=4)
-        assert isinstance(make_policy(cfg.with_(scheme="none"), None), NoSharingPolicy)
+        assert make_policy(cfg.with_(scheme="none"), None) is None
         assert isinstance(make_policy(cfg.with_(scheme="lp"), system), LPPolicy)
         assert isinstance(
             make_policy(cfg.with_(scheme="endpoint"), system), EndpointPolicy

@@ -214,7 +214,7 @@ class TestAllocationInvariants:
         sanitize.check_allocation(None, allocation, np.array([2.0, 4.5]))
 
     def test_finalize_checks_constraint_4(self, sanitized):
-        """A take above ``U[k, A]`` fails the LP epilogue, and the
+        """A take above ``U[k, A]`` fails every scheme's epilogue, and the
         requester's own take is bounded by ``V[A]``."""
         from repro.allocation import Allocation, AllocationRequest
 
@@ -228,8 +228,8 @@ class TestAllocationInvariants:
             Allocation.finalize(system, request, np.array([7.0, 5.0]), "lp")
         with pytest.raises(InvariantViolation, match="agreement bound"):
             Allocation.finalize(system, request, np.array([11.0, 1.0]), "endpoint")
-        # The multigrid refine's contract has no per-donor bound.
-        Allocation.finalize(system, request, np.array([7.0, 5.0]), "hierarchical")
+        with pytest.raises(InvariantViolation, match="agreement bound"):
+            Allocation.finalize(system, request, np.array([7.0, 5.0]), "hierarchical")
 
 
 class TestCoefficientInvariants:
