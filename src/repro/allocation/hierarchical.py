@@ -24,11 +24,10 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..agreements.topology import AgreementTopology, CapacityView
-from ..errors import AllocationError, InfeasibleAllocationError, InsufficientResourcesError
-from ..lp import solve
+from ..errors import AllocationError
 from ..obs import get_observer
-from .lp_allocator import allocate_lp, min_theta_lp
-from .problem import Allocation, AllocationRequest, _agreement_bound
+from .lp_allocator import _solve_min_theta, allocate_lp, min_theta_lp
+from .problem import Allocation, _admit, _agreement_bound
 
 __all__ = ["allocate_hierarchical", "coarsen"]
 
@@ -97,10 +96,10 @@ def allocate_hierarchical(
     :func:`repro.agreements.structures.hierarchical_structure`; it must
     partition the principals, else :class:`~repro.errors.AllocationError`.
 
-    A request above ``C_A`` raises
+    Admission is :func:`~repro.allocation.lp_allocator.allocate_lp`'s,
+    applied before either route: a request above ``C_A + 1e-7`` raises
     :class:`~repro.errors.InsufficientResourcesError` quoting ``C_A``, or
-    is granted ``C_A`` with ``partial=True``, as in
-    :func:`~repro.allocation.lp_allocator.allocate_lp`.
+    is granted ``C_A`` with ``partial=True``, and no grant exceeds ``C_A``.
     """
     if groups is None:
         groups = system.topology.groups
@@ -113,13 +112,12 @@ def allocate_hierarchical(
     a = system.index(principal)
     home = next(gi for gi, members in enumerate(idx) if a in members)
 
-    request = AllocationRequest(principal, amount, level)
-    x = float(amount)
     take = np.zeros(system.n)
     obs = get_observer()
     with obs.span(
-        "allocation.hierarchical", principal=principal, amount=x, groups=len(idx)
+        "allocation.hierarchical", principal=principal, amount=float(amount), groups=len(idx)
     ) as span:
+        request, x = _admit(system, principal, amount, level, partial)
         # One topology per group and call, so one coefficient DP per group.
         topologies = [_group_topology(system, members) for members in idx]
         local = topologies[home].view(system.V[idx[home]])
@@ -130,12 +128,6 @@ def allocate_hierarchical(
             ).take
             return Allocation.finalize(system, request, take, "hierarchical", satisfied=x)
 
-        cap = system.capacity_of(principal, level)
-        if x > cap + _TOL:
-            if not partial:
-                span.set(available=cap)
-                raise InsufficientResourcesError(principal, x, cap)
-            x = cap
         bound = _agreement_bound(system, a, level)
         budgets = np.array([bound[members].sum() for members in idx])
         coarse = coarsen(system, idx).coefficients(level)
@@ -166,9 +158,9 @@ def _group_topology(system: CapacityView, idx: np.ndarray) -> AgreementTopology:
 
 def _min_theta(x, T, rows, ub, backend, model):
     """Takes summing to ``x`` within ``ub`` that minimise the largest drop
-    among ``rows`` (feasible whenever ``x <= sum(ub)``)."""
+    among ``rows``.  Admission keeps ``x`` within ``C_A``, and the coarse
+    split within each budget, so the LP is feasible up to the round-off
+    between ``sum(ub)`` and ``x`` that the ``min`` absorbs."""
     arrays = min_theta_lp(min(x, float(ub.sum())), T, rows, ub)
-    res = solve(*arrays, backend=backend, model=model)
-    if not res.ok:  # pragma: no cover - feasible by construction
-        raise InfeasibleAllocationError(f"multigrid {model} LP {res.status.value}")
+    res = _solve_min_theta(arrays, backend, model)
     return np.clip(res.x[: len(ub)], 0.0, ub)

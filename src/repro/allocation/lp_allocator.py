@@ -44,24 +44,22 @@ serves as the tests' oracle.  Both are built directly as arrays and
 solved by :func:`repro.lp.solve`: the in-repo simplex by default, HiGHS
 on request.
 
-Constraint (4)'s take bounds come from one helper, shared with the
-multigrid allocator and the sanitizer, and :func:`min_theta_lp` builds the
-reduced min-theta LP for this allocator and for the multigrid's coarse
-and in-group LPs.
+Admission against ``C_A`` and constraint (4)'s take bounds each come
+from one helper in :mod:`~repro.allocation.problem`, shared with the
+multigrid allocator (and the bounds with the sanitizer).
+:func:`min_theta_lp` builds the reduced min-theta LP for this allocator
+and for the multigrid's coarse and in-group LPs, and every allocation LP
+is solved and checked in one place, :func:`_solve_min_theta`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import (
-    InfeasibleAllocationError,
-    InsufficientResourcesError,
-    LPError,
-)
+from ..errors import InfeasibleAllocationError, LPError
 from ..lp import BACKENDS, solve
 from ..obs import get_observer
-from .problem import Allocation, AllocationRequest, _agreement_bound
+from .problem import Allocation, _admit, _agreement_bound
 
 __all__ = ["allocate_lp", "min_theta_lp"]
 
@@ -95,8 +93,9 @@ def allocate_lp(
         LP backend: ``"simplex"`` (default, the in-repo bounded simplex)
         or ``"scipy"`` (HiGHS, imported only when asked for).
     partial:
-        If the request exceeds ``C_A``, grant ``C_A`` instead of raising
-        :class:`~repro.errors.InsufficientResourcesError`.
+        If the request exceeds ``C_A + 1e-7``, grant ``C_A`` instead of
+        raising :class:`~repro.errors.InsufficientResourcesError`.  No
+        grant exceeds ``C_A`` either way.
 
     Returns
     -------
@@ -108,42 +107,28 @@ def allocate_lp(
         raise LPError(f"unknown formulation {formulation!r}; use 'reduced' or 'faithful'")
     if backend not in BACKENDS:
         raise LPError(f"unknown LP backend {backend!r}; choose from {sorted(BACKENDS)}")
-    request = AllocationRequest(principal, amount, level)
     a = system.index(principal)
     n = system.n
     obs = get_observer()
     with obs.span(
         "allocation.request", principal=principal, amount=float(amount), n=n
     ) as sp:
-        C = system.capacities(level)
-        T = system.coefficients(level)
-
-        x = float(amount)
-        cap = float(C[a])
-        if x > cap + _TOL:
-            if not partial:
-                obs.counter("allocation.denied")
-                sp.set(available=cap)
-                raise InsufficientResourcesError(principal, x, cap)
-            x = cap
+        request, x = _admit(system, principal, amount, level, partial)
         if x <= _TOL:
             return Allocation.finalize(
                 system, request, np.zeros(n), "lp", satisfied=0.0, theta=0.0
             )
 
+        T = system.coefficients(level)
         with obs.span("lp.build", formulation=formulation, n=n):
             ub = _agreement_bound(system, a, level)
             if formulation == "reduced":
                 arrays = min_theta_lp(x, T, np.delete(np.arange(n), a), ub)
             else:
-                arrays = _faithful_arrays(a, x, system.V, system.u(level), C, T, ub)
-        res = solve(*arrays, backend=backend, model=f"allocate-{formulation}")
-        if not res.ok:
-            obs.counter("allocation.infeasible")
-            raise InfeasibleAllocationError(
-                f"allocation LP reported {res.status.value} "
-                f"(x={x:g}, requester index {a})"
-            )
+                arrays = _faithful_arrays(
+                    a, x, system.V, system.u(level), system.capacities(level), T, ub
+                )
+        res = _solve_min_theta(arrays, backend, f"allocate-{formulation}")
         # The faithful LP's first n variables are the remainders V'.
         take = res.x[:n] if formulation == "reduced" else system.V - res.x[:n]
         take = np.clip(take, 0.0, None)
@@ -176,6 +161,18 @@ def min_theta_lp(x, T, rows, ub):
     A_eq[:, :n] = 1.0
     bounds = [(0.0, u) for u in ub.tolist()] + [(0.0, None)]
     return c, A_ub, np.zeros(m), A_eq, np.array([x]), bounds
+
+
+def _solve_min_theta(arrays, backend: str, model: str):
+    """Solve a min-theta LP given as arrays: the allocation LP, or the
+    multigrid's coarse and refine LPs.  The one place an allocation LP's
+    failure surfaces: it counts ``allocation.infeasible`` and raises
+    :class:`~repro.errors.InfeasibleAllocationError`."""
+    res = solve(*arrays, backend=backend, model=model)
+    if not res.ok:
+        get_observer().counter("allocation.infeasible")
+        raise InfeasibleAllocationError(f"{model} LP reported {res.status.value}")
+    return res
 
 
 def _faithful_arrays(a, x, V, U, C, T, ub):

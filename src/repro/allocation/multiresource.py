@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..agreements.topology import CapacityView
-from ..errors import AllocationError, InsufficientResourcesError
+from ..errors import AllocationError
 from ..units import CoupledResource, ResourceVector
 from .lp_allocator import allocate_lp
-from .problem import Allocation
+from .problem import Allocation, _admit
 
 __all__ = ["MultiResourceRequest", "allocate_multi"]
 
@@ -68,7 +68,8 @@ def allocate_multi(
     AllocationError
         If a requested type has no governing system.
     InsufficientResourcesError
-        If any type cannot be satisfied.
+        If any type's quantity is above its ``C_A`` by more than
+        :func:`~repro.allocation.lp_allocator.allocate_lp` admits.
     """
     plans: dict[str, Allocation] = {}
     # Pre-check every type before planning any, for all-or-nothing semantics.
@@ -80,9 +81,7 @@ def allocate_multi(
             raise AllocationError(
                 f"no agreement system registered for resource type {rtype!r}"
             )
-        available = system.capacity_of(request.principal, request.level)
-        if quantity > available + 1e-9:
-            raise InsufficientResourcesError(request.principal, quantity, available)
+        _admit(system, request.principal, quantity, request.level, partial=False)
     for rtype, quantity in request.needs.items():
         if quantity <= 0:
             continue

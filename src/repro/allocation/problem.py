@@ -1,5 +1,7 @@
 """Request and result types for the allocation engine.
 
+``_admit`` is the one admission rule the optimising allocators start
+with: it checks a request against ``C_A`` and never grants more.
 :meth:`Allocation.finalize` is the one epilogue every allocator ends
 with: it derives the post-allocation state from the takes, runs the
 sanitizer's postconditions, and records the outcome on the flight
@@ -15,12 +17,18 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .. import sanitize as _sanitize
+from ..errors import InsufficientResourcesError
+from ..obs import get_observer
 from ..obs.decision import current_decision
 
 if TYPE_CHECKING:
     from ..agreements.topology import CapacityView
 
 __all__ = ["AllocationRequest", "Allocation"]
+
+#: How far a strict request may exceed ``C_A`` and still be admitted
+#: (and then granted ``C_A``): the LP solvers' feasibility tolerance.
+_ADMIT_TOL = 1e-7
 
 
 def _agreement_bound(view: CapacityView, a: int, level: int | None) -> np.ndarray:
@@ -30,6 +38,30 @@ def _agreement_bound(view: CapacityView, a: int, level: int | None) -> np.ndarra
     bound = view.u(level)[:, a].copy()
     bound[a] = view.V[a]
     return bound
+
+
+def _admit(
+    view: CapacityView, principal: str, amount: float, level: int | None, partial: bool
+) -> tuple[AllocationRequest, float]:
+    """Admission, the one rule every optimising allocator applies before
+    it plans: the checked request and the amount to grant, never above
+    ``C_A`` at the request's level.
+
+    Above ``C_A + 1e-7`` a request raises
+    :class:`~repro.errors.InsufficientResourcesError` quoting ``C_A``
+    (counted as ``allocation.denied`` and set as ``available`` on the open
+    span), unless ``partial=True`` asks for ``C_A`` instead.
+    """
+    request = AllocationRequest(principal, amount, level)
+    x = float(amount)
+    cap = view.capacity_of(principal, level)
+    if x > cap + _ADMIT_TOL and not partial:
+        obs = get_observer()
+        obs.counter("allocation.denied")
+        if obs.enabled and (span := obs.tracer.current) is not None:
+            span.set(available=cap)
+        raise InsufficientResourcesError(principal, x, cap)
+    return request, min(x, cap)
 
 
 @dataclass(frozen=True)
@@ -133,7 +165,7 @@ class Allocation:
             dec.set(
                 outcome="granted",
                 granted=allocation.satisfied,
-                takes=tuple((p, float(t)) for p, t in zip(principals, take) if t > 1e-12),
+                takes=tuple(allocation.takes_by_name().items()),
                 theta=float(theta),
                 capacities_after=dict(zip(principals, new_C.tolist())),
             )
@@ -145,7 +177,8 @@ class Allocation:
         return float(self.take[self.principals.index(self.request.principal)])
 
     def takes_by_name(self) -> dict[str, float]:
-        """Non-zero takes keyed by principal name."""
+        """The takes a grant names: those above 1e-12, keyed by principal
+        name in the topology's principal order."""
         return {
             p: float(t)
             for p, t in zip(self.principals, self.take)

@@ -10,19 +10,18 @@ Hot path: allocation reuses the bank's version-keyed topology cache
 (:meth:`repro.economy.Bank.topology`), so the coefficient DP (exponential
 in n; ~2 ms at n = 10) and the funding-graph flattening run once per
 *agreement change* rather than once per request; each request only binds
-the current availability vector to the cached topology as a
+the current availability to the cached topology as a
 :class:`~repro.agreements.topology.CapacityView`.  Availability itself
-is kept in per-resource-type vectors indexed through a prebuilt
-name -> index map, so reports, grants and releases are O(1) updates and
-:meth:`availability_vector` is a copy, not a rebuild.
+is kept per resource type and principal *name*, so reports, grants and
+releases are O(1) updates that survive any agreement change, and a
+request reads it in the cached topology's principal order, the order
+the grant's takes are named in.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-
-import numpy as np
 
 from .. import sanitize as _sanitize
 from ..allocation.lp_allocator import allocate_lp
@@ -62,11 +61,8 @@ class GlobalResourceManager:
         self.name = name
         self.bank = bank
         self.transport = None
-        # availability vectors per resource type, indexed by principal
-        self._avail: dict[str, np.ndarray] = {}
-        self._principals: list[str] = []
-        self._pindex: dict[str, int] = {}
-        self._pindex_version = -1  # bank version the index was built at
+        # reported availability per resource type, keyed by principal name
+        self._avail: dict[str, dict[str, float]] = {}
         # open grants: grant msg_id -> (resource_type, takes)
         self._grants: dict[int, tuple[str, tuple[tuple[str, float], ...]]] = {}
         self.requests_served = 0
@@ -80,36 +76,6 @@ class GlobalResourceManager:
 
     # -- availability ---------------------------------------------------------------
 
-    def _sync_principals(self) -> None:
-        """Refresh the name -> index map after a bank mutation.
-
-        Availability values survive re-indexing by name, so registering a
-        new principal (or any other agreement change) never drops the
-        reports already received.
-        """
-        if self._pindex_version == self.bank.version:
-            return
-        principals = self.bank.principals()
-        if principals != self._principals:
-            old_index = self._pindex
-            self._pindex = {p: i for i, p in enumerate(principals)}
-            for rtype, old in self._avail.items():
-                fresh = np.zeros(len(principals))
-                for p, i in old_index.items():
-                    j = self._pindex.get(p)
-                    if j is not None:
-                        fresh[j] = old[i]
-                self._avail[rtype] = fresh
-            self._principals = principals
-        self._pindex_version = self.bank.version
-
-    def _avail_vector(self, resource_type: str) -> np.ndarray:
-        self._sync_principals()
-        vec = self._avail.get(resource_type)
-        if vec is None or vec.shape[0] != len(self._principals):
-            vec = self._avail[resource_type] = np.zeros(len(self._principals))
-        return vec
-
     def _on_batch(self, msg: AvailabilityBatch) -> None:
         """Store the batch's ``(principal, available)`` reports.
 
@@ -118,11 +84,10 @@ class GlobalResourceManager:
         :class:`UnknownPrincipalError`, a negative or non-finite value
         :class:`ManagerError`.
         """
-        vec = self._avail_vector(msg.resource_type)
-        staged: dict[int, float] = {}
+        known = set(self.bank.principals())
+        staged: dict[str, float] = {}
         for principal, available in msg.reports:
-            i = self._pindex.get(principal)
-            if i is None:
+            if principal not in known:
                 raise UnknownPrincipalError(principal)
             value = float(available)
             if not 0.0 <= value < math.inf:
@@ -130,17 +95,11 @@ class GlobalResourceManager:
                     f"GRM {self.name!r}: availability of {principal!r} must be "
                     f"finite and non-negative, got {value!r}"
                 )
-            staged[i] = value
-        for i, value in staged.items():
-            vec[i] = value
+            staged[principal] = value
+        self._avail.setdefault(msg.resource_type, {}).update(staged)
 
     def availability(self, principal: str, resource_type: str = "general") -> float:
-        vec = self._avail_vector(resource_type)
-        idx = self._pindex.get(principal)
-        return float(vec[idx]) if idx is not None else 0.0
-
-    def availability_vector(self, resource_type: str = "general") -> np.ndarray:
-        return self._avail_vector(resource_type).copy()
+        return self._avail.get(resource_type, {}).get(principal, 0.0)
 
     # -- protocol --------------------------------------------------------------------
 
@@ -151,17 +110,18 @@ class GlobalResourceManager:
         return handler(self, message)
 
     def _allocate(self, msg: AllocationRequestMsg) -> Message:
-        self._sync_principals()
-        if msg.principal not in self._pindex:
-            raise UnknownPrincipalError(msg.principal)
-
         obs = get_observer()
         with obs.span("grm.allocate", grm=self.name, principal=msg.principal):
             # The topology is cached on the bank version: unchanged
             # agreements mean no re-flattening and no coefficient DP, just
-            # a view over the live availability vector.
+            # a view over the reported availability, read in the
+            # topology's principal order.
             topology = self.bank.topology(msg.resource_type)
-            live = topology.view(self.availability_vector(msg.resource_type))
+            principals = topology.principals
+            if msg.principal not in principals:
+                raise UnknownPrincipalError(msg.principal)
+            table = self._avail.setdefault(msg.resource_type, {})
+            live = topology.view([table.get(p, 0.0) for p in principals])
             # The flight-recorder entry: deeper layers attach to it while
             # the block is open (the LP solver its statistics, the
             # allocation epilogue the grant itself).
@@ -175,9 +135,9 @@ class GlobalResourceManager:
             ) as dec:
                 if obs.enabled:
                     dec.set(
-                        availability_before=self._named(live.V),
-                        capacities_before=self._named(
-                            live.capacities(msg.level)
+                        availability_before=dict(zip(principals, live.V.tolist())),
+                        capacities_before=dict(
+                            zip(principals, live.capacities(msg.level).tolist())
                         ),
                     )
                 try:
@@ -198,11 +158,7 @@ class GlobalResourceManager:
                         reason=str(exc),
                         available=exc.available,
                     )
-                takes = tuple(
-                    (p, float(t))
-                    for p, t in zip(self._principals, allocation.take)
-                    if t > 1e-12
-                )
+                takes = tuple(allocation.takes_by_name().items())
                 grant = AllocationGrant(
                     sender=self.name,
                     request_id=msg.msg_id,
@@ -217,18 +173,12 @@ class GlobalResourceManager:
                     _sanitize.check_bank(self.bank)
                 # Update cached availability until fresh reports arrive, and
                 # remember the grant so a release can restore it.
-                vec = self._avail_vector(msg.resource_type)
                 for p, t in takes:
-                    i = self._pindex[p]
-                    vec[i] = max(vec[i] - t, 0.0)
+                    table[p] = max(table.get(p, 0.0) - t, 0.0)
                 self._grants[grant.msg_id] = (msg.resource_type, takes)
                 self.requests_served += 1
                 obs.counter("grm.requests_served", grm=self.name)
                 return grant
-
-    def _named(self, vector) -> dict[str, float]:
-        """A per-principal dict view of a vector (for decision records)."""
-        return {p: float(v) for p, v in zip(self._principals, vector)}
 
     def _release(self, msg: ReleaseMsg) -> None:
         try:
@@ -237,11 +187,9 @@ class GlobalResourceManager:
             raise ManagerError(
                 f"GRM {self.name!r} has no open grant {msg.grant_id}"
             ) from None
-        vec = self._avail_vector(resource_type)
+        table = self._avail.setdefault(resource_type, {})
         for p, t in takes:
-            i = self._pindex.get(p)
-            if i is not None:
-                vec[i] += t
+            table[p] = table.get(p, 0.0) + t
 
     #: The GRM's side of the protocol: every message type it accepts, by
     #: exact type.  Its replies are :class:`AllocationGrant` and

@@ -140,6 +140,5 @@ class ManagerPolicy(RedirectPolicy):
                 self._held = (self.principals[requester], reply.msg_id)
                 for principal, amount in reply.takes:
                     take[self._pindex[principal]] = amount
-            # Denials and any unplaced remainder stay local.
-            take[requester] += max(excess - take.sum(), 0.0)
-            return take
+            # Denials place nothing.
+            return self._keep_local(take, requester, excess, take.sum())

@@ -47,6 +47,13 @@ class RedirectPolicy:
         """
         raise NotImplementedError
 
+    @staticmethod
+    def _keep_local(take: np.ndarray, requester: int, excess: float, placed: float) -> np.ndarray:
+        """``take`` with the excess the agreements did not place
+        (``excess - placed``, if positive) kept by the requester."""
+        take[requester] += max(excess - placed, 0.0)
+        return take
+
 
 class _SystemPolicy(RedirectPolicy):
     """Shared plumbing: bind live availability to the agreement topology.
@@ -107,10 +114,7 @@ class LPPolicy(_SystemPolicy):
                 backend=self.backend,
                 partial=True,
             )
-        take = allocation.take.copy()
-        # Anything the agreements cannot place stays local.
-        take[requester] += max(excess - allocation.satisfied, 0.0)
-        return take
+        return self._keep_local(allocation.take.copy(), requester, excess, allocation.satisfied)
 
 
 class EndpointPolicy(_SystemPolicy):
@@ -135,9 +139,7 @@ class EndpointPolicy(_SystemPolicy):
         allocation = allocate_endpoint(
             nominal, nominal.principals[requester], excess, partial=True
         )
-        take = allocation.take.copy()
-        take[requester] += max(excess - allocation.satisfied, 0.0)
-        return take
+        return self._keep_local(allocation.take.copy(), requester, excess, allocation.satisfied)
 
 
 def make_policy(config, system: CapacityView | None) -> RedirectPolicy | None:

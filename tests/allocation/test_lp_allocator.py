@@ -5,10 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.agreements import CapacityView, complete_structure, loop_structure
-from repro.allocation import allocate_lp
-from repro.errors import InsufficientResourcesError, LPError
-from repro.lp import BACKENDS
+import repro.obs as obs
+from repro.agreements import (
+    CapacityView,
+    complete_structure,
+    hierarchical_structure,
+    loop_structure,
+)
+from repro.allocation import allocate_hierarchical, allocate_lp, lp_allocator
+from repro.errors import InfeasibleAllocationError, InsufficientResourcesError, LPError
+from repro.lp import BACKENDS, LPResult, LPStatus
 
 
 def two_node(v0=10.0, v1=0.0, share=0.5):
@@ -213,3 +219,40 @@ class TestObjectiveVariants:
             for backend in BACKENDS:
                 al = allocate_lp(sys_, "isp4", x, partial=True, backend=backend)
                 assert 0.0 <= al.theta <= al.satisfied + 1e-6, backend
+
+
+class TestInfeasibleSolve:
+    """Every allocation LP is solved at one site, the one place an
+    infeasible LP raises :class:`InfeasibleAllocationError` and counts
+    ``allocation.infeasible``."""
+
+    @pytest.fixture
+    def failing(self, monkeypatch):
+        """Models whose LP the solve site sees reported ``INFEASIBLE``."""
+        solve = lp_allocator.solve
+        models: set[str] = set()
+
+        def reported(*arrays, model, **options):
+            if model in models:
+                return LPResult(LPStatus.INFEASIBLE, backend="test")
+            return solve(*arrays, model=model, **options)
+
+        monkeypatch.setattr(lp_allocator, "solve", reported)
+        yield models
+        obs.disable()
+
+    @staticmethod
+    def allocate(model):
+        if model == "allocate-reduced":
+            return allocate_lp(complete_structure(4, share=0.2), "isp0", 1.0)
+        # Beyond node0's group, so the multigrid route runs both LPs.
+        hier = hierarchical_structure(3, 4, 0.6, 0.1)
+        return allocate_hierarchical(hier, "node0", 0.95 * hier.capacity_of("node0"))
+
+    @pytest.mark.parametrize("model", ["allocate-reduced", "coarse", "refine"])
+    def test_raises_and_counts(self, failing, model):
+        failing.add(model)
+        observer = obs.enable()
+        with pytest.raises(InfeasibleAllocationError, match=f"{model} LP reported infeasible"):
+            self.allocate(model)
+        assert observer.registry.counter_value("allocation.infeasible") == 1

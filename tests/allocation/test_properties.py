@@ -9,9 +9,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.agreements import CapacityView
-from repro.allocation import allocate_endpoint, allocate_lp
+from repro.agreements import (
+    CapacityView,
+    complete_structure,
+    hierarchical_structure,
+    loop_structure,
+)
+from repro.allocation import (
+    MultiResourceRequest,
+    allocate_endpoint,
+    allocate_hierarchical,
+    allocate_lp,
+    allocate_multi,
+)
+from repro.allocation.problem import _agreement_bound
+from repro.errors import InsufficientResourcesError
 from repro.lp import BACKENDS
+from repro.manager.grm import GlobalResourceManager
+from repro.manager.messages import AllocationGrant, AllocationRequestMsg, AvailabilityBatch
+from repro.manager.transport import InProcessTransport
+from repro.proxysim.manager_bridge import bank_for_structure
 
 
 @st.composite
@@ -104,3 +121,90 @@ class TestSchemeDominance:
         ):
             assert np.all(plan.take <= system.V + 1e-6), plan.scheme
             assert np.all(plan.new_V >= -1e-9), plan.scheme
+
+
+@st.composite
+def admission_cases(draw):
+    """A complete, loop or hierarchical structure at random capacities, a
+    requester, a level, and an ask just around its ``C_A``: ``C_A (1 +- d)``
+    or ``C_A + eps`` with ``eps`` on both sides of the 1e-7 admission
+    tolerance."""
+    kind = draw(st.sampled_from(["complete", "loop", "hierarchical"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "complete":
+        view = complete_structure(draw(st.integers(3, 7)), share=draw(st.floats(0.02, 0.3)))
+    elif kind == "loop":
+        view = loop_structure(draw(st.integers(3, 7)), share=draw(st.floats(0.2, 0.9)))
+    else:
+        view = hierarchical_structure(
+            draw(st.integers(2, 3)), draw(st.integers(2, 4)),
+            inter_share=draw(st.floats(0.02, 0.5)),
+        )
+    view = view.with_capacities(rng.uniform(0.2, 2.0, view.n))
+    principal = view.principals[draw(st.integers(0, view.n - 1))]
+    level = draw(st.sampled_from([1, 2, None]))
+    cap = view.capacity_of(principal, level)
+    if draw(st.booleans()):
+        x = cap * (1 + draw(st.sampled_from([-1, 1])) * draw(st.sampled_from([1e-3, 0.05, 0.5])))
+    else:
+        x = cap + draw(st.sampled_from([5e-10, 5e-9, 5e-8, 2e-7]))
+    return view, principal, level, x
+
+
+def _grm_verdict(view, principal, level, x):
+    """One GRM request for ``x`` over a bank holding ``view``'s agreements,
+    after a batch reporting ``view.V``."""
+    grm = GlobalResourceManager("grm", bank_for_structure(view))
+    transport = InProcessTransport()
+    grm.attach(transport)
+    reports = tuple(zip(view.principals, view.V.tolist()))
+    transport.send("grm", AvailabilityBatch(sender="lrm", reports=reports))
+    return transport.send(
+        "grm", AllocationRequestMsg(sender=principal, principal=principal, amount=x, level=level)
+    )
+
+
+class TestAdmission:
+    @given(admission_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_one_admission_rule(self, case):
+        """``allocate_lp``, the multigrid, ``allocate_multi`` and the GRM admit
+        the same asks: a strict ask raises, quoting ``C_A``, exactly when it
+        exceeds ``C_A + 1e-7``; every grant is ``min(x, C_A)`` and no take
+        exceeds its constraint-(4) bound."""
+        view, principal, level, x = case
+        cap = view.capacity_of(principal, level)
+        bound = _agreement_bound(view, view.index(principal), level)
+        groups = view.topology.groups or [range(view.n // 2), range(view.n // 2, view.n)]
+        allocators = {
+            "lp": lambda **kw: allocate_lp(view, principal, x, level=level, **kw),
+            "hierarchical": lambda **kw: allocate_hierarchical(
+                view, principal, x, groups=groups, level=level, **kw
+            ),
+            "multi": lambda: allocate_multi(
+                {"cpu": view}, MultiResourceRequest(principal, {"cpu": x}, level)
+            )["cpu"],
+        }
+        refused = x > cap + 1e-7
+        for scheme, allocate in allocators.items():
+            if refused:
+                with pytest.raises(InsufficientResourcesError) as exc_info:
+                    allocate()
+                assert exc_info.value.available == cap, scheme
+                continue
+            grant = allocate()
+            assert grant.satisfied == min(x, cap), scheme
+            assert np.all(grant.take <= bound + 1e-9), scheme
+        for scheme in ("lp", "hierarchical"):
+            grant = allocators[scheme](partial=True)
+            assert grant.satisfied == min(x, cap), scheme
+            assert np.all(grant.take <= bound + 1e-9), scheme
+
+        reply = _grm_verdict(view, principal, level, x)
+        assert isinstance(reply, AllocationGrant) == (not refused)
+        if refused:
+            assert reply.available == pytest.approx(cap, rel=1e-12)
+        else:
+            assert reply.total == pytest.approx(min(x, cap), rel=1e-9, abs=1e-12)
+            takes = dict(reply.takes)
+            assert all(takes.get(p, 0.0) <= b + 1e-9 for p, b in zip(view.principals, bound))
