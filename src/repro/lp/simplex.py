@@ -15,7 +15,10 @@ minimises their sum; phase 2 fixes the artificials at 0 and minimises
 ``c.x``.  The smallest eligible index enters (Bland's rule).  The ratio test
 is Harris's: it may step up to ``_FEAS_TOL`` past a basic variable's bound,
 which lets it skip pivots under a tenth of the largest blocking one; the
-smallest basic index leaves among the rest.  The basic values are
+smallest basic index leaves among the rest.  An optimum it leaves past a
+bound (a take of -2e-9 on a 2e-7 request, say) is solved again with the
+exact ratio test, so every returned value is within its bounds and every
+row holds to round-off.  The basic values are
 recomputed from the original rows at the end of each phase.  Without that,
 agreement structures whose coefficients span many orders of magnitude (deep
 hierarchies) led to wrong answers and spurious "infeasible" verdicts.  A
@@ -38,6 +41,8 @@ __all__ = ["SimplexResult", "solve_simplex"]
 
 _TOL = 1e-9  # pivot and reduced-cost tolerance
 _FEAS_TOL = 1e-7  # phase-1 objective above which the LP is infeasible
+_BOUND_TOL = 1e-12  # how far past a bound round-off leaves a returned value
+_PAST_BOUND = -1  # _two_phase's status for a Harris point past a bound
 
 
 class SimplexResult(NamedTuple):
@@ -89,25 +94,34 @@ def solve_simplex(c, A_ub, b_ub, A_eq, b_eq, bounds, max_iter: int = 50_000) -> 
 
     # A singular basis, or an unbounded ray, can come from a pivot taken on
     # round-off; solve again, refactoring the tableau from M at every pivot
-    # instead of updating it.
+    # instead of updating it.  An optimum Harris's ratio test left past a
+    # bound is solved again with the exact ratio test: clipped to its
+    # bounds, such a point would no longer meet its rows.
     nit = 0
     for refactor in (False, True):
-        T = M.copy()  # B^-1 M; the starting B is diagonal +-1
-        T[short] *= sign[:, None]
-        res = _two_phase(c, M, T, b, basis.copy(), x.copy(), lo, hi.copy(), nit, max_iter, refactor)
+        for harris in (True, False):
+            T = M.copy()  # B^-1 M; the starting B is diagonal +-1
+            T[short] *= sign[:, None]
+            res = _two_phase(
+                c, M, T, b, basis.copy(), x.copy(), lo, hi.copy(), nit, max_iter, harris, refactor
+            )
+            nit = res.nit
+            if res.status != _PAST_BOUND:
+                break
         if res.status not in (3, 4):
             return res
-        nit = res.nit
     return res
 
 
-def _two_phase(c, M, T, b, basis, x, lo, hi, nit, max_iter, refactor) -> SimplexResult:
-    """Phase 1 from the artificial basis, then phase 2 on ``c``."""
+def _two_phase(c, M, T, b, basis, x, lo, hi, nit, max_iter, harris, refactor) -> SimplexResult:
+    """Phase 1 from the artificial basis, then phase 2 on ``c``, with
+    Harris's ratio test or the exact one; status ``_PAST_BOUND`` if
+    Harris's steps left the optimum past a bound."""
     m, N = M.shape
     n = len(c)
     cost = np.zeros(N)
     cost[n + m :] = 1.0
-    status, nit = _iterate(M, T, basis, x, lo, hi, cost, nit, max_iter, refactor)
+    status, nit = _iterate(M, T, basis, x, lo, hi, cost, nit, max_iter, harris, refactor)
     if status == 0:
         if not _refresh(M, b, basis, x):
             return SimplexResult(4, None, np.nan, nit, "singular basis")
@@ -119,7 +133,7 @@ def _two_phase(c, M, T, b, basis, x, lo, hi, nit, max_iter, refactor) -> Simplex
         hi[n + m :] = 0.0
         cost[:] = 0.0
         cost[:n] = c
-        status, nit = _iterate(M, T, basis, x, lo, hi, cost, nit, max_iter, refactor)
+        status, nit = _iterate(M, T, basis, x, lo, hi, cost, nit, max_iter, harris, refactor)
     if status != 0:  # phase 1 is bounded below by 0, so only phase 2 can be unbounded
         message = {3: "unbounded", 4: "singular basis"}.get(
             status, f"simplex exceeded {max_iter} iterations"
@@ -127,6 +141,8 @@ def _two_phase(c, M, T, b, basis, x, lo, hi, nit, max_iter, refactor) -> Simplex
         return SimplexResult(status, None, np.nan, nit, message)
     if not _refresh(M, b, basis, x):
         return SimplexResult(4, None, np.nan, nit, "singular basis")
+    if harris and ((x < lo - _BOUND_TOL) | (x > hi + _BOUND_TOL)).any():
+        return SimplexResult(_PAST_BOUND, None, np.nan, nit, "past a bound")
     return SimplexResult(0, x[:n].copy(), float(c @ x[:n]), nit, "optimal")
 
 
@@ -143,11 +159,12 @@ def _refresh(M, b, basis, x) -> bool:
     return True
 
 
-def _iterate(M, T, basis, x, lo, hi, cost, nit, max_iter, refactor) -> tuple[int, int]:
+def _iterate(M, T, basis, x, lo, hi, cost, nit, max_iter, harris, refactor) -> tuple[int, int]:
     """Primal simplex on the tableau ``T = B^-1 M`` (updated in place with
     ``basis`` and ``x``, or recomputed from ``M`` at every pivot when
     ``refactor``); returns ``(status, iterations)``, status 4 on a
-    singular basis."""
+    singular basis.  Without ``harris`` the ratio test is the exact one:
+    the first bound reached blocks."""
     m, N = T.shape
     is_basic = np.zeros(N, dtype=bool)
     is_basic[basis] = True
@@ -178,8 +195,11 @@ def _iterate(M, T, basis, x, lo, hi, cost, nit, max_iter, refactor) -> tuple[int
             # those), so no tiny pivot amplifies round-off.
             pivots = size[blocking]
             ratio = room / pivots
-            near = ratio <= ((room + _FEAS_TOL) / pivots).min()
-            pick = np.flatnonzero(near & (pivots >= 0.1 * pivots[near].max()))
+            if harris:
+                near = ratio <= ((room + _FEAS_TOL) / pivots).min()
+                pick = np.flatnonzero(near & (pivots >= 0.1 * pivots[near].max()))
+            else:
+                pick = np.flatnonzero(ratio <= ratio.min())
             k = pick[np.argmin(basis[blocking[pick]])]
             r, t_row = blocking[k], max(ratio[k], 0.0)
         else:

@@ -135,6 +135,35 @@ class TestDegenerateCases:
         assert plan.satisfied == pytest.approx(ref.satisfied, abs=1e-6)
         assert plan.theta == pytest.approx(ref.theta, abs=1e-6)
 
+    def test_harris_overstep_solves_again(self, monkeypatch):
+        """Harris's ratio test ends this min-theta LP (a 2e-7 request)
+        with a take 1.8e-9 below 0; the solver starts again with the exact
+        ratio test, so the takes are within their bounds, sum to the ask,
+        and theta is the optimum: the whole ask from the requester, which
+        drops principal 2 by 0.11 per unit (a unit from principal 2 would
+        drop principal 2 itself by 1)."""
+        from repro.allocation.lp_allocator import min_theta_lp
+        from repro.lp import simplex
+
+        T = np.array([[0.0, 1e-4, 1.1e-5], [0.1011, 0.0, 0.11], [1e-2, 1e-6, 0.0]])
+        ub = np.array([0.0, 1.0, 1e-6])
+        problem = min_theta_lp(2e-7, T, [0, 2], ub)
+        passes = []
+        two_phase = simplex._two_phase
+
+        def spy(*args):
+            passes.append(args[-2])
+            return two_phase(*args)
+
+        monkeypatch.setattr(simplex, "_two_phase", spy)
+        res = solve(*problem, backend="simplex")
+        assert passes == [True, False]
+        assert res.ok
+        take = res.x[:3]
+        assert np.all((take >= 0.0) & (take <= ub))
+        assert take.sum() == pytest.approx(2e-7, rel=1e-12)
+        assert res.objective == pytest.approx(0.11 * 2e-7, rel=1e-9)
+
     def test_iterations_reported(self):
         # max x + 2y st x + y <= 6, x, y in [0, 4]
         problem = lp_arrays([-1, -2], ub=[([1, 1], 6)], bounds=[(0, 4), (0, 4)])

@@ -224,3 +224,18 @@ class GRMLifecycle(RuleBasedStateMachine):
 
 GRMLifecycle.TestCase.settings = settings(max_examples=60, stateful_step_count=30, deadline=None)
 TestGRMLifecycle = GRMLifecycle.TestCase
+
+
+def test_tiny_ask_is_granted_exactly():
+    """An ask of 1e-6 of ``C_A``: Harris's ratio test once ended this LP
+    with the ``sum d = x`` row 9e-8 over, granting 1.098e-6 for 1.01e-6."""
+    state = GRMLifecycle()
+    try:
+        state.setup(n=3, shares=[(0, 0, 1.0), (0, 0, 1.0), (62, 0, 1.0)])
+        state.issue_ticket(a=0, b=1, face=10.0)
+        state.report(spare=[(0, 1.0)])
+        state.report(spare=[(26, 1.0)])
+        state.request(fraction=1e-06, level=1, over=0.0, pick=0)
+        state.availability_is_free_minus_lent()
+    finally:
+        state.teardown()
