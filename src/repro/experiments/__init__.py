@@ -1,20 +1,14 @@
 """Experiment harnesses: one module per figure of the paper's evaluation.
 
-Each ``figNN`` module exposes ``run(...) -> ExperimentResult`` producing
-the same series/rows the figure plots, at a configurable workload scale
-(``SimulationConfig.scaled``, default 25; see DESIGN.md).  The
-:mod:`~repro.experiments.runner` CLI runs any subset and prints tables;
-``benchmarks/`` wraps the same functions under pytest-benchmark.
-
-| Module   | Paper figure | What it reproduces |
-|----------|--------------|--------------------|
-| fig05    | Figure 5     | request volume & waiting time per 10-min slot, no sharing |
-| fig06    | Figure 6     | waiting time vs time skew (gap), complete graph |
-| fig07    | Figure 7     | sharing vs extra standalone capacity |
-| fig08    | Figure 8     | transitivity levels, complete graph |
-| fig09_11 | Figures 9-11 | transitivity levels, loops with skip 1/3/7 |
-| fig12    | Figure 12    | redirection cost impact |
-| fig13    | Figure 13    | centralized LP vs endpoint enforcement |
+Each module, ``fig05`` … ``fig13`` (``fig09_11`` covers Figures 9-11;
+``repro-experiments --list`` names them all), declares its figure as
+data: a ``FIGURE`` (:class:`~repro.experiments.common.Figure`) holding
+the grid of simulated days and the statistics of each row.
+``figNN.run(scale=25, seeds=(0,), <axis>=...)`` returns the
+:class:`ExperimentResult` the figure plots.  ``common.run_figures`` runs
+any set of figures, simulating each distinct day once; the
+:mod:`~repro.experiments.runner` CLI and the EXPERIMENTS.md generator
+each make one such call.
 """
 
 from .common import ExperimentResult

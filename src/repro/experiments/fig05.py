@@ -9,58 +9,45 @@ expected shape: the wait curve tracks the load curve with a lag, and the
 peak wait is two to four orders of magnitude above the trough wait.
 """
 
-from __future__ import annotations
+from .common import Figure
 
-from ..proxysim import SimulationConfig, run_simulation
-from .common import ExperimentResult
-
-__all__ = ["run"]
+__all__ = ["run", "FIGURE"]
 
 
-def run(scale: float = 25.0, seed: int = 0, **overrides) -> ExperimentResult:
-    cfg = SimulationConfig.scaled(scale, scheme="none", seed=seed, **overrides)
-    result = run_simulation(cfg)
+def _curves(day):  # requests and mean wait per slot at ISP 0, slot start hours
+    return day.request_count_series(0), day.mean_wait_series(0), day.slot_times() / 3600.0
 
-    counts = result.request_count_series(0)
-    waits = result.mean_wait_series(0)
-    slots = result.slot_times()
 
-    peak_slot = int(waits.argmax())
-    load_peak_slot = int(counts.argmax())
-    res = ExperimentResult(
-        experiment="fig05",
-        description="requests and avg waiting time per 10-min slot, no sharing",
-        rows=[
-            {
-                "metric": "peak_mean_wait_s",
-                "value": float(waits.max()),
-                "at_hour": round(slots[peak_slot] / 3600.0, 1),
-            },
-            {
-                "metric": "trough_mean_wait_s",
-                "value": float(waits[counts > 0].min()),
-                "at_hour": round(float(slots[counts > 0][waits[counts > 0].argmin()]) / 3600.0, 1),
-            },
-            {
-                "metric": "peak_requests_per_slot",
-                "value": float(counts.max()),
-                "at_hour": round(slots[load_peak_slot] / 3600.0, 1),
-            },
-            {
-                "metric": "total_requests",
-                "value": float(result.total_requests),
-                "at_hour": float("nan"),
-            },
-        ],
-        series={
-            "slot_hours": slots / 3600.0,
-            "requests_per_slot": counts.astype(float),
-            "mean_wait": waits,
-        },
-        notes=(
-            "Paper: load heaviest around midnight, lightest early morning; "
-            "peak waits ~250 s.  Expected here: wait curve tracks the load "
-            "curve and peaks within a few hours after the load peak."
-        ),
-    )
-    return res
+def _rows(days):
+    counts, waits, hours = _curves(days[0])
+    busy = counts > 0
+
+    def row(metric, value, hour):
+        return {"metric": metric, "value": float(value), "at_hour": round(hour, 1)}
+
+    return [
+        row("peak_mean_wait_s", waits.max(), hours[waits.argmax()]),
+        row("trough_mean_wait_s", waits[busy].min(), float(hours[busy][waits[busy].argmin()])),
+        row("peak_requests_per_slot", counts.max(), hours[counts.argmax()]),
+        row("total_requests", days[0].total_requests, float("nan")),
+    ]
+
+
+def _series(rows, days):
+    counts, waits, hours = _curves(days[0])
+    return {"slot_hours": hours, "requests_per_slot": counts.astype(float), "mean_wait": waits}
+
+
+FIGURE = Figure(
+    name="fig05",
+    description="requests and avg waiting time per 10-min slot, no sharing",
+    grid=lambda scale: [({}, {"scheme": "none"})],
+    rows=_rows,
+    series=_series,
+    notes=(
+        "Paper: load heaviest around midnight, lightest early morning; "
+        "peak waits ~250 s.  Expected here: wait curve tracks the load "
+        "curve and peaks within a few hours after the load peak."
+    ),
+)
+run = FIGURE.run  # run(scale=25.0, seeds=(0,)): this figure alone

@@ -13,64 +13,42 @@ idle when a proxy peaks; the peak wait collapses by one to two orders of
 magnitude as the gap grows from 0 to 3600 s.
 """
 
-from __future__ import annotations
-
 from ..agreements import complete_structure
-from ..proxysim import SimulationConfig, run_simulation
-from .common import ExperimentResult
+from .common import Figure
 
-__all__ = ["run", "GAPS"]
+__all__ = ["run", "GAPS", "FIGURE"]
 
 GAPS = (0.0, 900.0, 1800.0, 3600.0)
 
 
-def run(
-    scale: float = 25.0,
-    gaps=GAPS,
-    seed: int = 0,
-    share: float = 0.1,
-    include_baseline: bool = True,
-    **overrides,
-) -> ExperimentResult:
-    system = complete_structure(10, share=share)
-    rows = []
-    series = {}
+def _grid(scale, gaps=GAPS):
+    lp = [({"gap_s": gap}, {"scheme": "lp", "gap": float(gap)}) for gap in gaps]
+    return [({"gap_s": "none (no sharing)"}, {"scheme": "none", "gap": 3600.0})] + lp
 
-    if include_baseline:
-        cfg = SimulationConfig.scaled(scale, scheme="none", gap=3600.0, seed=seed, **overrides)
-        base = run_simulation(cfg)
-        rows.append(
-            {
-                "gap_s": "none (no sharing)",
-                "worst_slot_wait_s": base.worst_case_wait(0),
-                "mean_wait_s": base.overall_mean_wait(0),
-                "redirected": 0.0,
-            }
-        )
-        series["wait:no-sharing"] = base.mean_wait_series(0)
 
-    for gap in gaps:
-        cfg = SimulationConfig.scaled(scale, scheme="lp", gap=float(gap), seed=seed, **overrides)
-        result = run_simulation(cfg, system)
-        rows.append(
-            {
-                "gap_s": gap,
-                "worst_slot_wait_s": result.worst_case_wait(0),
-                "mean_wait_s": result.overall_mean_wait(0),
-                "redirected": result.redirect_fraction(),
-            }
-        )
-        series[f"wait:gap={int(gap)}"] = result.mean_wait_series(0)
-        series["slot_hours"] = result.slot_times() / 3600.0
+def _series(rows, days):
+    keys = ["wait:no-sharing"] + [f"wait:gap={int(row['gap_s'])}" for row in rows[1:]]
+    items = [(key, day.mean_wait_series(0)) for key, day in zip(keys, days)]
+    # The slot axis follows the first gap's curve among the CSV's columns.
+    items.insert(2, ("slot_hours", days[-1].slot_times() / 3600.0))
+    return dict(items)
 
-    return ExperimentResult(
-        experiment="fig06",
-        description="avg waiting time vs gap, complete graph, 10% shares",
-        rows=rows,
-        series=series,
-        notes=(
-            "Paper: gap=3600 drops the peak from ~250 s to < 2 s.  Expected "
-            "here: monotone improvement with gap; gap=3600 one to two orders "
-            "of magnitude below no-sharing."
-        ),
-    )
+
+FIGURE = Figure(
+    name="fig06",
+    description="avg waiting time vs gap, complete graph, 10% shares",
+    structure=lambda label: complete_structure(10, share=0.1),
+    grid=_grid,
+    stats={
+        "worst_slot_wait_s": lambda day, _: day.worst_case_wait(0),
+        "mean_wait_s": lambda day, _: day.overall_mean_wait(0),
+        "redirected": lambda day, _: day.redirect_fraction(),
+    },
+    series=_series,
+    notes=(
+        "Paper: gap=3600 drops the peak from ~250 s to < 2 s.  Expected "
+        "here: monotone improvement with gap; gap=3600 one to two orders "
+        "of magnitude below no-sharing."
+    ),
+)
+run = FIGURE.run  # run(scale=25.0, seeds=(0,), gaps=GAPS): this figure alone

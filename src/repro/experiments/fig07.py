@@ -15,62 +15,42 @@ setup by the scheduler's threshold floor, which extra standalone capacity
 does not have to pay (see EXPERIMENTS.md).
 """
 
-from __future__ import annotations
-
 from ..agreements import complete_structure
-from ..proxysim import SimulationConfig, run_simulation
-from .common import ExperimentResult
+from .common import Figure
 
-__all__ = ["run", "CAPACITY_FACTORS"]
+__all__ = ["run", "CAPACITY_FACTORS", "FIGURE"]
 
 CAPACITY_FACTORS = (1.0, 1.1, 1.2, 1.25, 1.3, 1.35, 1.4, 1.5)
 
 
-def run(
-    scale: float = 25.0,
-    factors=CAPACITY_FACTORS,
-    seed: int = 0,
-    **overrides,
-) -> ExperimentResult:
-    system = complete_structure(10, share=0.1)
-    cfg_share = SimulationConfig.scaled(scale, scheme="lp", gap=3600.0, seed=seed, **overrides)
-    shared = run_simulation(cfg_share, system)
-    target = shared.worst_case_wait(0)
-
-    rows = [
-        {
-            "config": "sharing @ capacity 1.0",
-            "capacity": 1.0,
-            "mean_wait_s": shared.overall_mean_wait(0),
-            "worst_slot_wait_s": target,
-        }
+def _grid(scale, factors=CAPACITY_FACTORS):
+    none = [
+        ({"config": "no sharing", "capacity": f}, {"scheme": "none", "capacity": f})
+        for f in map(float, factors)
     ]
-    crossover = None
-    for f in factors:
-        cfg = SimulationConfig.scaled(
-            scale, scheme="none", gap=3600.0, capacity=float(f), seed=seed,
-            **overrides,
-        )
-        result = run_simulation(cfg)
-        worst = result.worst_case_wait(0)
-        rows.append(
-            {
-                "config": "no sharing",
-                "capacity": float(f),
-                "mean_wait_s": result.overall_mean_wait(0),
-                "worst_slot_wait_s": worst,
-            }
-        )
-        if crossover is None and worst <= target:
-            crossover = float(f)
+    return [({"config": "sharing @ capacity 1.0", "capacity": 1.0}, {"scheme": "lp"})] + none
 
-    notes = (
+
+def _notes(rows):
+    target, swept = rows[0]["worst_slot_wait_s"], rows[1:]
+    crossover = next((r["capacity"] for r in swept if r["worst_slot_wait_s"] <= target), None)
+    if crossover is None:
+        crossover = f">{max(r['capacity'] for r in swept)}"
+    return (
         "Paper: 25-35% extra standalone capacity needed to match sharing.  "
-        f"Measured crossover capacity factor: {crossover if crossover else '>1.5'}"
+        f"Measured crossover capacity factor: {crossover}"
     )
-    return ExperimentResult(
-        experiment="fig07",
-        description="sharing vs increased standalone capacity",
-        rows=rows,
-        notes=notes,
-    )
+
+
+FIGURE = Figure(
+    name="fig07",
+    description="sharing vs increased standalone capacity",
+    structure=lambda label: complete_structure(10, share=0.1),
+    grid=_grid,
+    stats={
+        "mean_wait_s": lambda day, _: day.overall_mean_wait(0),
+        "worst_slot_wait_s": lambda day, _: day.worst_case_wait(0),
+    },
+    notes=_notes,
+)
+run = FIGURE.run  # run(scale=25.0, seeds=(0,), factors=CAPACITY_FACTORS): this figure alone

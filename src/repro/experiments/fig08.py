@@ -10,55 +10,29 @@ Expected shape: level 1 already achieves nearly all of the benefit;
 levels 2+ change the waiting time only marginally.
 """
 
-from __future__ import annotations
-
 from ..agreements import complete_structure
-from ..proxysim import SimulationConfig, run_simulation
-from .common import ExperimentResult, mean_over_seeds
+from .common import Figure
 
-__all__ = ["run", "LEVELS"]
+__all__ = ["run", "LEVELS", "FIGURE"]
 
 LEVELS = (1, 2, 3, 5, 9)
 
 
-def run(
-    scale: float = 25.0,
-    levels=LEVELS,
-    seeds=(0,),
-    share: float = 0.1,
-    **overrides,
-) -> ExperimentResult:
-    system = complete_structure(10, share=share)
-    rows = []
+def _grid(scale, levels=LEVELS):
+    lp = [({"level": int(n)}, {"scheme": "lp", "level": int(n)}) for n in levels]
+    return [({"level": "none"}, {"scheme": "none"})] + lp
 
-    base = mean_over_seeds(
-        lambda s: run_simulation(
-            SimulationConfig.scaled(scale, scheme="none", gap=3600.0, seed=s, **overrides)
-        ).worst_case_wait(0),
-        seeds,
-    )
-    rows.append({"level": "none", "worst_slot_wait_s": base})
 
-    for level in levels:
-        worst = mean_over_seeds(
-            lambda s: run_simulation(
-                SimulationConfig.scaled(
-                    scale, scheme="lp", gap=3600.0, level=int(level), seed=s,
-                    **overrides,
-                ),
-                system,
-            ).worst_case_wait(0),
-            seeds,
-        )
-        rows.append({"level": int(level), "worst_slot_wait_s": worst})
-
-    return ExperimentResult(
-        experiment="fig08",
-        description="transitivity levels, complete graph (10 ISPs, 10% shares)",
-        rows=rows,
-        notes=(
-            "Paper: sharing helps; incremental transitive benefit is small "
-            "because every server is directly reachable.  Expected here: "
-            "level 1 within ~25% of deeper levels, all far below no-sharing."
-        ),
-    )
+FIGURE = Figure(
+    name="fig08",
+    description="transitivity levels, complete graph (10 ISPs, 10% shares)",
+    structure=lambda label: complete_structure(10, share=0.1),
+    grid=_grid,
+    stats={"worst_slot_wait_s": lambda day, _: day.worst_case_wait(0)},
+    notes=(
+        "Paper: sharing helps; incremental transitive benefit is small "
+        "because every server is directly reachable.  Expected here: "
+        "level 1 within ~25% of deeper levels, all far below no-sharing."
+    ),
+)
+run = FIGURE.run  # run(scale=25.0, seeds=(0,), levels=LEVELS): this figure alone

@@ -22,57 +22,37 @@ The reported waits therefore aggregate over origins ``skip..9`` whose
 level-1 donor is genuine.
 """
 
-from __future__ import annotations
-
 from ..agreements import loop_structure
-from ..proxysim import SimulationConfig, run_simulation
-from .common import ExperimentResult, mean_over_seeds
+from .common import Figure
 
-__all__ = ["run", "SKIPS", "LEVELS"]
+__all__ = ["run", "SKIPS", "LEVELS", "FIGURE"]
 
 SKIPS = (1, 3, 7)
 LEVELS = (1, 2, 3, 9)
+_NAMES = {1: "fig09", 3: "fig10", 7: "fig11"}
 
 
-def run(
-    scale: float = 25.0,
-    skips=SKIPS,
-    levels=LEVELS,
-    seeds=(0,),
-    share: float = 0.8,
-    **overrides,
-) -> ExperimentResult:
-    rows = []
-    for skip in skips:
-        system = loop_structure(10, share=share, skip=int(skip))
-        origins = list(range(int(skip), 10))
-        for level in levels:
-            worst = mean_over_seeds(
-                lambda s: run_simulation(
-                    SimulationConfig.scaled(
-                        scale, scheme="lp", gap=3600.0, level=int(level),
-                        seed=s, **overrides,
-                    ),
-                    system,
-                ).worst_case_wait_over(origins),
-                seeds,
-            )
-            rows.append(
-                {
-                    "figure": {1: "fig09", 3: "fig10", 7: "fig11"}.get(int(skip), f"skip{skip}"),
-                    "skip": int(skip),
-                    "level": int(level),
-                    "worst_slot_wait_s": worst,
-                }
-            )
-    return ExperimentResult(
-        experiment="fig09_11",
-        description="transitivity levels on loops (80% share, skip 1/3/7)",
-        rows=rows,
-        notes=(
-            "Paper: level-1 worst-case waits 35 / 7 / 3 s for skip 1 / 3 / 7; "
-            "level >= 3 converges to ~2 s for all skips.  Expected here: "
-            "level-1 wait decreasing in skip; level-3 within a small factor "
-            "across skips and no worse than level 1."
-        ),
-    )
+def _grid(scale, skips=SKIPS, levels=LEVELS):
+    points = [(int(skip), int(n)) for skip in skips for n in levels]
+    return [
+        ({"figure": _NAMES.get(k, f"skip{k}"), "skip": k, "level": n}, {"scheme": "lp", "level": n})
+        for k, n in points
+    ]
+
+
+FIGURE = Figure(
+    name="fig09_11",
+    description="transitivity levels on loops (80% share, skip 1/3/7)",
+    structure=lambda label: loop_structure(10, share=0.8, skip=label["skip"]),
+    grid=_grid,
+    stats={
+        "worst_slot_wait_s": lambda day, label: day.worst_case_wait_over(range(label["skip"], 10)),
+    },
+    notes=(
+        "Paper: level-1 worst-case waits 35 / 7 / 3 s for skip 1 / 3 / 7; "
+        "level >= 3 converges to ~2 s for all skips.  Expected here: "
+        "level-1 wait decreasing in skip; level-3 within a small factor "
+        "across skips and no worse than level 1."
+    ),
+)
+run = FIGURE.run  # run(scale=25.0, seeds=(0,), skips=SKIPS, levels=LEVELS): this figure alone

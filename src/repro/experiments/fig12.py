@@ -13,55 +13,45 @@ service).  Expected shape: the mean-wait curves for cost 0x / 1x / 2x lie
 within a small factor of one another, far below the no-sharing baseline.
 """
 
-from __future__ import annotations
-
 from ..agreements import complete_structure
-from ..proxysim import SimulationConfig, run_simulation
-from .common import ExperimentResult
+from ..proxysim import SimulationConfig
+from .common import Figure
 
-__all__ = ["run", "COST_MULTIPLIERS"]
+__all__ = ["run", "COST_MULTIPLIERS", "FIGURE"]
 
 COST_MULTIPLIERS = (0.0, 1.0, 2.0)
 
 
-def run(
-    scale: float = 25.0,
-    cost_multipliers=COST_MULTIPLIERS,
-    seed: int = 0,
-    **overrides,
-) -> ExperimentResult:
-    system = complete_structure(10, share=0.1)
-    probe = SimulationConfig.scaled(scale, seed=seed, **overrides)
+def _grid(scale, cost_multipliers=COST_MULTIPLIERS):
+    probe = SimulationConfig.scaled(scale)
     mean_service = probe.service.mean_service(probe.sizes)
+    return [
+        (
+            {"cost_multiplier": m, "redirect_cost_s": round(m * mean_service, 3)},
+            {"scheme": "lp", "redirect_cost": m * mean_service},
+        )
+        for m in map(float, cost_multipliers)
+    ]
 
-    rows = []
-    for mult in cost_multipliers:
-        cost = float(mult) * mean_service
-        cfg = SimulationConfig.scaled(
-            scale, scheme="lp", gap=3600.0, redirect_cost=cost, seed=seed,
-            **overrides,
-        )
-        result = run_simulation(cfg, system)
-        rows.append(
-            {
-                "cost_multiplier": float(mult),
-                "redirect_cost_s": round(cost, 3),
-                "mean_wait_s": result.overall_mean_wait(0),
-                "worst_slot_wait_s": result.worst_case_wait(0),
-                "redirected_frac": result.redirect_fraction(),
-                "peak_redirected_frac": result.peak_redirect_fraction(),
-                # "Although the waiting time of these requests has
-                # significant penalty ... the redirection pays off."
-                "mean_wait_redirected_s": result.split_mean_wait()[1],
-            }
-        )
-    return ExperimentResult(
-        experiment="fig12",
-        description="waiting time vs redirection cost (complete graph)",
-        rows=rows,
-        notes=(
-            "Paper: costs comparable to the mean service time have "
-            "negligible impact because few requests are redirected.  "
-            "Expected here: mean waits within a small factor across costs."
-        ),
-    )
+
+FIGURE = Figure(
+    name="fig12",
+    description="waiting time vs redirection cost (complete graph)",
+    structure=lambda label: complete_structure(10, share=0.1),
+    grid=_grid,
+    stats={
+        "mean_wait_s": lambda day, _: day.overall_mean_wait(0),
+        "worst_slot_wait_s": lambda day, _: day.worst_case_wait(0),
+        "redirected_frac": lambda day, _: day.redirect_fraction(),
+        "peak_redirected_frac": lambda day, _: day.peak_redirect_fraction(),
+        # "Although the waiting time of these requests has significant
+        # penalty ... the redirection pays off."
+        "mean_wait_redirected_s": lambda day, _: day.split_mean_wait()[1],
+    },
+    notes=(
+        "Paper: costs comparable to the mean service time have "
+        "negligible impact because few requests are redirected.  "
+        "Expected here: mean waits within a small factor across costs."
+    ),
+)
+run = FIGURE.run  # run(scale=25.0, seeds=(0,), cost_multipliers=COST_MULTIPLIERS): this alone

@@ -10,28 +10,23 @@
 ``--scale s`` runs ``SimulationConfig.scaled(s)`` (see DESIGN.md §3): the
 paper's offered-load profile with s-times fewer, s-times longer requests.
 25 is the default benchmark scale; 1 has the paper's service model and
-~475 k requests/proxy/day (slow).
+~475 k requests/proxy/day (slow).  The requested figures run in one
+:func:`~repro.experiments.common.run_figures` call, which simulates a day
+that several figures share once; the tables print when it ends.
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
 import time
 
 from . import fig05, fig06, fig07, fig08, fig09_11, fig12, fig13
+from .common import run_figures
+from .plotting import render_series
 
 __all__ = ["main", "EXPERIMENTS"]
 
-EXPERIMENTS = {
-    "fig05": fig05.run,
-    "fig06": fig06.run,
-    "fig07": fig07.run,
-    "fig08": fig08.run,
-    "fig09_11": fig09_11.run,
-    "fig12": fig12.run,
-    "fig13": fig13.run,
-}
+EXPERIMENTS = {m.FIGURE.name: m for m in (fig05, fig06, fig07, fig08, fig09_11, fig12, fig13)}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -63,9 +58,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list:
-        for name, fn in EXPERIMENTS.items():
-            first_line = (fn.__module__ and sys.modules[fn.__module__].__doc__ or "").strip().splitlines()[0]
-            print(f"{name:10s} {first_line}")
+        for name, module in EXPERIMENTS.items():
+            print(f"{name:10s} {module.__doc__.strip().splitlines()[0]}")
         return 0
 
     names = args.experiments
@@ -75,25 +69,17 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"unknown experiments: {unknown}; try --list")
 
-    for name in names:
-        fn = EXPERIMENTS[name]
-        start = time.perf_counter()
-        kwargs = {"scale": args.scale}
-        if "seed" in fn.__code__.co_varnames:
-            kwargs["seed"] = args.seed
-        elif "seeds" in fn.__code__.co_varnames:
-            kwargs["seeds"] = (args.seed,)
-        result = fn(**kwargs)
-        elapsed = time.perf_counter() - start
+    start = time.perf_counter()
+    requests = [(EXPERIMENTS[name].FIGURE, {}) for name in names]
+    for result in run_figures(requests, args.scale, (args.seed,)):
         print(result.render())
         if args.plot and result.series:
-            from .plotting import render_series
-
             print(render_series(result))
         if args.csv:
             for path in result.to_csv(args.csv):
                 print(f"wrote {path}")
-        print(f"[{name} took {elapsed:.1f}s]\n")
+        print()
+    print(f"[{' '.join(names)} took {time.perf_counter() - start:.1f}s]")
     return 0
 
 
